@@ -14,6 +14,7 @@ divisibility count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .casebound import BoundReport, KleinParametric, Leaf, upset_in_footprint
 from .poly import Polynomial, mono_div, mono_divides, mono_mul
@@ -21,17 +22,17 @@ from .poly import Polynomial, mono_div, mono_divides, mono_mul
 DEFAULT_MOVES = ((1, 0), (0, 1), (0, 2), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0))
 
 
-def _bounded_head_reduce(W: Polynomial, d: Polynomial, order, max_size: int):
+def _bounded_head_reduce(W: Polynomial, d: Polynomial, order_key, max_size: int):
     """Head-mode reduction by a monic divisor, or None when the chain's
     coefficients outgrow max_size (the search then skips this move)."""
     dom = W.domain
-    dlm, _ = d.leading_term(order)
+    dlm = max(d.terms, key=order_key)
     items = list(d.terms.items())
     p = dict(W.terms)
     size = sum(len(c.terms) for c in p.values())
     steps = 0
     while p:
-        lm = max(p, key=order.key)
+        lm = max(p, key=order_key)
         if not mono_divides(dlm, lm):
             break
         steps += 1
@@ -75,12 +76,25 @@ def auto_search(M: tuple, budget: SearchBudget = None, fp=None) -> BoundReport:
     divisor_names = ("F", "K", "FX", "FXY")
     work = [0]
     memo: dict = {}
+    # Stores and coverage counts live for the whole call, across passes, so
+    # each store's scans, certificates and witness are computed once.
+    stores: dict = {}
+    counts: dict = {}
+    order_key = lru_cache(maxsize=None)(ctx.order.key)
 
-    def covered(established) -> frozenset:
-        out = set(base_upset)
-        for e in established:
-            out.update(N for N in ctx.fp if mono_divides(e, N))
-        return frozenset(out)
+    def intern(cs):
+        # summary() prints equalities in list order, so the order is part
+        # of a store's identity here.
+        key = (cs.key(), tuple(e.key() for e in cs.equalities))
+        return stores.setdefault(key, cs)
+
+    def covered_count(established) -> int:
+        if established not in counts:
+            out = set(base_upset)
+            for e in established:
+                out.update(N for N in ctx.fp if mono_divides(e, N))
+            counts[established] = len(out)
+        return counts[established]
 
     def state_key(W, cs, established, depth, branches):
         wkey = tuple(sorted((m, c.key()) for m, c in W.terms.items()))
@@ -95,11 +109,12 @@ def auto_search(M: tuple, budget: SearchBudget = None, fp=None) -> BoundReport:
         # greedy claim: the formal head has nothing above it, so it is
         # established as soon as its coefficient is certified
         if not W.is_zero():
-            lm, lc = W.leading_term(ctx.order)
+            lm = max(W.terms, key=order_key)
+            lc = W.terms[lm]
             if lm in ctx.fp and lm not in established and cs.certified_nonzero(lc):
                 established = established | {lm}
         established = frozenset(established)
-        here = len(covered(established))
+        here = covered_count(established)
         leaf = [Leaf("auto", cs, tuple(sorted(established)), here, False)]
         if work[0] > budget.max_work or size > SIZE_CAP:
             return here, leaf
@@ -115,15 +130,13 @@ def auto_search(M: tuple, budget: SearchBudget = None, fp=None) -> BoundReport:
                 best, best_leaves = value, leaves
 
         if not W.is_zero():
-            lm, lc = W.leading_term(ctx.order)
             # head reductions against any divisor whose head divides ours
             for name in divisor_names:
                 if work[0] > budget.max_work:
                     break
                 d = F_cur if name == "F" else ctx.divisors[name]
-                dlm, _ = d.leading_term(ctx.order)
-                if mono_divides(dlm, lm):
-                    r = _bounded_head_reduce(W, d, ctx.order, 4 * SIZE_CAP)
+                if mono_divides(max(d.terms, key=order_key), lm):
+                    r = _bounded_head_reduce(W, d, order_key, 4 * SIZE_CAP)
                     if r is not None and r != W:
                         consider(*explore(r, F_cur, cs, established, depth, branches))
             # branch on an undetermined leading coefficient (skip monsters:
@@ -133,7 +146,7 @@ def auto_search(M: tuple, budget: SearchBudget = None, fp=None) -> BoundReport:
                 zero_cs, nonzero_cs = cs.branch(cs.reduce(lc))
                 children = []
                 value = None
-                for child in (nonzero_cs, zero_cs):
+                for child in (intern(nonzero_cs), intern(zero_cs)):
                     if child.vacuous:
                         continue
                     W2 = W.map_coeffs(child.reduce)
@@ -158,7 +171,7 @@ def auto_search(M: tuple, budget: SearchBudget = None, fp=None) -> BoundReport:
         if work[0] > budget.max_work:
             break
         memo.clear()
-        value, pass_leaves = explore(ctx.root, ctx.root, ctx.fresh_store(),
+        value, pass_leaves = explore(ctx.root, ctx.root, intern(ctx.fresh_store()),
                                      frozenset(), depth, budget.max_branches)
         if value > bound:
             bound, leaves = value, pass_leaves

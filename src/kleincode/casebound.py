@@ -441,7 +441,12 @@ def full_bound_map(traces_dir=None, fp: Footprint = None) -> dict:
     """delta(M) for all 22 classes: the trace bound where one is shipped,
     the divisibility count elsewhere."""
     fp = fp or klein_footprint()
-    reports = verify_all_traces(traces_dir, fp)
+    return bound_map_from_reports(verify_all_traces(traces_dir, fp), fp)
+
+
+def bound_map_from_reports(reports: dict, fp: Footprint = None) -> dict:
+    """full_bound_map for trace reports that are already verified."""
+    fp = fp or klein_footprint()
     out = {}
     for M in fp:
         base = divisibility_bound(M, fp)

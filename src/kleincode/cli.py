@@ -28,6 +28,7 @@ import numpy as np
 from . import klein
 from .casebound import (
     TRACED_CLASSES,
+    bound_map_from_reports,
     divisibility_bound,
     full_bound_map,
     instantiate_and_check,
@@ -177,27 +178,30 @@ def cmd_variety(args) -> int:
     return 0
 
 
-def _bound_reports(args, cfg):
+def _bound_reports(args):
+    """(reports, delta map); the traces are verified once, and the delta
+    map, None for auto-search, always covers every class."""
     if getattr(args, "auto", False):
         from .autosearch import SearchBudget, auto_search
 
         budget = SearchBudget()
         classes = ([parse_monomial(args.lm)] if getattr(args, "lm", None)
                    else sorted(TRACED_CLASSES))
-        return {M: auto_search(M, budget) for M in classes}, "auto"
+        return {M: auto_search(M, budget) for M in classes}, None
     reports = verify_all_traces(getattr(args, "traces", None))
+    delta = bound_map_from_reports(reports)
     if getattr(args, "lm", None):
         M = parse_monomial(args.lm)
         reports = {M: reports[M]} if M in reports else {}
-    return reports, "traces"
+    return reports, delta
 
 
 def cmd_bound(args) -> int:
     cfg = load_config(args)
     _require_klein(cfg, "bound")
-    reports, source = _bound_reports(args, cfg)
+    reports, delta = _bound_reports(args)
+    source = "auto" if delta is None else "traces"
     fp = klein.klein_footprint()
-    delta = full_bound_map(getattr(args, "traces", None)) if source == "traces" else None
     out = []
     for M in sorted(reports, key=klein.klein_order().key):
         rep = reports[M]

@@ -275,8 +275,14 @@ def _scan_offset_span(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
     return best
 
 
+def _check_sample_count(count: int) -> None:
+    if count < 1:
+        raise ValueError(f"sample count {count} must be at least 1")
+
+
 def _scan_offset_sample(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
                         seed: int, count: int) -> int:
+    _check_sample_count(count)
     mul = spec.mul_table()
     rng = SplitMix64(seed)
     best = 10 ** 9
@@ -326,6 +332,7 @@ def min_distance(code: EvaluationCode, strategy: str = "exhaustive",
 
 def _scan_offset_sample_nonzero(code: EvaluationCode, spec: FieldSpec,
                                 seed: int, count: int) -> int:
+    _check_sample_count(count)
     mul = spec.mul_table()
     rng = SplitMix64(seed)
     best = 10 ** 9
@@ -342,6 +349,8 @@ def _scan_offset_sample_nonzero(code: EvaluationCode, spec: FieldSpec,
         w = w[w > 0]
         if w.size:
             best = min(best, int(w.min()))
+    if best == 10 ** 9:
+        raise ValueError(f"all {count} sampled messages were zero")
     return best
 
 

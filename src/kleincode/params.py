@@ -14,7 +14,11 @@ satisfying assignment are vacuous and drop out of bound minima.
 
 from __future__ import annotations
 
-from .gf import FieldSpec, gf8
+from functools import lru_cache
+
+import numpy as np
+
+from .gf import gf8
 from .poly import NonInvertibleLeadingCoefficient
 from .rng import SplitMix64
 
@@ -22,13 +26,17 @@ _WITNESS_SEED = 0x5EEDBA5E
 
 
 class ParamRing:
-    """t parameters a1..at over a base field (GF(8) everywhere here)."""
+    """t parameters a1..at over GF(8).
+
+    The field is fixed: exponent folding (a^8 = a), exact division and the
+    grid scans all assume q = 8.
+    """
 
     __slots__ = ("t", "spec", "_zero", "_one")
 
-    def __init__(self, t: int, spec: FieldSpec = None):
+    def __init__(self, t: int):
         self.t = t
-        self.spec = spec or gf8()
+        self.spec = gf8()
         self._zero = ParamPoly(self, {})
         self._one = ParamPoly(self, {(0,) * t: 1})
 
@@ -174,6 +182,39 @@ def _param_pow(p: ParamPoly, e: int) -> ParamPoly:
     for _ in range(_fold(e)):
         acc = acc.mul(p)
     return acc
+
+
+@lru_cache(maxsize=None)
+def _pow_table() -> np.ndarray:
+    """8x8 uint8 table of x^e over GF(8), e in 0..7, with 0^0 = 1."""
+    spec = gf8()
+    return np.array([[spec.pow(x, e) for e in range(8)] for x in range(8)],
+                    dtype=np.uint8)
+
+
+def assignment_grid(t: int, idx) -> np.ndarray:
+    """t x 8^k uint8 grid of every assignment to the parameters idx (the
+    others stay 0).  Column n gives idx[j] the j-th base-8 digit of n, least
+    significant first: the order of the scalar scans."""
+    n = np.arange(8 ** len(idx))
+    grid = np.zeros((t, n.size), dtype=np.uint8)
+    for j, i in enumerate(idx):
+        grid[i] = (n >> (3 * j)) & 7
+    return grid
+
+
+def evaluate_grid(p: ParamPoly, grid: np.ndarray) -> np.ndarray:
+    """p at every column of an assignment grid, as a uint8 row."""
+    if not p.terms:
+        return np.zeros(grid.shape[1], dtype=np.uint8)
+    mul = gf8().mul_table()
+    pw = _pow_table()
+    exps = np.array(list(p.terms), dtype=np.intp)
+    coefs = np.array(list(p.terms.values()), dtype=np.uint8)
+    vals = np.broadcast_to(coefs[:, None], (coefs.size, grid.shape[1]))
+    for i in np.flatnonzero(exps.any(axis=0)):
+        vals = mul[vals, pw[grid[i]].T[exps[:, i]]]
+    return np.bitwise_xor.reduce(vals, axis=0)
 
 
 def format_param(p: ParamPoly) -> str:
@@ -377,7 +418,7 @@ class ConstraintStore:
             # Without residual equalities the reduced form is the function.
             if not involved or len(involved) > 6:
                 return False
-            if (self.ring.spec.q ** len(involved)) * len(p.terms) > 2_000_000:
+            if (8 ** len(involved)) * len(p.terms) > 2_000_000:
                 return False
             return self._vanishes_on_scan(p, involved)
         for c in self.nonzeros.values():
@@ -386,27 +427,18 @@ class ConstraintStore:
             return False
         size = len(p.terms) + sum(len(e.terms) for e in self.equalities) \
             + sum(len(c.terms) for c in self.nonzeros.values())
-        if (self.ring.spec.q ** len(involved)) * size > 2_000_000:
+        if (8 ** len(involved)) * size > 2_000_000:
             return False
         return self._vanishes_on_scan(p, involved)
 
     def _vanishes_on_scan(self, p: ParamPoly, involved) -> bool:
-        idx = sorted(involved)
-        q = self.ring.spec.q
-        assignment = [0] * self.ring.t
-        total = q ** len(idx)
-        for n in range(total):
-            v = n
-            for i in idx:
-                assignment[i] = v % q
-                v //= q
-            if any(e.evaluate(assignment) != 0 for e in self.equalities):
-                continue
-            if any(c.evaluate(assignment) == 0 for c in self.nonzeros.values()):
-                continue
-            if p.evaluate(assignment) != 0:
-                return False
-        return True
+        grid = assignment_grid(self.ring.t, sorted(involved))
+        live = np.ones(grid.shape[1], dtype=bool)
+        for e in self.equalities:
+            live &= evaluate_grid(e, grid) == 0
+        for c in self.nonzeros.values():
+            live &= evaluate_grid(c, grid) != 0
+        return not evaluate_grid(p, grid)[live].any()
 
     def witness(self):
         """A satisfying assignment (tuple of enc), or None if none found."""

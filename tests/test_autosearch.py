@@ -24,4 +24,5 @@ def test_deterministic():
     r1 = auto_search((1, 1), b)
     r2 = auto_search((1, 1), b)
     assert r1.bound == r2.bound
+    assert list(r1.leaf_rows()) == list(r2.leaf_rows())
     assert r1.bound >= r1.baseline == 12

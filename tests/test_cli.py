@@ -43,6 +43,12 @@ def test_bound_json_golden():
     assert data["delta_map"]["X^7"] == 1
 
 
+def test_bound_auto_json_golden():
+    code, out = run_cli(["bound", "--auto", "--lm", "Y", "--format", "json"])
+    assert code == 0
+    assert out == GOLDEN.joinpath("auto_y.json").read_text()
+
+
 def test_bound_single_class():
     code, out = run_cli(["bound", "--lm", "X*Y"])
     assert code == 0
@@ -96,6 +102,15 @@ def test_oracle_sample_seeded():
                        "--seed", "9", "--format", "json"])
     assert out1 == out2
     assert json.loads(out1)["exact"] is False
+
+
+def test_oracle_empty_sample_refused(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sample_count": 0}))
+    code, out = run_cli(["oracle", "--lm", "Y", "--mode", "sample",
+                         "--config", str(cfg), "--format", "json"])
+    assert code == 2
+    assert out == ""
 
 
 def test_trace_verify_file():

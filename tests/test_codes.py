@@ -164,6 +164,16 @@ def test_min_distance_sample_is_upper_bound(variety, fp):
     assert d2 == d
 
 
+def test_min_distance_sample_refuses_no_codeword(variety):
+    code = build_code([(0, 0)], variety)
+    with pytest.raises(ValueError):
+        min_distance(code, "sample", seed=0, count=0)
+    # seed 6 draws the zero message once: no codeword was sampled
+    with pytest.raises(ValueError):
+        min_distance(code, "sample", seed=6, count=1)
+    assert min_distance(code, "sample", seed=0, count=1) == (22, False)
+
+
 def test_coset_min_weight_y(order, fp, variety):
     w, exact = coset_min_weight((0, 1), [(1, 0), (0, 0)], variety, "exhaustive",
                                 order=order, fp=fp)

@@ -1,4 +1,13 @@
-from kleincode.params import ConstraintStore, ParamDomain, ParamRing, format_param
+import itertools
+import random
+
+from kleincode.params import (
+    ConstraintStore,
+    ParamDomain,
+    ParamRing,
+    assignment_grid,
+    format_param,
+)
 from kleincode.poly import parse_poly
 
 
@@ -114,3 +123,66 @@ def test_format_param_canonical():
     assert format_param(expr("a1^3+a2", ring)) == "a1^3+a2"
     assert format_param(expr("a1*a2^2+1", ring)) == "a1*a2^2+1"
     assert format_param(ring.zero()) == "0"
+
+
+def _random_poly(rng, ring, idx, nterms):
+    p = ring.zero()
+    for _ in range(nterms):
+        term = ring.const(rng.randrange(1, 8))
+        for i in idx:
+            if rng.random() < 0.6:
+                term = term.mul(ring.var_pow(i, rng.randrange(1, 8)))
+        p = p.add(term)
+    return p
+
+
+def test_vanishing_scan_matches_brute_force():
+    rng = random.Random(20240611)
+    outcomes = []
+    for _ in range(200):
+        k = rng.choices((1, 2, 3, 4, 5), weights=(4, 4, 4, 3, 2))[0]
+        t = rng.randint(k, 6)
+        idx = sorted(rng.sample(range(t), k))
+        ring = ParamRing(t)
+        equalities = [_random_poly(rng, ring, idx, rng.randint(1, 3))
+                      for _ in range(rng.randint(0, 2))]
+        nonzeros = [_random_poly(rng, ring, idx, rng.randint(1, 3))
+                    for _ in range(rng.randint(0, 2))]
+        cs = ConstraintStore(ring,
+                             nonzeros={c.key(): c for c in nonzeros if not c.is_zero()},
+                             equalities=[e for e in equalities if not e.is_zero()])
+        # mix in polynomials that vanish on part or all of the store
+        shape = rng.randrange(3)
+        p = _random_poly(rng, ring, idx, rng.randint(1, 4))
+        if shape == 1 and cs.equalities:
+            p = p.mul(rng.choice(cs.equalities))
+        elif shape == 2 and cs.nonzeros:
+            c = rng.choice(list(cs.nonzeros.values()))
+            p = ring.one()
+            for _ in range(7):
+                p = p.mul(c)
+            p = p.add(ring.one())  # c^7 + 1 is zero wherever c is not
+        involved = p.variables()
+        for q in cs.equalities + list(cs.nonzeros.values()):
+            involved |= q.variables()
+        involved = sorted(involved) or idx
+        expected = True
+        for values in itertools.product(range(8), repeat=len(involved)):
+            a = [0] * t
+            for i, x in zip(involved, values):
+                a[i] = x
+            if any(e.evaluate(a) for e in cs.equalities):
+                continue
+            if not all(c.evaluate(a) for c in cs.nonzeros.values()):
+                continue
+            if p.evaluate(a):
+                expected = False
+                break
+        assert cs._vanishes_on_scan(p, set(involved)) == expected
+        outcomes.append(expected)
+    assert 20 <= sum(outcomes) <= 180
+    # columns follow the scalar scans: the first listed parameter is the
+    # least significant base-8 digit
+    grid = assignment_grid(4, [1, 3])
+    assert [tuple(grid[:, n]) for n in (0, 1, 8, 63)] == [
+        (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 7, 0, 7)]
