@@ -23,8 +23,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import klein
 from .casebound import (
     TRACED_CLASSES,
@@ -74,8 +72,6 @@ class RunConfig:
     tiebreak: int = klein.ORDER_TIEBREAK
     generators: tuple = (klein.CURVE_TEXT, klein.FIELD_EQ_X_TEXT, klein.FIELD_EQ_Y_TEXT)
     seed: int = 42
-    exhaustive_k: int = 8
-    gray_coefficients: int = 10
     sample_count: int = 100_000
     fmt: str = "text"
 
@@ -106,8 +102,7 @@ def load_config(args) -> RunConfig:
     if path:
         with open(path) as fh:
             data = json.load(fh)
-        for key in ("modulus_bits", "seed", "exhaustive_k", "gray_coefficients",
-                    "sample_count"):
+        for key in ("modulus_bits", "seed", "sample_count"):
             if key in data:
                 setattr(cfg, key, int(data[key]))
         if "weights" in data:
@@ -286,13 +281,8 @@ def cmd_oracle(args) -> int:
     support = [m for m in fp.descending() if order.compare(m, M) < 0]
     mode = args.mode
     jobs = max(1, getattr(args, "jobs", 1) or 1)
-    if mode == "sample":
-        w, exact = coset_min_weight(M, support, v, "sample", order=order, fp=fp,
-                                    seed=cfg.seed, count=cfg.sample_count)
-    elif jobs > 1 and support:
-        w, exact = _parallel_coset(M, support, v, mode, order, fp, jobs)
-    else:
-        w, exact = coset_min_weight(M, support, v, mode, order=order, fp=fp)
+    w, exact = coset_min_weight(M, support, v, mode, order=order, fp=fp,
+                                seed=cfg.seed, count=cfg.sample_count, jobs=jobs)
     delta = full_bound_map()[M]
     result = {
         "monomial": format_monomial(M),
@@ -316,40 +306,6 @@ def cmd_oracle(args) -> int:
             f"min weight {w} (exact={exact}), bound {delta}, "
             f"{'sound' if result['sound'] else 'VIOLATION'}\n")
     return 0 if result["sound"] else 1
-
-
-def _parallel_coset(M, support, v, mode, order, fp, jobs):
-    """Partition on the leading coefficient; merged minimum is independent
-    of the worker count."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    from .codes import monomial_vector
-    from .gf import gf8
-
-    spec = gf8()
-    top = support[0]
-    rest = support[1:]
-    base = monomial_vector(M, v)
-    toprow = monomial_vector(top, v)
-    mul = spec.mul_table()
-
-    def scan(c):
-        offset = base ^ mul[c, toprow]
-        w, _ = coset_min_weight_offset(offset, rest, v, mode, order, fp)
-        return w
-
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        results = list(ex.map(scan, range(spec.q)))
-    return min(results), True
-
-
-def coset_min_weight_offset(offset, support, v, mode, order, fp):
-    from .codes import _scan_offset_span, monomial_vector
-
-    rows = np.zeros((len(support), len(v)), dtype=np.uint8)
-    for i, m in enumerate(support):
-        rows[i] = monomial_vector(m, v)
-    return _scan_offset_span(offset, rows, v.spec, gray=(mode == "gray")), True
 
 
 def cmd_trace_verify(args) -> int:

@@ -1,12 +1,14 @@
 """Variety enumeration, evaluation codes, and weight/distance oracles.
 
-The heavy scans are numpy-vectorized over uint8 enc values: addition of
-codeword vectors is XOR, scalar multiplication goes through the field's
-q-by-q table, and Hamming weights are nonzero counts.  Exhaustive scans
-enumerate messages in blocks (all combinations of the lowest coefficients
-are precomputed as one array); the gray strategy additionally walks the
-high coefficients in reflected q-ary Gray order so each step updates the
-running vector by a single scaled row.
+Every codeword scan runs on one bit-plane scanner: a word of n symbols of
+GF(2^m) is packed into m unsigned n-bit planes, one per bit of the enc
+value, so adding words is XOR of planes and the Hamming weight is
+np.bitwise_count(p0 | p1 | ...).  The exact scan (modes "exhaustive" and
+"gray" alike) packs all combinations of the lowest coefficients into one
+table and XORs in the high-coefficient states a chunk at a time, refusing
+more than EXACT_LIMIT_COEFFS coefficients before any work.  The sampled
+scan gathers precomputed packed scalar multiples of each row by seeded
+SplitMix64 coefficients.
 """
 
 from __future__ import annotations
@@ -198,122 +200,166 @@ def weight_via_footprint(F: Polynomial, gb: GroebnerBasis) -> int:
 
 
 # ---------------------------------------------------------------------------
-# enumeration helpers
+# the bit-plane weight scanner
 
-def _low_block(rows: np.ndarray, spec: FieldSpec, n: int) -> np.ndarray:
-    """All q^r combinations of the given rows as a (q^r, n) array."""
-    mul = spec.mul_table()
-    block = np.zeros((1, n), dtype=np.uint8)
-    for row in rows:
-        variants = mul[:, row]  # (q, n): c*row for each scalar c
-        block = (block[:, None, :] ^ variants[None, :, :]).reshape(-1, n)
-    return block
+EXHAUSTIVE_LIMIT_K = 8
+EXACT_LIMIT_COEFFS = 10
+_LOW_COEFFS = 5          # coefficients enumerated in the packed low table
+_CHUNK_WORDS = 1 << 18   # words per temporary of the exact scan
+_SAMPLE_CHUNK = 1 << 15  # messages drawn per block of the sampled scan
 
 
-def _gray_transitions(q: int, digits: int):
-    """Reflected q-ary Gray transitions: yields (position, old, new) so that
-    consecutive states differ in one digit by +-1; starts from all zeros."""
-    state = [0] * digits
-    direction = [1] * digits
-    total = q ** digits
-    for _ in range(total - 1):
-        i = 0
-        while True:
-            nxt = state[i] + direction[i]
-            if 0 <= nxt < q:
-                yield i, state[i], nxt
-                state[i] = nxt
-                break
-            direction[i] = -direction[i]
-            i += 1
+def pack_planes(words: np.ndarray, q: int) -> np.ndarray:
+    """Bit-plane form of enc words over GF(q): (..., n) -> (log2 q, ...).
 
-
-def _weights_min(block: np.ndarray, skip_zero: bool) -> int:
-    w = np.count_nonzero(block, axis=1)
-    if skip_zero:
-        w = w[w > 0]
-        if w.size == 0:
-            return 10 ** 9
-    return int(w.min())
-
-
-def _scan_offset_span(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
-                      gray: bool, skip_zero: bool = False) -> int:
-    """Minimum weight of offset + span(rows), scanning all q^k combinations.
-
-    skip_zero ignores the single all-zero combination when offset is zero.
-    gray chooses single-row running updates for the high digits; otherwise
-    each high state is recomputed directly.
+    Plane b holds bit b of every symbol, symbol j at bit j of one unsigned
+    word, so adding words is XOR of planes and the Hamming weight is the
+    popcount of the OR of the planes.
     """
-    k = rows.shape[0]
-    mul = spec.mul_table()
-    low = min(k, 5)
-    high = k - low
-    table = _low_block(rows[:low], spec, len(offset))
-    table = table ^ offset[None, :]
-    best = _weights_min(table, skip_zero)
-    if high == 0:
-        return best
-    high_rows = rows[low:]
-    if gray:
-        base = np.zeros_like(offset)
-        for pos, old, new in _gray_transitions(spec.q, high):
-            base ^= mul[old ^ new, high_rows[pos]]
-            best = min(best, _weights_min(table ^ base[None, :], False))
-        return best
-    digits = [0] * high
-    q = spec.q
-    for n in range(1, q ** high):
-        v = n
-        base = np.zeros_like(offset)
-        for i in range(high):
-            digits[i] = v % q
-            v //= q
-            if digits[i]:
-                base ^= mul[digits[i], high_rows[i]]
-        best = min(best, _weights_min(table ^ base[None, :], False))
+    if q < 2 or q & (q - 1):
+        raise ValueError(f"q={q} is not a power of two")
+    n = words.shape[-1]
+    if n > 64:
+        raise ValueError(f"length {n} does not fit a 64-bit plane word")
+    dtype = np.uint32 if n <= 32 else np.uint64
+    shifts = np.arange(n, dtype=dtype)
+    return np.stack([np.bitwise_or.reduce(((words >> b) & 1).astype(dtype) << shifts,
+                                          axis=-1)
+                     for b in range(q.bit_length() - 1)])
+
+
+def _packed_multiples(rows: np.ndarray, spec: FieldSpec) -> np.ndarray:
+    """(bits, k, q) packed planes of c * rows[i] for every scalar c."""
+    return pack_planes(spec.mul_table()[:, rows], spec.q).transpose(0, 2, 1)
+
+
+def _span_table(mults: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Packed base + span of the rows whose multiples are given, as
+    (bits, q^r); the first row's coefficient is the leading digit."""
+    table = base[:, None]
+    for i in range(mults.shape[1]):
+        table = (table[:, :, None] ^ mults[:, i, None, :]).reshape(len(base), -1)
+    return table
+
+
+def _min_weight(w: np.ndarray, skip_zero: bool):
+    """Least weight in w, ignoring zero words under skip_zero (None if
+    nothing is left)."""
+    best = int(w.min())
+    if best == 0 and skip_zero:
+        w = w[w > 0]
+        return int(w.min()) if w.size else None
     return best
 
 
-def _check_sample_count(count: int) -> None:
+def _least(mins):
+    """Least of the entries that are not None; None if there is none."""
+    return min((m for m in mins if m is not None), default=None)
+
+
+def _table_min(high: np.ndarray, low: np.ndarray, skip_zero: bool):
+    """Minimum weight of high[:, i] ^ low[:, j] over all i, j, in chunks of
+    about _CHUNK_WORDS words so the temporaries stay a few MB."""
+    per = max(1, _CHUNK_WORDS // low.shape[1])
+    acc = np.empty((per, low.shape[1]), dtype=low.dtype)
+    tmp = np.empty_like(acc)
+    w = np.empty(acc.shape, dtype=np.uint8)
+    mins = []
+    for s in range(0, high.shape[1], per):
+        e = min(s + per, high.shape[1])
+        a, t, wc = acc[:e - s], tmp[:e - s], w[:e - s]
+        np.bitwise_xor(high[0, s:e, None], low[0], out=a)
+        for b in range(1, len(low)):
+            np.bitwise_xor(high[b, s:e, None], low[b], out=t)
+            np.bitwise_or(a, t, out=a)
+        np.bitwise_count(a, out=wc)
+        mins.append(_min_weight(wc, skip_zero))
+    return _least(mins)
+
+
+def exact_min_weight(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
+                     skip_zero: bool = False, jobs: int = 1) -> int:
+    """Minimum weight of offset + span(rows) over all q^k coefficient choices.
+
+    The low coefficients form one packed table; the high ones are XORed in
+    chunk by chunk.  skip_zero ignores zero words (the zero codeword of a
+    code).  jobs > 1 scans the q parts with different leading coefficients
+    on that many threads; the minimum does not depend on jobs.  More than
+    EXACT_LIMIT_COEFFS rows raise DimensionTooLarge before any work.
+    """
+    k = rows.shape[0]
+    if k > EXACT_LIMIT_COEFFS:
+        raise DimensionTooLarge(
+            f"{k} coefficients ({spec.q}^{k} = {spec.q ** k} states) above the "
+            f"exact-scan limit of {EXACT_LIMIT_COEFFS} coefficients")
+    mults = _packed_multiples(rows, spec)
+    split = max(0, k - _LOW_COEFFS)
+    base = pack_planes(offset, spec.q)
+    high = _span_table(mults[:, :split], base)
+    low = _span_table(mults[:, split:], np.zeros_like(base))
+    # one part per leading coefficient (the top digit of the high table)
+    step = high.shape[1] // spec.q if split else high.shape[1]
+
+    def part(start):
+        return _table_min(high[:, start:start + step], low, skip_zero)
+
+    starts = range(0, high.shape[1], step)
+    if jobs > 1 and len(starts) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            best = _least(list(pool.map(part, starts)))
+    else:
+        best = _least(map(part, starts))
+    if best is None:
+        raise ValueError("the exact scan met only zero words")
+    return best
+
+
+def sample_weights(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
+                   seed: int, count: int):
+    """Yield (coeffs, weights) blocks for `count` seeded random messages:
+    weights[j] is the weight of offset + sum coeffs[j, i] * rows[i].
+
+    The coefficients are the SplitMix64(seed).fill_below(q, (take, k))
+    stream, so results do not depend on the block size.
+    """
     if count < 1:
         raise ValueError(f"sample count {count} must be at least 1")
-
-
-def _scan_offset_sample(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
-                        seed: int, count: int) -> int:
-    _check_sample_count(count)
-    mul = spec.mul_table()
+    mults = _packed_multiples(rows, spec)
+    base = pack_planes(offset, spec.q)
     rng = SplitMix64(seed)
-    best = 10 ** 9
-    chunk = 1 << 15
-    k = rows.shape[0]
-    done = 0
-    while done < count:
-        take = min(chunk, count - done)
-        done += take
-        coeffs = rng.fill_below(spec.q, (take, k))
-        block = np.broadcast_to(offset, (take, len(offset))).copy()
-        for i in range(k):
-            block ^= mul[coeffs[:, i][:, None], rows[i][None, :]]
-        best = min(best, _weights_min(block, False))
+    for done in range(0, count, _SAMPLE_CHUNK):
+        take = min(_SAMPLE_CHUNK, count - done)
+        coeffs = rng.fill_below(spec.q, (take, rows.shape[0]))
+        planes = np.repeat(base[:, None], take, axis=1)
+        for i in range(rows.shape[0]):
+            planes ^= mults[:, i, coeffs[:, i]]
+        yield coeffs, np.bitwise_count(np.bitwise_or.reduce(planes, axis=0))
+
+
+def sampled_min_weight(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
+                       seed: int, count: int, skip_zero: bool = False) -> int:
+    """Least weight among the sample_weights draws; skip_zero ignores zero
+    words and raises ValueError when every draw was one."""
+    best = _least(_min_weight(w, skip_zero)
+                  for _, w in sample_weights(offset, rows, spec, seed, count))
+    if best is None:
+        raise ValueError(f"all {count} sampled messages were zero")
     return best
 
 
 # ---------------------------------------------------------------------------
 # distance and coset oracles
 
-EXHAUSTIVE_LIMIT_K = 8
-GRAY_LIMIT_COEFFS = 10
-
-
 def min_distance(code: EvaluationCode, strategy: str = "exhaustive",
                  limit_k: int = EXHAUSTIVE_LIMIT_K, seed: int = 0,
                  count: int = 100_000) -> tuple[int, bool]:
     """True minimum weight for small k, or a sampled upper bound.
 
-    strategy "exhaustive" scans all q^k - 1 nonzero messages with Gray-order
-    running updates; "sample" draws seeded random messages (exact=False).
+    strategy "exhaustive" scans all q^k - 1 nonzero messages; "sample"
+    draws seeded random messages (exact=False).  Zero words are ignored,
+    so both quantify over nonzero codewords.
     """
     if code.k < 1:
         raise ZeroPolynomial("zero code has no nonzero codeword")
@@ -322,46 +368,20 @@ def min_distance(code: EvaluationCode, strategy: str = "exhaustive",
     if strategy == "exhaustive":
         if code.k > limit_k:
             raise DimensionTooLarge(f"k={code.k} above exhaustive limit {limit_k}")
-        return _scan_offset_span(zero, code.G, spec, gray=True, skip_zero=True), True
+        return exact_min_weight(zero, code.G, spec, skip_zero=True), True
     if strategy == "sample":
-        # weight-0 draws can only come from the zero message; they are
-        # dropped inside the scan, so the bound quantifies over codewords
-        return _scan_offset_sample_nonzero(code, spec, seed, count), False
+        return sampled_min_weight(zero, code.G, spec, seed, count, skip_zero=True), False
     raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def _scan_offset_sample_nonzero(code: EvaluationCode, spec: FieldSpec,
-                                seed: int, count: int) -> int:
-    _check_sample_count(count)
-    mul = spec.mul_table()
-    rng = SplitMix64(seed)
-    best = 10 ** 9
-    chunk = 1 << 15
-    done = 0
-    while done < count:
-        take = min(chunk, count - done)
-        done += take
-        coeffs = rng.fill_below(spec.q, (take, code.k))
-        block = np.zeros((take, code.n), dtype=np.uint8)
-        for i in range(code.k):
-            block ^= mul[coeffs[:, i][:, None], code.G[i][None, :]]
-        w = np.count_nonzero(block, axis=1)
-        w = w[w > 0]
-        if w.size:
-            best = min(best, int(w.min()))
-    if best == 10 ** 9:
-        raise ValueError(f"all {count} sampled messages were zero")
-    return best
 
 
 def coset_min_weight(M: tuple, support, v: Variety, mode: str = "exhaustive",
                      order: MonomialOrder = None, fp=None, seed: int = 0,
-                     count: int = 100_000) -> tuple[int, bool]:
+                     count: int = 100_000, jobs: int = 1) -> tuple[int, bool]:
     """Minimum weight of ev(M + sum a_i m_i) over all coefficient choices.
 
     support must consist of footprint monomials strictly below M.  Modes:
-    exhaustive (direct recompute), gray (running single-row updates), and
-    sample (seeded, exact=False).
+    exhaustive and gray (both the exact bit-plane scan, on `jobs` threads)
+    and sample (seeded, exact=False).
     """
     support = [tuple(m) for m in support]
     if order is not None:
@@ -374,19 +394,16 @@ def coset_min_weight(M: tuple, support, v: Variety, mode: str = "exhaustive",
         for m in support:
             if m not in fp:
                 raise SupportNotBelowM(f"{m} outside the footprint")
+    if mode not in ("exhaustive", "gray", "sample"):
+        raise ValueError(f"unknown mode {mode!r}")
     spec = v.spec
     offset = monomial_vector(tuple(M), v)
     rows = np.zeros((len(support), len(v)), dtype=np.uint8)
     for i, m in enumerate(support):
         rows[i] = monomial_vector(m, v)
-    if mode in ("exhaustive", "gray"):
-        if mode == "gray" and len(support) > GRAY_LIMIT_COEFFS:
-            raise DimensionTooLarge(
-                f"{len(support)} coefficients above gray limit {GRAY_LIMIT_COEFFS}")
-        return _scan_offset_span(offset, rows, spec, gray=(mode == "gray")), True
     if mode == "sample":
-        return _scan_offset_sample(offset, rows, spec, seed, count), False
-    raise ValueError(f"unknown mode {mode!r}")
+        return sampled_min_weight(offset, rows, spec, seed, count), False
+    return exact_min_weight(offset, rows, spec, jobs=jobs), True
 
 
 def count_weight_one(code: EvaluationCode) -> int:

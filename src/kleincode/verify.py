@@ -25,6 +25,8 @@ from .codes import (
     gf_rank,
     min_distance,
     monomial_vector,
+    sample_weights,
+    sampled_min_weight,
     verify_fano,
     weight_via_footprint,
 )
@@ -293,26 +295,13 @@ def suite_bound_soundness(seed, quick, jobs=1):
     v = enumerate_variety(list(klein.ideal_generators()), spec, 2)
     delta = full_bound_map()
     count = 2000 if quick else 100_000
-    mul = spec.mul_table()
-
     rows_all = {m: monomial_vector(m, v) for m in fp}
 
     def check(M):
         support = [m for m in fp.descending() if order.compare(m, M) < 0]
-        offset = rows_all[M]
-        rng = SplitMix64((seed << 8) ^ (M[0] * 37 + M[1]))
-        chunk = 1 << 14
-        done = 0
-        worst = 10 ** 9
-        while done < count:
-            take = min(chunk, count - done)
-            done += take
-            coeffs = rng.fill_below(8, (take, len(support)))
-            block = np.broadcast_to(offset, (take, len(offset))).copy()
-            for i, m in enumerate(support):
-                block ^= mul[coeffs[:, i][:, None], rows_all[m][None, :]]
-            worst = min(worst, int(np.count_nonzero(block, axis=1).min()))
-        return M, worst
+        rows = np.array([rows_all[m] for m in support], dtype=np.uint8).reshape(-1, len(v))
+        rng_seed = (seed << 8) ^ (M[0] * 37 + M[1])
+        return M, sampled_min_weight(rows_all[M], rows, spec, rng_seed, count)
 
     classes = list(fp)
     if jobs > 1:
@@ -352,22 +341,10 @@ def suite_x7_claim(seed, quick):
     support = [m for m in fp.descending() if order.compare(m, M) < 0]
     rows = np.stack([monomial_vector(m, v) for m in support])
     offset = monomial_vector(M, v)
-    mul = spec.mul_table()
-    rng = SplitMix64(seed ^ 0x777)
     count = 100_000 if quick else 1_000_000
     special = support.index((0, 0))
-    chunk = 1 << 14
-    done = 0
-    while done < count:
-        take = min(chunk, count - done)
-        done += take
-        coeffs = rng.fill_below(8, (take, len(support)))
-        block = np.broadcast_to(offset, (take, len(offset))).copy()
-        for i in range(len(support)):
-            block ^= mul[coeffs[:, i][:, None], rows[i][None, :]]
-        w = np.count_nonzero(block, axis=1)
-        low = np.nonzero(w < 3)[0]
-        for j in low:
+    for coeffs, w in sample_weights(offset, rows, spec, seed ^ 0x777, count):
+        for j in np.nonzero(w < 3)[0]:
             cvec = coeffs[j]
             is_special = cvec[special] == 1 and not any(
                 cvec[i] for i in range(len(support)) if i != special)

@@ -113,6 +113,15 @@ def test_oracle_empty_sample_refused(tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("extra", [["--mode", "exhaustive"],
+                                   ["--mode", "gray", "--jobs", "2"]])
+def test_oracle_exact_scan_refused(extra, capsys):
+    code, out = run_cli(["oracle", "--lm", "X^6*Y^2", *extra])
+    assert code == 2
+    assert out == ""
+    assert "8^21 = 9223372036854775808 states" in capsys.readouterr().err
+
+
 def test_trace_verify_file():
     code, out = run_cli(["trace-verify", str(TRACES / "s34.trace"),
                          "--lm", "X^2*Y"])

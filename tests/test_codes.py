@@ -1,6 +1,10 @@
+import itertools
+import threading
+
 import numpy as np
 import pytest
 
+from kleincode import codes
 from kleincode.casebound import full_bound_map
 from kleincode.codes import (
     DimensionTooLarge,
@@ -14,9 +18,13 @@ from kleincode.codes import (
     count_weight_one,
     enumerate_variety,
     evaluation_vector,
+    exact_min_weight,
     gf_rank,
     min_distance,
     monomial_vector,
+    pack_planes,
+    sample_weights,
+    sampled_min_weight,
     verify_fano,
     weight_via_footprint,
 )
@@ -210,6 +218,126 @@ def test_gray_matches_exhaustive(order, fp, variety):
                                  order=order, fp=fp)
         w2, _ = coset_min_weight(M, support, variety, "gray", order=order, fp=fp)
         assert w1 == w2
+
+
+def test_x3y_coset_is_tight(order, fp, variety):
+    M = (3, 1)
+    support = [m for m in fp.descending() if order.compare(m, M) < 0]
+    assert len(support) == 10  # 8^10 states, the largest exact scan allowed
+    w, exact = coset_min_weight(M, support, variety, "exhaustive", order=order, fp=fp)
+    assert exact and w >= full_bound_map()[M]
+    assert w == 9  # frozen: the proved bound is the true coset minimum
+
+
+def test_exact_scan_limit_refuses_before_work(order, fp, variety):
+    M = (6, 2)
+    support = [m for m in fp.descending() if order.compare(m, M) < 0]
+    for mode, jobs in (("exhaustive", 1), ("gray", 1), ("gray", 2)):
+        with pytest.raises(DimensionTooLarge, match="8\\^21"):
+            coset_min_weight(M, support, variety, mode, order=order, fp=fp, jobs=jobs)
+    code = build_code(list(fp)[:11], variety)
+    with pytest.raises(DimensionTooLarge):
+        min_distance(code, "exhaustive", limit_k=11)
+
+
+# ---------------------------------------------------------------------------
+# the bit-plane scanner against uint8 references
+
+def _unpack(planes, n):
+    """Reference decoder: symbol j is the bits at position j of each plane."""
+    out = np.zeros(planes.shape[1:] + (n,), dtype=np.uint8)
+    for b, plane in enumerate(planes):
+        for j in range(n):
+            out[..., j] |= (((plane >> j) & 1) << b).astype(np.uint8)
+    return out
+
+
+def test_pack_planes_round_trip():
+    rng = SplitMix64(0x9A)
+    for shape in [(22,), (5, 22), (3, 4, 22), (7, 1), (2, 32), (2, 33), (2, 64)]:
+        words = rng.fill_below(8, shape)
+        planes = pack_planes(words, 8)
+        assert planes.shape == (3,) + shape[:-1]
+        assert np.array_equal(_unpack(planes, shape[-1]), words)
+        weights = np.bitwise_count(planes[0] | planes[1] | planes[2])
+        assert np.array_equal(weights, np.count_nonzero(words, axis=-1))
+
+
+def test_pack_planes_refuses_bad_shapes():
+    words = np.zeros((2, 22), dtype=np.uint8)
+    for q in (0, 1, 6, 12):
+        with pytest.raises(ValueError):
+            pack_planes(words, q)
+    with pytest.raises(ValueError):
+        pack_planes(np.zeros((2, 65), dtype=np.uint8), 8)
+
+
+def _brute_min(offset, rows, mul, skip_zero):
+    weights = []
+    for coeffs in itertools.product(range(8), repeat=len(rows)):
+        word = offset.copy()
+        for c, row in zip(coeffs, rows):
+            word ^= mul[c, row]
+        weights.append(int(np.count_nonzero(word)))
+    if skip_zero:
+        weights = [w for w in weights if w]
+    return min(weights)
+
+
+@pytest.mark.parametrize("low_coeffs, chunk_words", [(None, None), (1, 24)])
+def test_exact_scan_matches_brute_force(spec, monkeypatch, low_coeffs, chunk_words):
+    if low_coeffs is not None:
+        # a one-row low table and 3-state chunks put k <= 4 through the high
+        # table, partial chunks and the leading-coefficient parts
+        monkeypatch.setattr(codes, "_LOW_COEFFS", low_coeffs)
+        monkeypatch.setattr(codes, "_CHUNK_WORDS", chunk_words)
+    mul = spec.mul_table()
+    rng = SplitMix64(0xB17)
+    for case in range(120):
+        k = case % 5
+        rows = rng.fill_below(8, (k, 22))
+        # sparse rows and offsets reach low weights, and zero rows make
+        # nonzero messages with zero words
+        rows &= rng.fill_below(8, (k, 22)) & rng.fill_below(8, (k, 22))
+        if case % 7 == 0 and k:
+            rows[-1] = 0
+        offset = rng.fill_below(8, (22,)) & rng.fill_below(8, (22,))
+        skip_zero = case % 2 == 1
+        if skip_zero:
+            offset[:] = 0
+        if skip_zero and not rows.any():
+            with pytest.raises(ValueError):
+                exact_min_weight(offset, rows, spec, skip_zero=True)
+            continue
+        expected = _brute_min(offset, rows, mul, skip_zero)
+        assert exact_min_weight(offset, rows, spec, skip_zero=skip_zero) == expected
+        assert exact_min_weight(offset, rows, spec, skip_zero=skip_zero, jobs=3) == expected
+
+
+def test_exact_scan_threads_end_with_the_call(order, fp, variety):
+    M = (2, 1)
+    support = [m for m in fp.descending() if order.compare(m, M) < 0]
+    before = threading.active_count()
+    w1, _ = coset_min_weight(M, support, variety, "exhaustive", order=order, fp=fp)
+    w4, _ = coset_min_weight(M, support, variety, "gray", order=order, fp=fp, jobs=4)
+    assert w1 == w4 == 12
+    assert threading.active_count() == before
+
+
+def test_sampled_scan_matches_uint8_formula(spec, variety, fp):
+    mul = spec.mul_table()
+    for seed, k, count in [(0, 3, 500), (5, 10, 40_000), (77, 21, 3000), (2024, 1, 64)]:
+        rows = np.stack([monomial_vector(m, variety) for m in list(fp)[:k]])
+        offset = monomial_vector((7, 0), variety)
+        coeffs = SplitMix64(seed).fill_below(8, (count, k))
+        block = np.broadcast_to(offset, (count, 22)).copy()
+        for i in range(k):
+            block ^= mul[coeffs[:, i][:, None], rows[i][None, :]]
+        blocks = list(sample_weights(offset, rows, spec, seed, count))
+        assert np.array_equal(np.concatenate([c for c, _ in blocks]), coeffs)
+        weights = np.count_nonzero(block, axis=1)
+        assert np.array_equal(np.concatenate([w for _, w in blocks]), weights)
+        assert sampled_min_weight(offset, rows, spec, seed, count) == weights.min()
 
 
 # ---------------------------------------------------------------------------
