@@ -36,6 +36,8 @@ from .casebound import (
     verify_trace,
 )
 from .codes import (
+    EXACT_LIMIT_COEFFS,
+    DimensionTooLarge,
     build_code,
     code_for_threshold,
     construct_table,
@@ -85,11 +87,12 @@ class RunConfig:
                                                klein.FIELD_EQ_Y_TEXT))
 
     def spec(self):
-        return field_make(3 if self.modulus_bits == klein.GF8_MODULUS_BITS
-                          else self.modulus_bits.bit_length() - 1, self.modulus_bits)
+        if self.modulus_bits == klein.GF8_MODULUS_BITS:
+            return klein.klein_field()
+        return field_make(self.modulus_bits.bit_length() - 1, self.modulus_bits)
 
     def order(self):
-        return MonomialOrder("weighted_deg_lex", self.weights, self.tiebreak)
+        return MonomialOrder(self.weights, self.tiebreak)
 
     def gens(self):
         dom = FieldDomain(self.spec())
@@ -111,6 +114,7 @@ def load_config(args) -> RunConfig:
             cfg.tiebreak = int(data["tiebreak"])
         if "generators" in data:
             cfg.generators = tuple(data["generators"])
+        cfg.order()  # a malformed order is a usage error before any work
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     if getattr(args, "format", None):
@@ -234,11 +238,15 @@ def cmd_bound(args) -> int:
 def cmd_table(args) -> int:
     cfg = load_config(args)
     _require_klein(cfg, "table")
+    measure_upto = getattr(args, "measure_upto", 0) or 0
+    if measure_upto > EXACT_LIMIT_COEFFS:
+        raise DimensionTooLarge(
+            f"--measure-upto {measure_upto} is above the exact-scan limit of "
+            f"{EXACT_LIMIT_COEFFS} coefficients; no row was measured")
     delta = full_bound_map(getattr(args, "traces", None))
     v = enumerate_variety(cfg.gens(), cfg.spec(), 2)
     fp = klein.klein_footprint()
     rows = construct_table(delta, v)
-    measure_upto = getattr(args, "measure_upto", 0) or 0
     enriched = []
     for r in rows:
         row = dict(r, exact=False, supplementary=(r["s"] == 1))
@@ -360,10 +368,14 @@ def cmd_verify_all(args) -> int:
 
 
 def main(argv=None) -> int:
+    # The global flags go before or after the subcommand.  They default to
+    # SUPPRESS, so a flag given before it is not overwritten by the
+    # subcommand's absent copy; load_config reads them with getattr.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"), default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--config", default=None,
+    common.add_argument("--format", choices=("text", "json", "csv"),
+                        default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--config", default=argparse.SUPPRESS,
                         help="JSON config path (or env KLEINCODE_CONFIG)")
     parser = argparse.ArgumentParser(
         prog="kleincode",
@@ -385,7 +397,8 @@ def main(argv=None) -> int:
                        help="the [n, k, d] parameter table")
     p.add_argument("--traces", default=None)
     p.add_argument("--measure-upto", type=int, default=0, dest="measure_upto",
-                   help="exhaustively measure true d for dimensions up to K")
+                   help="exhaustively measure true d for dimensions up to K "
+                        f"(at most {EXACT_LIMIT_COEFFS})")
 
     p = sub.add_parser("oracle", parents=[common],
                        help="brute-force coset minimum weight")

@@ -162,24 +162,6 @@ def field_make(m: int, modulus_bits: int) -> FieldSpec:
     return FieldSpec(m, modulus_bits)
 
 
-def field_arith(spec: FieldSpec, op: str, a: int, b: int = 0) -> int:
-    """Dispatch one field operation: op in {add, mul, inv, pow}."""
-    spec.check(a)
-    if op == "add":
-        return spec.add(a, spec.check(b))
-    if op == "mul":
-        return spec.mul(a, spec.check(b))
-    if op == "inv":
-        return spec.inv(a)
-    if op == "pow":
-        return spec.pow(a, b)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def field_enumerate(spec: FieldSpec) -> list[int]:
-    return spec.elements()
-
-
 @lru_cache(maxsize=None)
 def gf8() -> FieldSpec:
     """The canonical GF(8) with modulus x^3 + x + 1."""

@@ -1,12 +1,17 @@
 """Buchberger's algorithm, normal forms, and footprint enumeration.
 
-Everything here runs over concrete field coefficients.  Bases are reduced
-and monic with a deterministic ordering (ascending heads), so repeated
-runs produce identical output.  The footprint of a zero-dimensional ideal
-is enumerated by walking the grid bounded by the pure-power heads.
+There is one Buchberger.  It keeps its basis packed (poly.packed: dicts
+keyed by the order's int key) and reduces S-pairs, and then each basis
+element against the rest, with the one reduction loop poly.reduce_packed.
+Bases are reduced and monic with a deterministic ordering (ascending
+heads), so repeated runs produce identical output.  The footprint of a
+zero-dimensional ideal is enumerated by walking the grid bounded by the
+pure-power heads.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .poly import (
     FULL,
@@ -14,10 +19,13 @@ from .poly import (
     Polynomial,
     ZeroPolynomial,
     divide,
+    from_packed,
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
+    packed,
+    prepare_divisor,
+    reduce_packed,
 )
 
 
@@ -60,189 +68,69 @@ def buchberger(gens, order: MonomialOrder) -> GroebnerBasis:
     """Reduced monic Groebner basis with the normal selection strategy.
 
     Pairs are processed smallest head-lcm first; pairs with coprime heads
-    are skipped (Buchberger's first criterion).
+    are skipped (Buchberger's first criterion).  Elements stay monic, so
+    an S-pair is the sum of two shifted elements.
     """
-    import heapq
-
-    basis = [g.monic(order) for g in gens if not g.is_zero()]
-    if not basis:
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
         raise ZeroPolynomial("no nonzero generators")
-    if basis and basis[0].arity == 2 and order.kind == "weighted_deg_lex" \
-            and not getattr(basis[0].domain, "parametric", False):
-        return _buchberger_packed(basis, order)
-    heads = [g.leading_term(order)[0] for g in basis]
-    heap: list = []
-
-    def push_pair(i, j):
-        hi, hj = heads[i], heads[j]
-        lcm = mono_lcm(hi, hj)
-        if lcm == mono_mul(hi, hj):
-            return  # coprime heads (Buchberger's first criterion)
-        heapq.heappush(heap, (order.key(lcm), i, j))
-
-    for i in range(len(basis)):
-        for j in range(i):
-            push_pair(i, j)
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        s = s_polynomial(basis[i], basis[j], order)
-        _, r = divide(s, basis, order, FULL)
-        if r.is_zero():
-            continue
-        r = r.monic(order)
-        k = len(basis)
-        basis.append(r)
-        heads.append(r.leading_term(order)[0])
-        for t in range(k):
-            push_pair(k, t)
-    return _reduce_basis(basis, order)
-
-
-def _buchberger_packed(basis, order: MonomialOrder) -> GroebnerBasis:
-    """Same algorithm on the key-indexed int representation (see poly.Packed2):
-    basis elements are dicts {order key: enc}, monic throughout, so S-pairs
-    and reductions are integer adds and dict updates."""
-    import heapq
-
-    from .poly import Packed2, _PB
-
-    dom = basis[0].domain
-    mul = dom.mul
-    inv = dom.inv
-    pk = Packed2(order)
-    decode = pk.decode
-
-    elems = []   # list of dicts keyed by order key, all monic
-    heads = []   # (ha, hb, head_key)
+    dom = gens[0].domain
+    add, mul, is_zero, zero = dom.add, dom.mul, dom.is_zero, dom.zero
+    # the basis, packed, monic and prepared as divisors for reduce_packed:
+    # (head exponents, head key, None, terms)
+    basis = []
 
     def add_elem(d):
-        hk = max(d)
-        lc = d[hk]
-        if lc != 1:
-            ilc = inv(lc)
-            d = {k: mul(ilc, c) for k, c in d.items()}
-        ha, hb = decode(hk)
-        elems.append(d)
-        heads.append((ha, hb, hk))
+        dv = prepare_divisor(d, order, dom)
+        if dv[3] is not None:
+            dv = prepare_divisor({k: mul(dv[3], c) for k, c in d.items()}, order, dom)
+        basis.append(dv)
 
-    for g in basis:
-        add_elem(pk.to_dict(g))
-
-    def reduce_full(p, skip=-1):
-        rem = {}
-        while p:
-            mk = max(p)
-            c = p[mk]
-            ma, mb = decode(mk)
-            for idx in range(len(elems)):
-                if idx == skip:
-                    continue
-                ha, hb, hk = heads[idx]
-                if ha <= ma and hb <= mb:
-                    tk = mk - hk
-                    for dk, dc in elems[idx].items():
-                        nk = tk + dk
-                        v = p.get(nk, 0) ^ mul(c, dc)
-                        if v:
-                            p[nk] = v
-                        else:
-                            p.pop(nk, None)
-                    break
-            else:
-                rem[mk] = c
-                del p[mk]
-        return rem
+    for g in gens:
+        add_elem(packed(g, order))
 
     heap: list = []
 
     def push_pair(i, j):
-        ia, ib, ik = heads[i]
-        ja, jb, jk = heads[j]
+        ia, ib = basis[i][:2]
+        ja, jb = basis[j][:2]
         if (ia == 0 or ja == 0) and (ib == 0 or jb == 0):
             return  # coprime heads
-        la, lb = max(ia, ja), max(ib, jb)
-        lk = ((pk.w0 * la + pk.w1 * lb) << _PB) | (lb if pk.tb == 1 else la)
-        heapq.heappush(heap, (lk, i, j))
+        heapq.heappush(heap, (order.key((max(ia, ja), max(ib, jb))), i, j))
 
-    for i in range(len(elems)):
+    for i in range(len(basis)):
         for j in range(i):
             push_pair(i, j)
     while heap:
         lk, i, j = heapq.heappop(heap)
         s: dict = {}
         for src in (i, j):
-            tk = lk - heads[src][2]
-            for k, c in elems[src].items():
+            tk = lk - basis[src][2]
+            for k, c in basis[src][4]:
                 nk = tk + k
-                v = s.get(nk, 0) ^ c
-                if v:
-                    s[nk] = v
-                else:
+                v = add(s.get(nk, zero), c)
+                if is_zero(v):
                     s.pop(nk, None)
-        r = reduce_full(s)
-        if not r:
-            continue
-        k = len(elems)
-        add_elem(r)
-        for t in range(k):
-            push_pair(k, t)
+                else:
+                    s[nk] = v
+        r = reduce_packed(s, basis, order, dom)
+        if r:
+            k = len(basis)
+            add_elem(r)
+            for t in range(k):
+                push_pair(k, t)
 
     # minimalize: drop any element whose head another head divides
-    alive = list(range(len(elems)))
-    alive = [i for i in alive if not any(
-        j != i and heads[j][0] <= heads[i][0] and heads[j][1] <= heads[i][1]
-        and (heads[i][2] != heads[j][2] or j < i) for j in alive)]
-    elems = [elems[i] for i in alive]
-    heads = [heads[i] for i in alive]
-    # inter-reduce tails to the unique reduced basis
-    for i in range(len(elems)):
-        r = reduce_full(dict(elems[i]), skip=i)
-        hk = max(r)
-        lc = r[hk]
-        if lc != 1:
-            ilc = inv(lc)
-            r = {k: mul(ilc, c) for k, c in r.items()}
-        elems[i] = r
-        heads[i] = (*decode(hk), hk)
-    by_head = sorted(range(len(elems)), key=lambda i: heads[i][2])
-    gens = [pk.from_dict(elems[i], dom) for i in by_head]
-    return GroebnerBasis(order, gens, reduced=True)
-
-
-def _reduce_basis(basis, order: MonomialOrder) -> GroebnerBasis:
-    # Drop generators whose head another head divides, then fully reduce
-    # each survivor against the others and sort by ascending head.
-    changed = True
-    while changed:
-        changed = False
-        basis = [g for g in basis if not g.is_zero()]
-        heads = [g.leading_term(order)[0] for g in basis]
-        keep = []
-        for i, g in enumerate(basis):
-            if any(j != i and mono_divides(heads[j], heads[i]) and
-                   (not mono_divides(heads[i], heads[j]) or j < i)
-                   for j in range(len(basis))):
-                changed = True
-                continue
-            keep.append(g)
-        basis = keep
-        out = []
-        for i, g in enumerate(basis):
-            others = basis[:i] + basis[i + 1:]
-            if others:
-                _, r = divide(g, others, order, FULL)
-            else:
-                r = g
-            if r.is_zero():
-                changed = True
-                continue
-            r = r.monic(order)
-            if r != g:
-                changed = True
-            out.append(r)
-        basis = out
-    basis.sort(key=lambda g: order.key(g.leading_term(order)[0]))
-    return GroebnerBasis(order, basis, reduced=True)
+    basis = [dv for i, dv in enumerate(basis) if not any(
+        j != i and ev[0] <= dv[0] and ev[1] <= dv[1] and (ev[2] != dv[2] or j < i)
+        for j, ev in enumerate(basis))]
+    # inter-reduce tails to the unique reduced basis; heads stay put
+    for i in range(len(basis)):
+        r = reduce_packed(dict(basis[i][4]), basis[:i] + basis[i + 1:], order, dom)
+        basis[i] = prepare_divisor(r, order, dom)
+    basis.sort(key=lambda dv: dv[2])
+    return GroebnerBasis(order, [from_packed(dict(dv[4]), order, dom) for dv in basis],
+                         reduced=True)
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -311,7 +199,7 @@ def order_domain_check(gb: GroebnerBasis, weights) -> tuple[bool, bool, bool]:
     cond3: no two distinct footprint monomials share a weight.
     """
     order = gb.order
-    cond1 = order.kind == "weighted_deg_lex" and tuple(order.weights) == tuple(weights)
+    cond1 = tuple(order.weights) == tuple(weights)
 
     def wt(m):
         return sum(w * e for w, e in zip(weights, m))

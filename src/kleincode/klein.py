@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .gf import FieldSpec, field_make
+from .gf import FieldSpec, gf8
 from .groebner import Footprint, GroebnerBasis, buchberger, footprint
 from .poly import FieldDomain, MonomialOrder, Polynomial, parse_poly
 
@@ -33,9 +33,9 @@ BEST_KNOWN_DISTANCE = {
 }
 
 
-@lru_cache(maxsize=None)
 def klein_field() -> FieldSpec:
-    return field_make(3, GF8_MODULUS_BITS)
+    """The canonical field: the one gf8() instance."""
+    return gf8()
 
 
 @lru_cache(maxsize=None)
@@ -45,7 +45,7 @@ def klein_domain() -> FieldDomain:
 
 @lru_cache(maxsize=None)
 def klein_order() -> MonomialOrder:
-    return MonomialOrder("weighted_deg_lex", ORDER_WEIGHTS, ORDER_TIEBREAK)
+    return MonomialOrder(ORDER_WEIGHTS, ORDER_TIEBREAK)
 
 
 @lru_cache(maxsize=None)

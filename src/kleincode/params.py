@@ -416,11 +416,15 @@ class ConstraintStore:
             involved |= e.variables()
         if not self.equalities:
             # Without residual equalities the reduced form is the function.
+            # Only nonzeros inside the scanned parameters may mask the scan:
+            # one outside would read as 0 on the whole grid.  Dropping a
+            # nonzero only enlarges the set p must vanish on, so it is sound.
             if not involved or len(involved) > 6:
                 return False
             if (8 ** len(involved)) * len(p.terms) > 2_000_000:
                 return False
-            return self._vanishes_on_scan(p, involved)
+            return self._vanishes_on_scan(p, involved, [
+                c for c in self.nonzeros.values() if c.variables() <= involved])
         for c in self.nonzeros.values():
             involved |= c.variables()
         if len(involved) > 6:
@@ -431,12 +435,14 @@ class ConstraintStore:
             return False
         return self._vanishes_on_scan(p, involved)
 
-    def _vanishes_on_scan(self, p: ParamPoly, involved) -> bool:
+    def _vanishes_on_scan(self, p: ParamPoly, involved, nonzeros=None) -> bool:
+        """p vanishes on every scanned assignment that meets the equalities
+        and the nonzeros (all of the store's by default)."""
         grid = assignment_grid(self.ring.t, sorted(involved))
         live = np.ones(grid.shape[1], dtype=bool)
         for e in self.equalities:
             live &= evaluate_grid(e, grid) == 0
-        for c in self.nonzeros.values():
+        for c in self.nonzeros.values() if nonzeros is None else nonzeros:
             live &= evaluate_grid(c, grid) != 0
         return not evaluate_grid(p, grid)[live].any()
 

@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials, monomial orders, and division.
+"""Sparse polynomials, the monomial order, and division.
 
 Monomials are plain tuples of non-negative exponents (index 0 = X,
 index 1 = Y).  Polynomials are term maps from monomial to a nonzero
@@ -7,7 +7,10 @@ runs over a concrete GF(2^m) (enc integers) and over the parametric
 ring GF(8)[a1..at] used by the case-split engine.  Both domains have
 characteristic 2, so subtraction is addition throughout.
 
-Division comes in two modes:
+The order is two-variable weighted-degree-lex, and its key is one packed
+int.  One reduction loop, ``reduce_packed``, serves every division: it
+runs on dicts keyed by that int, for both coefficient domains, and both
+``divide`` and ``groebner.buchberger`` call it.  It has two modes:
 
 * ``full``  -- the textbook multivariate division: every monomial of the
   remainder is irreducible by every divisor head.
@@ -18,6 +21,8 @@ Both modes return quotients such that s = sum(q_i d_i) + r exactly.
 """
 
 from __future__ import annotations
+
+import operator
 
 from .gf import FieldSpec
 
@@ -89,69 +94,62 @@ def mono_lcm(u: tuple, v: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# monomial orders
+# the monomial order
+
+_PB = 24
+_PM = (1 << _PB) - 1
+
 
 class MonomialOrder:
-    """Total order on exponent tuples.
+    """Weighted-degree-lex order on two-variable monomials.
 
-    kind "lex": plain lexicographic, variable 0 most significant.
-    kind "weighted_deg_lex": compare the weighted degree first; ties go to
-    the monomial with the larger exponent of ``tiebreak_var`` (the full
-    exponent tuple settles anything left, which for two variables never
-    happens).
+    The weighted degree is compared first; ties go to the monomial with the
+    larger exponent of ``tiebreak_var``.  ``key`` packs both into one int,
+    ``(weight << 24) | tiebreak exponent``, so that int comparison is the
+    order; exponents stay below EXPONENT_CAP = 2^20, inside the 24 bits.
+    The key is linear in the exponents, so monomial multiplication is key
+    addition, and with positive weights it determines the monomial, which
+    ``decode`` recovers.
     """
 
-    __slots__ = ("kind", "weights", "tiebreak_var")
+    __slots__ = ("weights", "tiebreak_var", "_w0", "_w1", "_wt_tb", "_wt_other")
 
-    def __init__(self, kind: str, weights=None, tiebreak_var: int | None = None):
-        if kind not in ("lex", "weighted_deg_lex"):
-            raise ValueError(f"unknown order kind {kind!r}")
-        if kind == "weighted_deg_lex":
-            if not weights or any(w <= 0 for w in weights):
-                raise ValueError("weighted order needs positive weights")
-            if tiebreak_var is None or not 0 <= tiebreak_var < len(weights):
-                raise ValueError("tiebreak_var out of range")
-            weights = tuple(weights)
-        self.kind = kind
+    def __init__(self, weights, tiebreak_var: int):
+        weights = tuple(weights)
+        if len(weights) != 2:
+            raise ArityMismatch(f"the monomial order is bivariate: {len(weights)} "
+                                f"weights {weights} given, 2 needed")
+        if any(w <= 0 for w in weights):
+            raise ValueError("weighted order needs positive weights")
+        if tiebreak_var not in (0, 1):
+            raise ValueError("tiebreak_var out of range")
         self.weights = weights
         self.tiebreak_var = tiebreak_var
+        self._w0, self._w1 = weights
+        self._wt_tb = weights[tiebreak_var]
+        self._wt_other = weights[1 - tiebreak_var]
 
-    def key(self, mono: tuple):
-        if self.kind == "lex":
-            return mono
-        w = 0
-        for wi, ei in zip(self.weights, mono):
-            w += wi * ei
-        return (w, mono[self.tiebreak_var], mono)
+    def key(self, mono: tuple) -> int:
+        try:
+            a, b = mono
+        except ValueError:
+            raise ArityMismatch(f"monomial {mono} is not bivariate") from None
+        return ((self._w0 * a + self._w1 * b) << _PB) | (b if self.tiebreak_var else a)
+
+    def decode(self, k: int) -> tuple:
+        e = k & _PM
+        other = ((k >> _PB) - self._wt_tb * e) // self._wt_other
+        return (other, e) if self.tiebreak_var else (e, other)
 
     def weight(self, mono: tuple) -> int:
-        if self.kind != "weighted_deg_lex":
-            raise ValueError("weight only defined for weighted orders")
-        return sum(w * e for w, e in zip(self.weights, mono))
+        return self.key(mono) >> _PB
 
     def compare(self, u: tuple, v: tuple) -> int:
-        if len(u) != len(v):
-            raise ArityMismatch(f"arity {len(u)} vs {len(v)}")
         ku, kv = self.key(u), self.key(v)
         return (ku > kv) - (ku < kv)
 
-    def lt(self, u: tuple, v: tuple) -> bool:
-        return self.compare(u, v) < 0
-
     def __repr__(self):
-        if self.kind == "lex":
-            return "MonomialOrder(lex)"
         return f"MonomialOrder(weighted {self.weights}, tiebreak {self.tiebreak_var})"
-
-
-def order_compare(order: MonomialOrder, u: tuple, v: tuple) -> int:
-    """-1, 0, +1 comparison of two monomials under the order."""
-    return order.compare(u, v)
-
-
-def klein_order() -> MonomialOrder:
-    """The weighted-degree-lex order with weights (2, 3), larger Y wins ties."""
-    return MonomialOrder("weighted_deg_lex", (2, 3), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +172,9 @@ class FieldDomain:
     def one(self):
         return 1
 
-    def is_zero(self, c) -> bool:
-        return c == 0
-
-    def add(self, a, b):
-        return a ^ b
+    # builtins, so the reduction loop pays no Python call for them
+    is_zero = staticmethod(operator.not_)
+    add = staticmethod(operator.xor)
 
     def mul(self, a, b):
         return self.spec.mul(a, b)
@@ -237,9 +233,6 @@ class Polynomial:
 
     def coef(self, mono: tuple):
         return self.terms.get(tuple(mono), self.domain.zero)
-
-    def support(self):
-        return set(self.terms)
 
     def _check_other(self, other: "Polynomial"):
         if self.arity != other.arity:
@@ -301,12 +294,6 @@ class Polynomial:
         m = max(self.terms, key=order.key)
         return m, self.terms[m]
 
-    def monic(self, order: MonomialOrder) -> "Polynomial":
-        _, c = self.leading_term(order)
-        if self.domain.is_zero(self.domain.add(c, self.domain.one)):
-            return self
-        return self.scale(self.domain.inv(c))
-
     def eval(self, point: tuple, spec: FieldSpec = None):
         """Evaluate at a point of the field; 0^0 = 1."""
         if getattr(self.domain, "parametric", False):
@@ -346,198 +333,58 @@ class Polynomial:
         return f"Polynomial({format_poly(self)})"
 
 
-def poly_arith(op: str, p: Polynomial, q) -> Polynomial:
-    """Dispatch add/mul/scale on polynomials."""
-    if op == "add":
-        return p.add(q)
-    if op == "mul":
-        return p.mul(q)
-    if op == "scale":
-        return p.scale(q)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def leading_term(p: Polynomial, order: MonomialOrder):
-    return p.leading_term(order)
-
-
 # ---------------------------------------------------------------------------
-# division
+# division: the one reduction loop
+#
+# Division and Buchberger both work on packed polynomials, dicts from order
+# key to coefficient (see MonomialOrder), so the next reduction target is a
+# raw int max over the keys and a multiple of a divisor is a key shift.
 
-def divide(s: Polynomial, divisors, order: MonomialOrder, mode: str = FULL):
-    """Divide s by an ordered divisor list; returns (quotients, remainder).
-
-    Divisors are tried in list order at each step.  The identity
-    s = sum(quotients[i] * divisors[i]) + r holds exactly in both modes.
-    """
-    if mode not in (HEAD, FULL):
-        raise ValueError(f"unknown mode {mode!r}")
-    dom = s.domain
-    arity = s.arity
-    leads = []
-    for d in divisors:
-        if d.is_zero():
-            raise ZeroPolynomial("zero divisor")
-        lm, lc = d.leading_term(order)
-        leads.append((lm, dom.inv(lc) if not _is_one(dom, lc) else None))
-    if arity == 2 and order.kind == "weighted_deg_lex":
-        if getattr(dom, "parametric", False):
-            return _divide_packed2_param(s, divisors, order, mode, leads)
-        return _divide_packed2(s, divisors, order, mode, leads)
-    quots = [dict() for _ in divisors]
-    p = dict(s.terms)
-    rem: dict = {}
-    add, mul, is_zero = dom.add, dom.mul, dom.is_zero
+def packed(p: Polynomial, order: MonomialOrder) -> dict:
+    if p.arity != 2:
+        raise ArityMismatch(f"arity {p.arity}: division is bivariate")
     key = order.key
-    while p:
-        m = max(p, key=key)
-        c = p[m]
-        for i, d in enumerate(divisors):
-            dlm, dinv = leads[i]
-            if mono_divides(dlm, m):
-                t = mono_div(m, dlm)
-                qc = c if dinv is None else mul(c, dinv)
-                qv = add(quots[i].get(t, dom.zero), qc)
-                if is_zero(qv):
-                    quots[i].pop(t, None)
-                else:
-                    quots[i][t] = qv
-                for dm, dc in d.terms.items():
-                    kmono = mono_mul(t, dm)
-                    v = add(p.get(kmono, dom.zero), mul(qc, dc))
-                    if is_zero(v):
-                        p.pop(kmono, None)
-                    else:
-                        p[kmono] = v
-                break
-        else:
-            if mode == HEAD:
-                rem.update(p)
-                p = {}
-            else:
-                rem[m] = c
-                del p[m]
-    qpolys = [Polynomial(dom, arity, q, _normalized=True) for q in quots]
-    return qpolys, Polynomial(dom, arity, rem, _normalized=True)
+    return {key(m): c for m, c in p.terms.items()}
 
 
-def _is_one(dom, c) -> bool:
-    return dom.is_zero(dom.add(c, dom.one))
+def from_packed(d: dict, order: MonomialOrder, domain) -> Polynomial:
+    decode = order.decode
+    return Polynomial(domain, 2, {decode(k): c for k, c in d.items()}, _normalized=True)
 
 
-# Packed fast path for concrete bivariate polynomials under weighted orders.
-# A monomial maps to the integer (weight << 24 | tiebreak exponent), which is
-# exactly the order key and is linear in the exponents, so monomial
-# multiplication is integer addition and the next reduction target is a raw
-# int max over the dict keys.  Semantics match the generic loop exactly.
-
-_PB = 24
-_PM = (1 << _PB) - 1
-
-
-class Packed2:
-    """Key-indexed view of bivariate monomials for one weighted order."""
-
-    __slots__ = ("w0", "w1", "tb", "wt_tb", "wt_other")
-
-    def __init__(self, order: MonomialOrder):
-        self.w0, self.w1 = order.weights
-        self.tb = order.tiebreak_var
-        self.wt_tb = self.w1 if self.tb == 1 else self.w0
-        self.wt_other = self.w0 if self.tb == 1 else self.w1
-
-    def key(self, m: tuple) -> int:
-        return ((self.w0 * m[0] + self.w1 * m[1]) << _PB) | m[self.tb]
-
-    def decode(self, k: int) -> tuple:
-        e = k & _PM
-        other = ((k >> _PB) - self.wt_tb * e) // self.wt_other
-        return (other, e) if self.tb == 1 else (e, other)
-
-    def to_dict(self, p: Polynomial) -> dict:
-        key = self.key
-        return {key(m): c for m, c in p.terms.items()}
-
-    def from_dict(self, d: dict, domain, arity=2) -> Polynomial:
-        decode = self.decode
-        return Polynomial(domain, arity, {decode(k): c for k, c in d.items()},
-                          _normalized=True)
+def prepare_divisor(d: dict, order: MonomialOrder, domain) -> tuple:
+    """(head exponents, head key, inverse head coefficient or None for 1,
+    terms) of a nonzero packed divisor, the form reduce_packed takes."""
+    hk = max(d)
+    lc = d[hk]
+    ha, hb = order.decode(hk)
+    return ha, hb, hk, None if _is_one(domain, lc) else domain.inv(lc), list(d.items())
 
 
-def _divide_packed2(s: Polynomial, divisors, order, mode, leads):
-    dom = s.domain
-    mul = dom.mul
-    pk = Packed2(order)
-    prepared = []
-    for d, (dlm, dinv) in zip(divisors, leads):
-        items = [(pk.key(m), c) for m, c in d.terms.items()]
-        inv_enc = None if dinv is None else dinv
-        prepared.append((dlm[0], dlm[1], pk.key(dlm), inv_enc, items))
-    p = pk.to_dict(s)
-    quots = [dict() for _ in divisors]
+def reduce_packed(p: dict, divisors, order: MonomialOrder, domain,
+                  mode: str = FULL, quots=None) -> dict:
+    """Reduce the packed polynomial p, in place, by prepared divisors; returns
+    the remainder.  The first divisor whose head divides the current head
+    cancels it.  FULL moves an irreducible head to the remainder and goes on;
+    HEAD stops there.  When given, quots[i] accumulates divisor i's quotient."""
+    add, mul, is_zero, zero = domain.add, domain.mul, domain.is_zero, domain.zero
+    decode = order.decode
     rem: dict = {}
-    decode = pk.decode
     while p:
         mk = max(p)
         c = p[mk]
         ma, mb = decode(mk)
-        for i, (da, db, dk, dinv, items) in enumerate(prepared):
+        for i, (da, db, dk, dinv, items) in enumerate(divisors):
             if da <= ma and db <= mb:
                 tk = mk - dk
                 qc = c if dinv is None else mul(c, dinv)
-                qd = quots[i]
-                qv = qd.get(tk, 0) ^ qc
-                if qv:
-                    qd[tk] = qv
-                else:
-                    qd.pop(tk, None)
-                for dmk, dc in items:
-                    nk = tk + dmk
-                    v = p.get(nk, 0) ^ mul(qc, dc)
-                    if v:
-                        p[nk] = v
+                if quots is not None:
+                    qd = quots[i]
+                    qv = add(qd.get(tk, zero), qc)
+                    if is_zero(qv):
+                        qd.pop(tk, None)
                     else:
-                        p.pop(nk, None)
-                break
-        else:
-            if mode == HEAD:
-                rem.update(p)
-                p = {}
-            else:
-                rem[mk] = c
-                del p[mk]
-    qpolys = [pk.from_dict(qd, dom, s.arity) for qd in quots]
-    return qpolys, pk.from_dict(rem, dom, s.arity)
-
-
-def _divide_packed2_param(s: Polynomial, divisors, order, mode, leads):
-    """The packed loop with domain-generic coefficient operations."""
-    dom = s.domain
-    add, mul, is_zero = dom.add, dom.mul, dom.is_zero
-    pk = Packed2(order)
-    prepared = []
-    for d, (dlm, dinv) in zip(divisors, leads):
-        items = [(pk.key(m), c) for m, c in d.terms.items()]
-        prepared.append((dlm[0], dlm[1], pk.key(dlm), dinv, items))
-    p = pk.to_dict(s)
-    quots = [dict() for _ in divisors]
-    rem: dict = {}
-    decode = pk.decode
-    zero = dom.zero
-    while p:
-        mk = max(p)
-        c = p[mk]
-        ma, mb = decode(mk)
-        for i, (da, db, dk, dinv, items) in enumerate(prepared):
-            if da <= ma and db <= mb:
-                tk = mk - dk
-                qc = c if dinv is None else mul(c, dinv)
-                qd = quots[i]
-                qv = add(qd.get(tk, zero), qc)
-                if is_zero(qv):
-                    qd.pop(tk, None)
-                else:
-                    qd[tk] = qv
+                        qd[tk] = qv
                 for dmk, dc in items:
                     nk = tk + dmk
                     v = add(p.get(nk, zero), mul(qc, dc))
@@ -548,13 +395,33 @@ def _divide_packed2_param(s: Polynomial, divisors, order, mode, leads):
                 break
         else:
             if mode == HEAD:
-                rem.update(p)
-                p = {}
-            else:
-                rem[mk] = c
-                del p[mk]
-    qpolys = [pk.from_dict(qd, dom, s.arity) for qd in quots]
-    return qpolys, pk.from_dict(rem, dom, s.arity)
+                return p
+            rem[mk] = c
+            del p[mk]
+    return rem
+
+
+def divide(s: Polynomial, divisors, order: MonomialOrder, mode: str = FULL):
+    """Divide s by an ordered divisor list; returns (quotients, remainder).
+
+    Divisors are tried in list order at each step.  The identity
+    s = sum(quotients[i] * divisors[i]) + r holds exactly in both modes.
+    """
+    if mode not in (HEAD, FULL):
+        raise ValueError(f"unknown mode {mode!r}")
+    dom = s.domain
+    prepared = []
+    for d in divisors:
+        if d.is_zero():
+            raise ZeroPolynomial("zero divisor")
+        prepared.append(prepare_divisor(packed(d, order), order, dom))
+    quots = [{} for _ in divisors]
+    rem = reduce_packed(packed(s, order), prepared, order, dom, mode, quots)
+    return [from_packed(q, order, dom) for q in quots], from_packed(rem, order, dom)
+
+
+def _is_one(dom, c) -> bool:
+    return dom.is_zero(dom.add(c, dom.one))
 
 
 # ---------------------------------------------------------------------------
@@ -715,9 +582,9 @@ def parse_poly(text: str, domain, arity: int = 2, ring=None) -> Polynomial:
 
 
 def parse_monomial(text: str, arity: int = 2) -> tuple:
-    from .gf import gf8
+    from .klein import klein_domain
 
-    p = parse_poly(text, FieldDomain(gf8()), arity)
+    p = parse_poly(text, klein_domain(), arity)
     if len(p.terms) != 1:
         raise ParseError(f"{text!r} is not a monomial")
     ((m, c),) = p.terms.items()
@@ -740,11 +607,13 @@ def format_monomial(mono: tuple) -> str:
 
 
 def format_poly(p: Polynomial, order: MonomialOrder = None) -> str:
+    """Terms in descending order, by default the canonical Klein order."""
     if p.is_zero():
         return "0"
     if order is None:
-        order = klein_order() if p.arity == 2 else MonomialOrder(
-            "weighted_deg_lex", (1,) * p.arity, p.arity - 1)
+        from .klein import klein_order
+
+        order = klein_order()
     parts = []
     for m in sorted(p.terms, key=order.key, reverse=True):
         c = p.terms[m]

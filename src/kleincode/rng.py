@@ -57,7 +57,3 @@ class SplitMix64:
         total = int(np.prod(shape)) if shape else 1
         vals = self.fill_u64(total) & np.uint64(n - 1)
         return vals.reshape(shape).astype(np.uint8 if n <= 256 else np.uint64)
-
-    def derive(self, tag: int) -> "SplitMix64":
-        """Independent child stream keyed by an integer tag."""
-        return SplitMix64(_mix(self.state ^ _mix(tag & _MASK)))

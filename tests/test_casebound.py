@@ -1,7 +1,6 @@
 import pytest
 
 from kleincode.casebound import (
-    TRACED_CLASSES,
     full_bound_map,
     InvalidStep,
     KleinParametric,
@@ -220,15 +219,6 @@ def test_instantiate_deterministic(fp):
     a = leaf.constraints.sample_witnesses(10, seed=3)
     b = leaf.constraints.sample_witnesses(10, seed=3)
     assert a == b
-
-
-def test_repo_traces_match_package_data():
-    # traces/ at the repo root mirrors the package data; guard drift
-    from pathlib import Path
-
-    repo = Path(__file__).parent.parent / "traces"
-    for M, name in TRACED_CLASSES.items():
-        assert repo.joinpath(f"{name}.trace").read_text() == load_trace_text(name)
 
 
 def test_delta_map_range_and_baseline_monotone(fp):

@@ -6,7 +6,7 @@ import pytest
 from conftest import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
-TRACES = Path(__file__).parent.parent / "traces"
+TRACES = Path(__file__).parent.parent / "src" / "kleincode" / "traces"
 
 
 def test_footprint_text():
@@ -79,6 +79,21 @@ def test_table_measured():
     measured = {r["k"]: r for r in rows if "measured_d" in r}
     assert measured[1]["measured_d"] == 22 and measured[1]["exact"]
     assert measured[2]["measured_d"] == 19
+
+
+def test_table_measure_above_limit_refused_before_work(monkeypatch, capsys):
+    from kleincode import cli, codes
+
+    measured = []
+    monkeypatch.setattr(cli, "min_distance",
+                        lambda code, *a, **kw: measured.append(code.k) or (1, True))
+    limit = codes.EXACT_LIMIT_COEFFS
+    code, out = run_cli(["table", "--measure-upto", str(limit + 1)])
+    assert (code, out, measured) == (2, "", [])
+    assert "exact-scan limit" in capsys.readouterr().err
+    code, _ = run_cli(["table", "--measure-upto", str(limit)])
+    assert code == 0
+    assert measured == [1, 2, 3, 4, 5, 7, 8, 10]
 
 
 def test_oracle_sound_exit_zero():
@@ -161,6 +176,33 @@ def test_verify_all_quick_deterministic():
     assert "PASS" in out1
     code2, out2 = run_cli(["verify-all", "--quick", "--seed", "42"])
     assert out1 == out2
+
+
+def test_global_flags_before_subcommand(tmp_path, monkeypatch):
+    code, out = run_cli(["--format", "json", "table"])
+    assert code == 0
+    assert out == GOLDEN.joinpath("table.json").read_text()
+    from kleincode import cli
+
+    seen = []
+    monkeypatch.setattr(cli, "coset_min_weight",
+                        lambda *a, **kw: seen.append((kw["seed"], kw["count"])) or (18, False))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sample_count": 2000}))
+    oracle = ["oracle", "--lm", "Y", "--mode", "sample"]
+    assert run_cli(["--seed", "9", "--config", str(cfg), *oracle])[0] == 0
+    # a flag after the subcommand wins over the same flag before it
+    assert run_cli(["--seed", "9", *oracle, "--seed", "11"])[0] == 0
+    assert seen == [(9, 2000), (11, 100_000)]
+
+
+def test_config_with_three_weights_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"weights": [2, 3, 1]}))
+    for command in ("footprint", "variety"):
+        code, out = run_cli([command, "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert "the monomial order is bivariate" in capsys.readouterr().err
 
 
 def test_config_override(tmp_path):

@@ -9,8 +9,15 @@ from kleincode.groebner import (
     s_polynomial,
 )
 from kleincode.codes import enumerate_variety
-from kleincode.gf import gf8
-from kleincode.poly import FULL, MonomialOrder, Polynomial, divide, parse_poly
+from kleincode.poly import (
+    FULL,
+    ArityMismatch,
+    MonomialOrder,
+    Polynomial,
+    divide,
+    mono_divides,
+    parse_poly,
+)
 from kleincode.rng import SplitMix64
 
 EXPECTED_FOOTPRINT = {(a, b) for a in range(7) for b in range(3)} | {(7, 0)}
@@ -130,19 +137,49 @@ def test_footprint_counts_variety_points(dom, order, spec):
         assert len(footprint(gbi)) == len(enumerate_variety(gens, spec, 2))
 
 
+@pytest.mark.parametrize("weights, tiebreak", [((2, 3), 1), ((3, 2), 0), ((1, 1), 0), ((1, 1), 1)])
+def test_buchberger_under_config_orders(dom, spec, weights, tiebreak):
+    # orders a --config file can choose: on random zero-dimensional ideals the
+    # basis spans the generators, every S-pair reduces to zero, the basis is
+    # reduced, and the footprint counts the variety's points
+    order = MonomialOrder(weights, tiebreak)
+    feq = [parse_poly("X^8+X", dom), parse_poly("Y^8+Y", dom)]
+    rng = SplitMix64(0xB0C4 + 4 * weights[0] + tiebreak)
+    for _ in range(25):
+        extras = []
+        for _ in range(1 + rng.below(2)):
+            terms = {(rng.below(7), rng.below(7)): rng.below(8) for _ in range(4)}
+            p = Polynomial(dom, 2, terms)
+            if not p.is_zero():
+                extras.append(p)
+        gens = feq + extras
+        gb = buchberger(gens, order)
+        basis = list(gb)
+        heads = [g.leading_term(order) for g in basis]
+        for g in gens:
+            assert divide(g, basis, order, FULL)[1].is_zero()
+        for i, g in enumerate(basis):
+            assert heads[i][1] == 1
+            assert not any(mono_divides(h, m) for j, (h, _) in enumerate(heads) if j != i
+                           for m in g.terms)
+            for f in basis[:i]:
+                assert divide(s_polynomial(g, f, order), basis, order, FULL)[1].is_zero()
+        assert len(footprint(gb)) == len(enumerate_variety(gens, spec, 2))
+
+
 def test_order_domain_check_klein(gb):
     assert order_domain_check(gb, (2, 3)) == (True, True, False)
 
 
-def test_order_domain_check_univariate():
-    spec = gf8()
-    from kleincode.poly import FieldDomain
+def test_order_domain_check_univariate(dom, order):
+    # the ideal of the line Y = 1: footprint X^0..X^7, weights all distinct
+    gb1 = buchberger([parse_poly("X^8+X", dom), parse_poly("Y+1", dom)], order)
+    assert order_domain_check(gb1, (2, 3)) == (True, True, True)
 
-    dom1 = FieldDomain(spec)
-    order1 = MonomialOrder("weighted_deg_lex", (1,), 0)
-    g = parse_poly("X^8+X", dom1, arity=1)
-    gb1 = buchberger([g], order1)
-    assert order_domain_check(gb1, (1,)) == (True, True, True)
+
+def test_buchberger_refuses_non_bivariate(dom, order):
+    with pytest.raises(ArityMismatch):
+        buchberger([parse_poly("X^8+X", dom, arity=1)], order)
 
 
 def test_order_domain_check_single_monomial(dom, order):

@@ -101,6 +101,44 @@ def test_proves_zero_function_scan():
     assert not ConstraintStore(ring).proves_zero(expr("a1^7+1", ring))
 
 
+def test_proves_zero_ignores_nonzeros_outside_the_scan():
+    # a2 != 0 says nothing about a1, which may still be nonzero
+    ring = ParamRing(2)
+    cs = ConstraintStore(ring).with_nonzero(expr("a2", ring))
+    assert not cs.proves_zero(expr("a1", ring))
+    assert cs.with_nonzero(expr("a1", ring)).proves_zero(expr("a1^7+1", ring))
+
+
+def test_proves_zero_sound_against_brute_force():
+    # seeded small stores built by branching, whose nonzeros often mention
+    # parameters that p does not: a proof must hold on every assignment in
+    # GF(8)^t that meets all the constraints
+    rng = random.Random(0x5C0E)
+    proved = outside = 0
+    for _ in range(300):
+        t = rng.randint(1, 3)
+        ring = ParamRing(t)
+        cs = ConstraintStore(ring)
+        constraints = []
+        for _ in range(rng.randint(1, 3)):
+            idx = sorted(rng.sample(range(t), rng.randint(1, t)))
+            c = _random_poly(rng, ring, idx, rng.randint(1, 2))
+            is_zero = rng.random() < 0.3
+            cs = cs.with_zero(c) if is_zero else cs.with_nonzero(c)
+            constraints.append((c, is_zero))
+        p_idx = sorted(rng.sample(range(t), rng.randint(1, t)))
+        p = _random_poly(rng, ring, p_idx, rng.randint(1, 3))
+        if rng.random() < 0.5:
+            p = p.mul(p).mul(p).mul(p).mul(p).mul(p).mul(p).add(ring.one())  # p^7 + 1
+        outside += any(c.variables() - p.variables() for c, z in constraints if not z)
+        truth = all(p.evaluate(a) == 0 for a in itertools.product(range(8), repeat=t)
+                    if all((c.evaluate(a) == 0) == z for c, z in constraints))
+        got = cs.proves_zero(p)
+        assert truth or not got
+        proved += got
+    assert proved >= 30 and outside >= 50
+
+
 def test_witness_deterministic():
     ring = ParamRing(3)
     cs = ConstraintStore(ring).with_nonzero(expr("a1+a2", ring))
