@@ -5,55 +5,32 @@ working polynomial by a monomial from a small move set, head-reduce
 against the root F and the three basis elements, and branch on the
 leading coefficient whenever neither zero nor nonzero is certified.
 Claims are taken greedily (they never hurt), branch nodes score as the
-minimum over their children, and choice nodes as the maximum over moves,
-so the result is a proved lower bound for the class.  The search is
-best-effort under its budget; it never returns less than the
+minimum over their children, and choice nodes as the maximum over moves.
+The search only proposes: its best strategy is a tree of trace steps, and
+the report it returns is that tree's replay by ``casebound.verify_trace``,
+the same verifier the shipped traces pass, so the bound is proved.  The
+search is best-effort under its budget; it never returns less than the
 divisibility count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .casebound import BoundReport, KleinParametric, Leaf, upset_in_footprint
-from .poly import Polynomial, mono_div, mono_divides, mono_mul
+from .casebound import (
+    BoundReport,
+    Branch,
+    Claim,
+    KleinParametric,
+    Mul,
+    Red,
+    TraceError,
+    verify_trace,
+)
+from .params import format_param
+from .poly import HEAD, packed, prepare_divisor, reduce_packed
 
 DEFAULT_MOVES = ((1, 0), (0, 1), (0, 2), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0))
-
-
-def _bounded_head_reduce(W: Polynomial, d: Polynomial, order_key, max_size: int):
-    """Head-mode reduction by a monic divisor, or None when the chain's
-    coefficients outgrow max_size (the search then skips this move)."""
-    dom = W.domain
-    dlm = max(d.terms, key=order_key)
-    items = list(d.terms.items())
-    p = dict(W.terms)
-    size = sum(len(c.terms) for c in p.values())
-    steps = 0
-    while p:
-        lm = max(p, key=order_key)
-        if not mono_divides(dlm, lm):
-            break
-        steps += 1
-        if steps > 64:
-            return None
-        qc = p[lm]
-        t = mono_div(lm, dlm)
-        for dm, dc in items:
-            k = mono_mul(t, dm)
-            old = p.get(k)
-            v = qc.mul(dc) if old is None else old.add(qc.mul(dc))
-            if old is not None:
-                size -= len(old.terms)
-            if v.is_zero():
-                p.pop(k, None)
-            else:
-                p[k] = v
-                size += len(v.terms)
-            if size > max_size:
-                return None
-    return Polynomial(dom, W.arity, p, _normalized=True)
 
 
 @dataclass(frozen=True)
@@ -69,112 +46,117 @@ class SearchBudget:
 
 def auto_search(M: tuple, budget: SearchBudget = None, fp=None) -> BoundReport:
     """Iterative deepening: complete passes at depth 0, 1, ... max_depth,
-    keeping the best proved bound, until the work budget runs out."""
+    keeping the best proved bound, until the work budget runs out.  Returns
+    the verified replay of the best pass's steps."""
     budget = budget or SearchBudget()
     ctx = KleinParametric(M, fp)
-    base_upset = frozenset(upset_in_footprint(ctx.M, ctx.fp))
-    divisor_names = ("F", "K", "FX", "FXY")
+    order, dom = ctx.order, ctx.domain
+    decode = order.decode
+
+    def prepare(d):
+        return prepare_divisor(packed(d, order), order, dom)
+
+    # Working polynomials are packed dicts (see poly.MonomialOrder), so the
+    # head is max(W) and a Mul move is a key shift.
+    basis = [(name, prepare(ctx.divisors[name])) for name in ("K", "FX", "FXY")]
+    moves = [(u, order.key(u)) for u in budget.move_set]
     work = [0]
     memo: dict = {}
-    # Stores and coverage counts live for the whole call, across passes, so
-    # each store's scans, certificates and witness are computed once.
+    # Stores live for the whole call, across passes, so each store's scans,
+    # certificates, witness and reduced root F are computed once.
     stores: dict = {}
-    counts: dict = {}
-    order_key = lru_cache(maxsize=None)(ctx.order.key)
 
     def intern(cs):
         # summary() prints equalities in list order, so the order is part
         # of a store's identity here.
         key = (cs.key(), tuple(e.key() for e in cs.equalities))
-        return stores.setdefault(key, cs)
-
-    def covered_count(established) -> int:
-        if established not in counts:
-            out = set(base_upset)
-            for e in established:
-                out.update(N for N in ctx.fp if mono_divides(e, N))
-            counts[established] = len(out)
-        return counts[established]
-
-    def state_key(W, cs, established, depth, branches):
-        wkey = tuple(sorted((m, c.key()) for m, c in W.terms.items()))
-        return (wkey, cs.key(), established, depth, branches)
+        if key not in stores:
+            stores[key] = cs, prepare(ctx.divisor("F", cs))
+        return stores[key]
 
     SIZE_CAP = 2500  # abandon states whose coefficients have exploded
 
-    def explore(W, F_cur, cs, established, depth, branches):
-        """Returns (proved count, leaf list for the optimal strategy)."""
-        size = sum(len(c.terms) for c in W.terms.values())
+    def explore(W, node, established, depth, branches):
+        """(proved count, steps of the best strategy) from the packed working
+        polynomial W under node = (interned store, its prepared F)."""
+        cs, F = node
+        size = sum(len(c.terms) for c in W.values())
         work[0] += 1 + size // 4
-        # greedy claim: the formal head has nothing above it, so it is
-        # established as soon as its coefficient is certified
-        if not W.is_zero():
-            lm = max(W.terms, key=order_key)
-            lc = W.terms[lm]
+        claim = ()
+        if W:
+            hk = max(W)
+            lm, lc = decode(hk), W[hk]
+            # greedy claim: the formal head has nothing above it, so it is
+            # established as soon as its coefficient is certified
             if lm in ctx.fp and lm not in established and cs.certified_nonzero(lc):
                 established = established | {lm}
-        established = frozenset(established)
-        here = covered_count(established)
-        leaf = [Leaf("auto", cs, tuple(sorted(established)), here, False)]
+                claim = (Claim(lm),)
+        here = ctx.covered_count(established)
         if work[0] > budget.max_work or size > SIZE_CAP:
-            return here, leaf
-        key = state_key(W, cs, established, depth, branches)
+            return here, claim
+        key = (tuple(sorted((k, c.key()) for k, c in W.items())), cs.key(),
+               established, depth, branches)
         if key in memo:
-            return memo[key]
-        memo[key] = (here, leaf)  # cycle guard
-        best, best_leaves = here, leaf
+            value, steps = memo[key]
+            return value, claim + steps
+        memo[key] = (here, ())  # cycle guard
+        best, best_steps = here, ()
 
-        def consider(value, leaves):
-            nonlocal best, best_leaves
+        def consider(value, steps):
+            nonlocal best, best_steps
             if value > best:
-                best, best_leaves = value, leaves
+                best, best_steps = value, steps
 
-        if not W.is_zero():
+        if W:
             # head reductions against any divisor whose head divides ours
-            for name in divisor_names:
+            for name, d in (("F", F), *basis):
                 if work[0] > budget.max_work:
                     break
-                d = F_cur if name == "F" else ctx.divisors[name]
-                if mono_divides(max(d.terms, key=order_key), lm):
-                    r = _bounded_head_reduce(W, d, order_key, 4 * SIZE_CAP)
-                    if r is not None and r != W:
-                        consider(*explore(r, F_cur, cs, established, depth, branches))
+                if d[0] <= lm[0] and d[1] <= lm[1]:
+                    r = reduce_packed(dict(W), [d], order, dom, HEAD)
+                    value, steps = explore(r, node, established, depth, branches)
+                    consider(value, (Red(name, HEAD),) + steps)
             # branch on an undetermined leading coefficient (skip monsters:
             # giving a move up only weakens the search, never its soundness)
             if branches > 0 and work[0] <= budget.max_work and len(lc.terms) <= 64 \
                     and not cs.certified_nonzero(lc) and not cs.proves_zero(lc):
-                zero_cs, nonzero_cs = cs.branch(cs.reduce(lc))
-                children = []
+                expr = cs.reduce(lc)
+                zero_cs, nonzero_cs = cs.branch(expr)
+                blocks = []
                 value = None
                 for child in (intern(nonzero_cs), intern(zero_cs)):
-                    if child.vacuous:
+                    child_cs = child[0]
+                    if child_cs.vacuous:
+                        blocks.append(())
                         continue
-                    W2 = W.map_coeffs(child.reduce)
-                    F2 = F_cur.map_coeffs(child.reduce)
-                    v, ls = explore(W2, F2, child, established, depth, branches - 1)
-                    children.extend(ls)
+                    W2 = {k: r for k, c in W.items() if (r := child_cs.reduce(c)).terms}
+                    v, steps = explore(W2, child, established, depth, branches - 1)
+                    blocks.append(steps)
                     value = v if value is None else min(value, v)
                 if value is not None:
-                    consider(value, children)
+                    consider(value, (Branch(format_param(expr), *blocks),))
         if depth > 0:
-            for u in budget.move_set:
+            for u, uk in moves:
                 if work[0] > budget.max_work:
                     break
-                consider(*explore(W.mul_mono(u), F_cur, cs, established,
-                                  depth - 1, branches))
-        memo[key] = (best, best_leaves)
-        return best, best_leaves
+                value, steps = explore({k + uk: c for k, c in W.items()}, node,
+                                       established, depth - 1, branches)
+                consider(value, (Mul(u),) + steps)
+        memo[key] = (best, best_steps)
+        return best, claim + best_steps
 
-    baseline = len(base_upset)
-    bound, leaves = baseline, []
+    bound, best_steps = len(ctx.upset), ()
     for depth in range(budget.max_depth + 1):
         if work[0] > budget.max_work:
             break
         memo.clear()
-        value, pass_leaves = explore(ctx.root, ctx.root, intern(ctx.fresh_store()),
-                                     frozenset(), depth, budget.max_branches)
+        value, steps = explore(packed(ctx.root, order), intern(ctx.fresh_store()),
+                               frozenset(), depth, budget.max_branches)
         if value > bound:
-            bound, leaves = value, pass_leaves
-    if not leaves:
-        leaves = [Leaf("auto", ctx.fresh_store(), (), baseline, False)]
-    return BoundReport(ctx.M, ctx.t, baseline, leaves, bound)
+            bound, best_steps = value, steps
+    report = verify_trace(ctx.M, best_steps, fp=ctx.fp)
+    if report.bound != bound:
+        raise TraceError(f"search proposed {bound}, its replay proves {report.bound}")
+    for leaf in report.leaves:
+        leaf.established = tuple(sorted(leaf.established))
+    return report

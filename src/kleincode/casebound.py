@@ -210,6 +210,7 @@ class BoundReport:
     baseline: int
     leaves: list
     bound: int
+    steps: tuple  # the step tree whose replay this report is
 
     def leaf_rows(self):
         for leaf in self.leaves:
@@ -230,10 +231,9 @@ class KleinParametric:
     def __init__(self, M: tuple, fp: Footprint = None):
         self.order = klein_order()
         self.fp = fp or klein_footprint()
-        M = tuple(M)
-        if M not in self.fp:
-            raise NotInFootprint(f"{format_monomial(M)} outside the footprint")
-        self.M = M
+        self.M = M = tuple(M)
+        self.upset = frozenset(upset_in_footprint(M, self.fp))
+        self._counts: dict = {}
         self.support = [m for m in self.fp.descending()
                         if self.order.compare(m, M) < 0]
         self.t = len(self.support)
@@ -270,6 +270,16 @@ class KleinParametric:
             return self.root.map_coeffs(cs.reduce)
         return self.divisors[name]
 
+    def covered_count(self, established) -> int:
+        """Footprint monomials divisible by M or by an established monomial."""
+        established = frozenset(established)
+        if established not in self._counts:
+            covered = set(self.upset)
+            for e in established:
+                covered.update(N for N in self.fp if mono_divides(e, N))
+            self._counts[established] = len(covered)
+        return self._counts[established]
+
 
 def param_reduce_step(s: Polynomial, divisor: Polynomial, mode: str,
                       cs: ConstraintStore, order=None):
@@ -298,14 +308,8 @@ def verify_trace(M: tuple, steps, t: int = None, fp: Footprint = None) -> BoundR
     ctx = KleinParametric(M, fp)
     if t is not None and t != ctx.t:
         raise ValueError(f"class {format_monomial(ctx.M)} has {ctx.t} parameters, not {t}")
-    base_upset = upset_in_footprint(ctx.M, ctx.fp)
+    steps = tuple(steps)
     leaves: list[Leaf] = []
-
-    def leaf_count(established) -> int:
-        covered = set(base_upset)
-        for e in established:
-            covered.update(N for N in ctx.fp if mono_divides(e, N))
-        return len(covered)
 
     def run(steps, W, cs, established, label):
         for idx, step in enumerate(steps):
@@ -314,6 +318,8 @@ def verify_trace(M: tuple, steps, t: int = None, fp: Footprint = None) -> BoundR
             elif isinstance(step, Restart):
                 W = ctx.divisor("F", cs)
             elif isinstance(step, Red):
+                if step.divisor not in DIVISOR_IDS or step.mode not in (HEAD, FULL):
+                    raise InvalidStep(f"{label}: bad red step {step!r}")
                 if W.is_zero():
                     raise InvalidStep(f"{label}: reduce on the zero polynomial")
                 before = W.leading_term(ctx.order)[0]
@@ -332,6 +338,8 @@ def verify_trace(M: tuple, steps, t: int = None, fp: Footprint = None) -> BoundR
                 if step.mono not in established:
                     established = established + (step.mono,)
             elif isinstance(step, Branch):
+                if idx != len(steps) - 1:
+                    raise InvalidStep(f"{label}: branch must be the last step of its block")
                 expr = cs.reduce(ctx.parse_expr(step.expr))
                 zero_cs, nonzero_cs = cs.branch(expr)
                 for tag, child_cs, child_steps in (
@@ -340,19 +348,21 @@ def verify_trace(M: tuple, steps, t: int = None, fp: Footprint = None) -> BoundR
                     child_label = f"{label}/{step.expr}{tag}"
                     if child_cs.vacuous:
                         leaves.append(Leaf(child_label, child_cs, established,
-                                           leaf_count(established), vacuous=True))
+                                           ctx.covered_count(established), vacuous=True))
                         continue
                     child_W = W.map_coeffs(child_cs.reduce)
                     run(child_steps, child_W, child_cs, established, child_label)
                 return
-        leaves.append(Leaf(label, cs, established, leaf_count(established),
+            else:
+                raise InvalidStep(f"{label}: unknown step {step!r}")
+        leaves.append(Leaf(label, cs, established, ctx.covered_count(established),
                            vacuous=False))
 
-    run(tuple(steps), ctx.root, ctx.fresh_store(), (), format_monomial(ctx.M))
+    run(steps, ctx.root, ctx.fresh_store(), (), format_monomial(ctx.M))
     live = [leaf.count for leaf in leaves if not leaf.vacuous]
     if not live:
         raise VacuousEverywhere(f"every branch of {format_monomial(ctx.M)} is vacuous")
-    return BoundReport(ctx.M, ctx.t, len(base_upset), leaves, min(live))
+    return BoundReport(ctx.M, ctx.t, len(ctx.upset), leaves, min(live), steps)
 
 
 def _check_claim(ctx, W, mono, cs, label):

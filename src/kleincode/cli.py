@@ -128,7 +128,7 @@ def _emit_json(obj) -> str:
 
 def _require_klein(cfg: RunConfig, what: str):
     if not cfg.is_klein_default:
-        raise SystemExit(f"error: {what} requires the default Klein configuration")
+        raise ValueError(f"{what} requires the default Klein configuration")
 
 
 # ---------------------------------------------------------------------------

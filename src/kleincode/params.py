@@ -159,9 +159,6 @@ class ParamPoly:
                     used.add(i)
         return used
 
-    def total_degree_in(self, i: int) -> int:
-        return max((m[i] for m in self.terms), default=0)
-
     def key(self) -> tuple:
         if self._key is None:
             self._key = tuple(sorted(self.terms.items()))

@@ -47,5 +47,6 @@ def run_cli(argv):
         try:
             code = main(argv)
         except SystemExit as exc:
-            code = exc.code if isinstance(exc.code, int) else 2
+            # as the interpreter does: None exits 0, any other non-int 1
+            code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
     return code, buf.getvalue()

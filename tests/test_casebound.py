@@ -1,6 +1,9 @@
 import pytest
 
 from kleincode.casebound import (
+    Branch,
+    Claim,
+    Red,
     full_bound_map,
     InvalidStep,
     KleinParametric,
@@ -137,6 +140,16 @@ def test_useless_reduce_rejected(fp):
     """)
     with pytest.raises(InvalidStep):
         verify_trace((0, 1), steps, fp=fp)
+
+
+def test_malformed_step_trees_rejected(fp):
+    # trees built in code bypass the parser's "branch is last" rule
+    with pytest.raises(InvalidStep, match="last step"):
+        verify_trace((0, 1), (Branch("a1", (), ()), Claim((4, 0))), fp=fp)
+    with pytest.raises(InvalidStep, match="unknown step"):
+        verify_trace((0, 1), ("garbage", None), fp=fp)
+    with pytest.raises(InvalidStep, match="bad red step"):
+        verify_trace((0, 1), (Red("G", HEAD),), fp=fp)
 
 
 def test_full_bound_map_exact():

@@ -213,7 +213,7 @@ def test_config_override(tmp_path):
     assert json.loads(out)["points"] == [[0, 0]]
     # casebound-dependent commands refuse non-default configurations
     code, _ = run_cli(["table", "--config", str(cfg)])
-    assert code == 2 or code == 1
+    assert code == 2
 
 
 def test_verify_all_jobs_independent():
