@@ -48,7 +48,7 @@ for r in rows:
         line += f"   best known {best:2d}" + ("  =" if best == r["d"] else "  -1")
     if r["k"] <= 4:
         code = code_for_threshold(delta, r["s"], fp, v)
-        d, _ = min_distance(code, "exhaustive", limit_k=4)
+        d, _ = min_distance(code, "exhaustive")
         line += f"   measured d = {d}"
     print(line)
 

@@ -252,7 +252,7 @@ def cmd_table(args) -> int:
         row = dict(r, exact=False, supplementary=(r["s"] == 1))
         if r["k"] <= measure_upto:
             code = code_for_threshold(delta, r["s"], fp, v)
-            d_true, exact = min_distance(code, "exhaustive", limit_k=measure_upto)
+            d_true, exact = min_distance(code, "exhaustive")
             row["measured_d"] = d_true
             row["exact"] = exact
         best = klein.BEST_KNOWN_DISTANCE.get(r["k"])

@@ -202,7 +202,6 @@ def weight_via_footprint(F: Polynomial, gb: GroebnerBasis) -> int:
 # ---------------------------------------------------------------------------
 # the bit-plane weight scanner
 
-EXHAUSTIVE_LIMIT_K = 8
 EXACT_LIMIT_COEFFS = 10
 _LOW_COEFFS = 5          # coefficients enumerated in the packed low table
 _CHUNK_WORDS = 1 << 18   # words per temporary of the exact scan
@@ -353,21 +352,18 @@ def sampled_min_weight(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
 # distance and coset oracles
 
 def min_distance(code: EvaluationCode, strategy: str = "exhaustive",
-                 limit_k: int = EXHAUSTIVE_LIMIT_K, seed: int = 0,
-                 count: int = 100_000) -> tuple[int, bool]:
+                 seed: int = 0, count: int = 100_000) -> tuple[int, bool]:
     """True minimum weight for small k, or a sampled upper bound.
 
-    strategy "exhaustive" scans all q^k - 1 nonzero messages; "sample"
-    draws seeded random messages (exact=False).  Zero words are ignored,
-    so both quantify over nonzero codewords.
+    strategy "exhaustive" scans all q^k - 1 nonzero messages (k at most
+    EXACT_LIMIT_COEFFS); "sample" draws seeded random messages (exact=False).
+    Zero words are ignored, so both quantify over nonzero codewords.
     """
     if code.k < 1:
         raise ZeroPolynomial("zero code has no nonzero codeword")
     spec = code.variety.spec
     zero = np.zeros(code.n, dtype=np.uint8)
     if strategy == "exhaustive":
-        if code.k > limit_k:
-            raise DimensionTooLarge(f"k={code.k} above exhaustive limit {limit_k}")
         return exact_min_weight(zero, code.G, spec, skip_zero=True), True
     if strategy == "sample":
         return sampled_min_weight(zero, code.G, spec, seed, count, skip_zero=True), False

@@ -9,7 +9,10 @@ triangular substitutions a_i := expr (from "assume c = 0" branches whose
 expression is linear in some parameter with a constant coefficient),
 residual equality constraints for anything unsolvable, and a set of
 expressions asserted nonzero.  Branches whose store admits no concrete
-satisfying assignment are vacuous and drop out of bound minima.
+satisfying assignment are vacuous and drop out of bound minima.  Every
+store question (vanishing, vacuity, witnesses, samples) is answered on
+numpy assignment grids by one predicate; vacuity is proved only by an
+exhaustive scan, so a store too large to scan stays live.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ import numpy as np
 from .gf import gf8
 from .poly import NonInvertibleLeadingCoefficient
 from .rng import SplitMix64
-
-_WITNESS_SEED = 0x5EEDBA5E
 
 
 class ParamRing:
@@ -182,36 +183,47 @@ def _param_pow(p: ParamPoly, e: int) -> ParamPoly:
 
 
 @lru_cache(maxsize=None)
-def _pow_table() -> np.ndarray:
-    """8x8 uint8 table of x^e over GF(8), e in 0..7, with 0^0 = 1."""
+def _mul_pow_table() -> np.ndarray:
+    """uint8 table [c, e, x] -> c * x^e over GF(8), with 0^0 = 1."""
     spec = gf8()
-    return np.array([[spec.pow(x, e) for e in range(8)] for x in range(8)],
-                    dtype=np.uint8)
+    return np.array([[[spec.mul(c, spec.pow(x, e)) for x in range(8)] for e in range(8)]
+                     for c in range(8)], dtype=np.uint8)
 
 
-def assignment_grid(t: int, idx) -> np.ndarray:
+def assignment_grid(t: int, idx, start: int = 0, stop: int = None) -> np.ndarray:
     """t x 8^k uint8 grid of every assignment to the parameters idx (the
-    others stay 0).  Column n gives idx[j] the j-th base-8 digit of n, least
-    significant first: the order of the scalar scans."""
-    n = np.arange(8 ** len(idx))
+    others stay 0), or its columns start..stop-1.  Column n gives idx[j] the
+    j-th base-8 digit of n, least significant first."""
+    n = np.arange(start, 8 ** len(idx) if stop is None else stop)
     grid = np.zeros((t, n.size), dtype=np.uint8)
     for j, i in enumerate(idx):
         grid[i] = (n >> (3 * j)) & 7
     return grid
 
 
-def evaluate_grid(p: ParamPoly, grid: np.ndarray) -> np.ndarray:
-    """p at every column of an assignment grid, as a uint8 row."""
-    if not p.terms:
-        return np.zeros(grid.shape[1], dtype=np.uint8)
-    mul = gf8().mul_table()
-    pw = _pow_table()
-    exps = np.array(list(p.terms), dtype=np.intp)
-    coefs = np.array(list(p.terms.values()), dtype=np.uint8)
-    vals = np.broadcast_to(coefs[:, None], (coefs.size, grid.shape[1]))
-    for i in np.flatnonzero(exps.any(axis=0)):
-        vals = mul[vals, pw[grid[i]].T[exps[:, i]]]
-    return np.bitwise_xor.reduce(vals, axis=0)
+def evaluate_grid(polys, grid: np.ndarray) -> np.ndarray:
+    """Each of polys at every column of an assignment grid, as a
+    len(polys) x columns uint8 array.  All terms are evaluated together."""
+    if not polys:
+        return np.zeros((0, grid.shape[1]), dtype=np.uint8)
+    starts, exps, coefs = [], [], []
+    for p in polys:
+        starts.append(len(coefs))
+        exps += p.terms or [(0,) * len(grid)]  # the zero polynomial as 0 * 1
+        coefs += p.terms.values() or [0]
+    table = _mul_pow_table()
+    vals = np.array(coefs, dtype=np.uint8)[:, None]
+    for i, column in enumerate(zip(*exps)):
+        if any(column):
+            vals = table[vals, np.array(column)[:, None], grid[i]]
+    vals = np.bitwise_xor.reduceat(vals, starts, axis=0)
+    # constants alone leave a single column
+    return vals if vals.shape[1] == grid.shape[1] else vals.repeat(grid.shape[1], axis=1)
+
+
+def _affordable(involved, size: int) -> bool:
+    """Whether a grid scan over `involved` through `size` terms is cheap."""
+    return len(involved) <= 6 and 8 ** len(involved) * size <= 2_000_000
 
 
 def format_param(p: ParamPoly) -> str:
@@ -287,17 +299,14 @@ class ParamDomain:
 class ConstraintStore:
     """Substitutions, equalities and nonzero assertions for one branch."""
 
-    __slots__ = ("ring", "subs", "nonzeros", "equalities", "_witness", "_checked",
-                 "_proved_unsat", "_cache")
+    __slots__ = ("ring", "subs", "nonzeros", "equalities", "_scan", "_cache")
 
     def __init__(self, ring: ParamRing, subs=None, nonzeros=None, equalities=None):
         self.ring = ring
         self.subs = dict(subs or {})
         self.nonzeros = dict(nonzeros or {})
         self.equalities = list(equalities or [])
-        self._witness = None
-        self._checked = False
-        self._proved_unsat = False
+        self._scan = None  # (witness-or-None, proved_unsat) once scanned
         self._cache = {}
 
     # -- reduction -----------------------------------------------------
@@ -408,122 +417,106 @@ class ConstraintStore:
         return self._cache[ck]
 
     def _proves_zero_scan(self, p: ParamPoly) -> bool:
-        involved = p.variables()
-        for e in self.equalities:
-            involved |= e.variables()
-        if not self.equalities:
+        # No scanned assignment meets the constraints with p != 0.
+        nonzeros = list(self.nonzeros.values())
+        if self.equalities:
+            checked = [p, *self.equalities, *nonzeros]
+            involved = set().union(*(q.variables() for q in checked))
+            size = sum(len(q.terms) for q in checked)
+        else:
             # Without residual equalities the reduced form is the function.
             # Only nonzeros inside the scanned parameters may mask the scan:
             # one outside would read as 0 on the whole grid.  Dropping a
             # nonzero only enlarges the set p must vanish on, so it is sound.
-            if not involved or len(involved) > 6:
-                return False
-            if (8 ** len(involved)) * len(p.terms) > 2_000_000:
-                return False
-            return self._vanishes_on_scan(p, involved, [
-                c for c in self.nonzeros.values() if c.variables() <= involved])
-        for c in self.nonzeros.values():
-            involved |= c.variables()
-        if len(involved) > 6:
+            involved, size = p.variables(), len(p.terms)
+            nonzeros = [c for c in nonzeros if c.variables() <= involved]
+        if not _affordable(involved, size):
             return False
-        size = len(p.terms) + sum(len(e.terms) for e in self.equalities) \
-            + sum(len(c.terms) for c in self.nonzeros.values())
-        if (8 ** len(involved)) * size > 2_000_000:
-            return False
-        return self._vanishes_on_scan(p, involved)
-
-    def _vanishes_on_scan(self, p: ParamPoly, involved, nonzeros=None) -> bool:
-        """p vanishes on every scanned assignment that meets the equalities
-        and the nonzeros (all of the store's by default)."""
-        grid = assignment_grid(self.ring.t, sorted(involved))
-        live = np.ones(grid.shape[1], dtype=bool)
-        for e in self.equalities:
-            live &= evaluate_grid(e, grid) == 0
-        for c in self.nonzeros.values() if nonzeros is None else nonzeros:
-            live &= evaluate_grid(c, grid) != 0
-        return not evaluate_grid(p, grid)[live].any()
+        return self._first_satisfying(sorted(involved), [*nonzeros, p]) is None
 
     def witness(self):
-        """A satisfying assignment (tuple of enc), or None if none found."""
-        if self._checked:
-            return self._witness
-        self._checked = True
-        self._witness, self._proved_unsat = self._find_witness()
-        return self._witness
+        """The first satisfying assignment in scan order (tuple of enc), or
+        None: the store is unsatisfiable, or too large to scan."""
+        if self._scan is None:
+            self._scan = self._find_witness()
+        return self._scan[0]
 
     @property
     def vacuous(self) -> bool:
-        """True only when unsatisfiability is proved (exhaustive search).
+        """True only when the exhaustive scan proves unsatisfiability.
 
-        An inconclusive randomized search keeps the branch alive: dropping
-        a satisfiable branch from a bound minimum would be unsound, keeping
-        an unsatisfiable one merely weakens the bound.
+        A store above the scan limit stays live: dropping a satisfiable
+        branch from a bound minimum would be unsound, keeping an
+        unsatisfiable one merely weakens the bound.
         """
         self.witness()
-        return self._proved_unsat
+        return self._scan[1]
 
     def _find_witness(self):
         """(witness-or-None, proved_unsat)."""
-        ring = self.ring
-        q = ring.spec.q
-        free = [i for i in range(ring.t) if i not in self.subs]
-        # Only parameters mentioned by some constraint need searching.
-        constrained = set()
-        for c in self.nonzeros.values():
-            constrained |= c.variables()
-        for e in self.equalities:
-            constrained |= e.variables()
-        constrained = sorted(constrained & set(free))
-        total_terms = sum(len(c.terms) for c in self.nonzeros.values()) \
-            + sum(len(e.terms) for e in self.equalities) + 1
-        # Exhaustive scan proves unsatisfiability, but only when affordable;
-        # otherwise a failed randomized search leaves the branch alive.
-        if len(constrained) <= 6 and (q ** len(constrained)) * total_terms <= 2_000_000:
-            assignment = [0] * ring.t
-            for n in range(q ** len(constrained)):
-                v = n
-                for i in constrained:
-                    assignment[i] = v % q
-                    v //= q
-                if self._satisfied(assignment):
-                    return tuple(assignment), False
+        # Only free parameters mentioned by some constraint need scanning;
+        # the others stay 0 and the substituted ones follow from the rest.
+        constraints = [*self.nonzeros.values(), *self.equalities]
+        idx = sorted(set().union(*(c.variables() for c in constraints)))
+        if not _affordable(idx, 1 + sum(len(c.terms) for c in constraints)):
+            return None, False
+        column = self._first_satisfying(idx, self.nonzeros.values())
+        if column is None:
             return None, True
-        rng = SplitMix64(_WITNESS_SEED ^ hash(self.key()) & 0xFFFFFFFF)
-        # attempts scale down with constraint size so one vacuity check
-        # stays cheap on huge expressions
-        attempts = max(16, min(2048, 65536 // total_terms))
-        for _ in range(attempts):
-            assignment = [0] * ring.t
-            for i in constrained:
-                assignment[i] = rng.below(q)
-            if self._satisfied(assignment):
-                return tuple(assignment), False
-        return None, False
+        self._fill_subs(column)
+        return tuple(column[:, 0].tolist()), False
 
-    def _satisfied(self, assignment) -> bool:
-        # Fill substituted parameters from the assignment, then test.
-        for i, rhs in self.subs.items():
-            assignment[i] = rhs.evaluate(assignment)
-        if any(e.evaluate(assignment) != 0 for e in self.equalities):
-            return False
-        return all(c.evaluate(assignment) != 0 for c in self.nonzeros.values())
+    def _first_satisfying(self, idx, nonzeros):
+        """The first column of assignment_grid(t, idx) that meets the
+        equalities and the given nonzeros, as a t x 1 grid, or None.  Scans
+        in blocks: a small first one, since a hit usually comes early."""
+        total = 8 ** len(idx)
+        start, block = 0, 64
+        while start < total:
+            stop = min(total, start + block)
+            grid = assignment_grid(self.ring.t, idx, start, stop)
+            hits = np.flatnonzero(self._satisfied(grid, nonzeros))
+            if hits.size:
+                return grid[:, hits[0]:hits[0] + 1]
+            start, block = stop, 4096
+        return None
+
+    def _satisfied(self, grid: np.ndarray, nonzeros) -> np.ndarray:
+        """Mask of the grid columns where every equality vanishes and every
+        polynomial in nonzeros does not."""
+        vals = evaluate_grid([*self.equalities, *nonzeros], grid)
+        n = len(self.equalities)
+        live = vals[n:].all(axis=0)
+        return live & ~vals[:n].any(axis=0) if n else live
+
+    def _fill_subs(self, grid: np.ndarray) -> None:
+        # Right-hand sides mention no substituted parameter (_renormalize
+        # keeps them so), so one evaluation fills every substituted row.
+        if self.subs:
+            grid[list(self.subs)] = evaluate_grid(list(self.subs.values()), grid)
 
     def sample_witnesses(self, count: int, seed: int):
-        """Deterministic satisfying assignments (with repetition possible)."""
-        ring = self.ring
-        q = ring.spec.q
-        free = [i for i in range(ring.t) if i not in self.subs]
+        """The first `count` satisfying assignments (repetition possible)
+        among at most max(64 * count, 4096) seeded draws of the free
+        parameters: SplitMix64(seed).fill_below(8, ...), one row per draw."""
+        if count < 1:
+            raise ValueError(f"sample count {count} must be at least 1")
+        t = self.ring.t
+        free = [i for i in range(t) if i not in self.subs]
         rng = SplitMix64(seed)
         out = []
-        attempts = 0
+        attempts, take = 0, 2 * count
         limit = max(64 * count, 4096)
         while len(out) < count and attempts < limit:
-            attempts += 1
-            assignment = [0] * ring.t
-            for i in free:
-                assignment[i] = rng.below(q)
-            if self._satisfied(assignment):
-                out.append(tuple(assignment))
+            take = min(take, limit - attempts)
+            grid = np.zeros((t, take), dtype=np.uint8)
+            grid[free] = rng.fill_below(8, (take, len(free))).T
+            live = self._satisfied(grid, self.nonzeros.values())
+            found = grid[:, np.flatnonzero(live)[:count - len(out)]]
+            self._fill_subs(found)
+            out += map(tuple, found.T.tolist())
+            attempts += take
+            take *= 8
         return out
 
     def key(self) -> tuple:

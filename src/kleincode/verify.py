@@ -265,7 +265,7 @@ def suite_table(seed, quick):
     for r in rows:
         if r["k"] <= limit:
             code = code_for_threshold(delta, r["s"], fp, v)
-            d, exact = min_distance(code, "exhaustive", limit_k=limit)
+            d, exact = min_distance(code, "exhaustive")
             if not exact or d < r["s"]:
                 return False, f"k={r['k']}: measured {d} below bound {r['s']}"
         else:

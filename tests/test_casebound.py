@@ -234,6 +234,17 @@ def test_instantiate_deterministic(fp):
     assert a == b
 
 
+def test_instantiate_refuses_zero_samples(fp):
+    # a satisfiable leaf with no samples asked for is a usage error, not an
+    # unsatisfiable leaf
+    rep = verify_trace((0, 1), parse_trace(load_trace_text("s31")), fp=fp)
+    leaf = rep.leaves[0]
+    assert instantiate_and_check((0, 1), leaf, nsamples=1, seed=3, fp=fp)["samples"] == 1
+    for n in (0, -2):
+        with pytest.raises(ValueError, match=f"sample count {n} "):
+            instantiate_and_check((0, 1), leaf, nsamples=n, seed=3, fp=fp)
+
+
 def test_delta_map_range_and_baseline_monotone(fp):
     from kleincode.poly import mono_divides
 

@@ -159,9 +159,9 @@ def test_min_distance_k2(variety):
 
 
 def test_min_distance_limit(variety, fp):
-    code = build_code(list(fp)[:10], variety)
+    code = build_code(list(fp)[:11], variety)
     with pytest.raises(DimensionTooLarge):
-        min_distance(code, "exhaustive", limit_k=8)
+        min_distance(code, "exhaustive")
 
 
 def test_min_distance_sample_is_upper_bound(variety, fp):
@@ -237,7 +237,7 @@ def test_exact_scan_limit_refuses_before_work(order, fp, variety):
             coset_min_weight(M, support, variety, mode, order=order, fp=fp, jobs=jobs)
     code = build_code(list(fp)[:11], variety)
     with pytest.raises(DimensionTooLarge):
-        min_distance(code, "exhaustive", limit_k=11)
+        min_distance(code, "exhaustive")
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +372,7 @@ def test_table_codes_reach_bound(variety, fp):
     for r in rows:
         if r["k"] <= 5:
             code = code_for_threshold(delta, r["s"], fp, variety)
-            d, exact = min_distance(code, "exhaustive", limit_k=5)
+            d, exact = min_distance(code, "exhaustive")
             assert exact and d >= r["s"]
 
 

@@ -1,14 +1,17 @@
 import itertools
 import random
 
+from kleincode import params
 from kleincode.params import (
     ConstraintStore,
     ParamDomain,
     ParamRing,
     assignment_grid,
+    evaluate_grid,
     format_param,
 )
 from kleincode.poly import parse_poly
+from kleincode.rng import SplitMix64
 
 
 def expr(text, ring):
@@ -49,6 +52,24 @@ def test_evaluate_matches_substitution():
             direct = p.evaluate((x, y))
             via = p.substitute({0: ring.const(x), 1: ring.const(y)}).as_const()
             assert direct == via
+
+
+def test_evaluate_grid_matches_scalar():
+    # zero and constant polynomials mixed in; constants alone still fill
+    # every column
+    rng = random.Random(0x6E1D)
+    for _ in range(40):
+        t = rng.randint(1, 4)
+        ring = ParamRing(t)
+        polys = [_random_poly(rng, ring, sorted(rng.sample(range(t), rng.randint(1, t))),
+                              rng.randint(0, 4)) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            polys = [ring.const(rng.randrange(8)) for _ in polys]
+        grid = assignment_grid(t, list(range(t)))[:, rng.sample(range(8 ** t), 5)]
+        vals = evaluate_grid(polys, grid)
+        assert vals.shape == (len(polys), 5)
+        for r, p in enumerate(polys):
+            assert vals[r].tolist() == [p.evaluate(tuple(col)) for col in grid.T.tolist()]
 
 
 def test_branch_linear_substitutes():
@@ -156,6 +177,83 @@ def test_sample_witnesses_respect_constraints():
         assert w[0] != 0 and w[1] == w[0]
 
 
+def _branched_store(rng, t):
+    """A seeded store built by branching; zero branches on linear
+    expressions become substitutions."""
+    ring = ParamRing(t)
+    cs = ConstraintStore(ring)
+    for _ in range(rng.randint(1, 4)):
+        idx = sorted(rng.sample(range(t), rng.randint(1, t)))
+        c = cs.reduce(_random_poly(rng, ring, idx, rng.randint(1, 2)))
+        if rng.random() < 0.4:
+            c = c.add(ring.var(rng.randrange(t)))  # often linear: a substitution
+        cs = cs.with_zero(c) if rng.random() < 0.5 else cs.with_nonzero(c)
+    return cs
+
+
+def _scalar_satisfied(cs, assignment):
+    for i, rhs in cs.subs.items():
+        assignment[i] = rhs.evaluate(assignment)
+    return (all(e.evaluate(assignment) == 0 for e in cs.equalities)
+            and all(c.evaluate(assignment) != 0 for c in cs.nonzeros.values()))
+
+
+def test_store_decisions_match_brute_force():
+    rng = random.Random(0x7E57)
+    shapes = {"subs": 0, "vacuous": 0, "live": 0}
+    for trial in range(300):
+        t = rng.randint(1, 3)
+        cs = _branched_store(rng, t)
+        satisfiable = any(_scalar_satisfied(cs, list(a))
+                          for a in itertools.product(range(8), repeat=t))
+        assert cs.vacuous == (not satisfiable)
+        # the first hit of the scalar scan over the constrained parameters,
+        # least significant digit first, substitutions filled
+        constrained = sorted(set().union(
+            *(c.variables() for c in [*cs.nonzeros.values(), *cs.equalities])))
+        expected = None
+        for n in range(8 ** len(constrained)):
+            a = [0] * t
+            for j, i in enumerate(constrained):
+                a[i] = (n >> (3 * j)) & 7
+            if _scalar_satisfied(cs, a):
+                expected = tuple(a)
+                break
+        assert cs.witness() == expected
+        # sampling: the first hits among per-attempt below(8) draws
+        count, seed = rng.randint(1, 5), trial
+        draws = SplitMix64(seed)
+        free = [i for i in range(t) if i not in cs.subs]
+        samples = []
+        for _ in range(max(64 * count, 4096)):
+            a = [0] * t
+            for i in free:
+                a[i] = draws.below(8)
+            if _scalar_satisfied(cs, a):
+                samples.append(tuple(a))
+                if len(samples) == count:
+                    break
+        assert cs.sample_witnesses(count, seed) == samples
+        shapes["subs"] += bool(cs.subs)
+        shapes["vacuous"] += not satisfiable
+        shapes["live"] += satisfiable
+    assert min(shapes.values()) >= 30, shapes
+
+
+def test_store_above_the_scan_limit_stays_live(monkeypatch):
+    ring = ParamRing(7)
+    cs = ConstraintStore(ring)
+    for i in range(7):
+        cs = cs.with_nonzero(ring.var(i))
+
+    def no_rng(seed):
+        raise AssertionError("the witness search draws no random numbers")
+
+    monkeypatch.setattr(params, "SplitMix64", no_rng)
+    assert not cs.vacuous
+    assert cs.witness() is None
+
+
 def test_format_param_canonical():
     ring = ParamRing(2)
     assert format_param(expr("a1^3+a2", ring)) == "a1^3+a2"
@@ -216,10 +314,11 @@ def test_vanishing_scan_matches_brute_force():
             if p.evaluate(a):
                 expected = False
                 break
-        assert cs._vanishes_on_scan(p, set(involved)) == expected
+        hit = cs._first_satisfying(involved, [*cs.nonzeros.values(), p])
+        assert (hit is None) == expected
         outcomes.append(expected)
     assert 20 <= sum(outcomes) <= 180
-    # columns follow the scalar scans: the first listed parameter is the
+    # columns follow the scan order: the first listed parameter is the
     # least significant base-8 digit
     grid = assignment_grid(4, [1, 3])
     assert [tuple(grid[:, n]) for n in (0, 1, 8, 63)] == [
