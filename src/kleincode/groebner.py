@@ -1,12 +1,13 @@
 """Buchberger's algorithm, normal forms, and footprint enumeration.
 
 There is one Buchberger.  It keeps its basis packed (poly.packed: dicts
-keyed by the order's int key) and reduces S-pairs, and then each basis
-element against the rest, with the one reduction loop poly.reduce_packed.
-Bases are reduced and monic with a deterministic ordering (ascending
-heads), so repeated runs produce identical output.  The footprint of a
-zero-dimensional ideal is enumerated by walking the grid bounded by the
-pure-power heads.
+keyed by the order's int key) and reduces inputs and S-pairs, and then each
+basis element against the rest, with the one reduction loop
+poly.reduce_packed; the Gebauer-Moeller criteria decide which S-pairs are
+reduced at all.  Bases are reduced and monic with a deterministic ordering
+(ascending heads), so repeated runs produce identical output.  The
+footprint of a zero-dimensional ideal is enumerated by walking the grid
+bounded by the pure-power heads.
 """
 
 from __future__ import annotations
@@ -67,42 +68,75 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
 def buchberger(gens, order: MonomialOrder) -> GroebnerBasis:
     """Reduced monic Groebner basis with the normal selection strategy.
 
-    Pairs are processed smallest head-lcm first; pairs with coprime heads
-    are skipped (Buchberger's first criterion).  Elements stay monic, so
-    an S-pair is the sum of two shifted elements.
+    Pairs are processed smallest head-lcm first.  Each input, and each
+    S-pair, is reduced by the active basis; a nonzero remainder h enters
+    through the update step of Gebauer and Moeller ("On an installation of
+    Buchberger's algorithm", J. Symbolic Comput. 6, 1988):
+
+    * chain criterion on the new pairs: a pair (h, g) goes when another new
+      pair's head-lcm divides its lcm (of equal lcms at most one stays);
+      only after that do the pairs with coprime heads go (Buchberger's
+      first criterion), since they count as dividing pairs in that test;
+    * criterion B_k on the queued pairs: (i, j) goes when head(h) divides
+      lcm(i, j) and lcm(i, h) != lcm(i, j) != lcm(j, h);
+    * an active element whose head is a multiple of head(h) stops being a
+      reducer; its queued pairs stay.
+
+    The active heads stay pairwise non-dividing, so the final active list is
+    a minimal basis; inter-reducing its tails gives the reduced one.
+    Elements stay monic, so an S-pair is the sum of two shifted elements.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ZeroPolynomial("no nonzero generators")
     dom = gens[0].domain
     add, mul, is_zero, zero = dom.add, dom.mul, dom.is_zero, dom.zero
-    # the basis, packed, monic and prepared as divisors for reduce_packed:
-    # (head exponents, head key, None, terms)
+    # every element so far, packed, monic and prepared as a divisor for
+    # reduce_packed: (head exponents, head key, None, terms)
     basis = []
+    active = []    # indices of the reducers, oldest first
+    reducers = []  # basis[t] for t in active
+    heap: list = []  # (lcm key, i, j), popped lazily
+    live = {}      # queued pair (i, j) -> its head lcm
 
-    def add_elem(d):
-        dv = prepare_divisor(d, order, dom)
+    def insert(d):
+        r = reduce_packed(d, reducers, order, dom)
+        if not r:
+            return
+        dv = prepare_divisor(r, order, dom)
         if dv[3] is not None:
-            dv = prepare_divisor({k: mul(dv[3], c) for k, c in d.items()}, order, dom)
+            dv = prepare_divisor({k: mul(dv[3], c) for k, c in r.items()}, order, dom)
+        k = len(basis)
         basis.append(dv)
+        h = dv[:2]
+        # new pairs (k, t) as (lcm, heads coprime, t); drop by the chain criterion
+        new = []
+        for t in active:
+            g = basis[t][:2]
+            new.append((mono_lcm(h, g), not (h[0] and g[0] or h[1] and g[1]), t))
+        kept = []
+        for n, (lcm, coprime, t) in enumerate(new):
+            if coprime or not any(mono_divides(m, lcm) for m, _, _ in new[n + 1:] + kept):
+                kept.append((lcm, coprime, t))
+        # criterion B_k on the queued pairs
+        for (i, j), lcm in list(live.items()):
+            if (mono_divides(h, lcm) and mono_lcm(basis[i][:2], h) != lcm
+                    and mono_lcm(basis[j][:2], h) != lcm):
+                del live[i, j]
+        for lcm, coprime, t in kept:
+            if not coprime:
+                live[k, t] = lcm
+                heapq.heappush(heap, (order.key(lcm), k, t))
+        # reducers whose heads h divides retire; their queued pairs stay
+        active[:] = [t for t in active if not mono_divides(h, basis[t][:2])] + [k]
+        reducers[:] = [basis[t] for t in active]
 
     for g in gens:
-        add_elem(packed(g, order))
-
-    heap: list = []
-
-    def push_pair(i, j):
-        ia, ib = basis[i][:2]
-        ja, jb = basis[j][:2]
-        if (ia == 0 or ja == 0) and (ib == 0 or jb == 0):
-            return  # coprime heads
-        heapq.heappush(heap, (order.key((max(ia, ja), max(ib, jb))), i, j))
-
-    for i in range(len(basis)):
-        for j in range(i):
-            push_pair(i, j)
+        insert(packed(g, order))
     while heap:
         lk, i, j = heapq.heappop(heap)
+        if live.pop((i, j), None) is None:
+            continue
         s: dict = {}
         for src in (i, j):
             tk = lk - basis[src][2]
@@ -113,23 +147,14 @@ def buchberger(gens, order: MonomialOrder) -> GroebnerBasis:
                     s.pop(nk, None)
                 else:
                     s[nk] = v
-        r = reduce_packed(s, basis, order, dom)
-        if r:
-            k = len(basis)
-            add_elem(r)
-            for t in range(k):
-                push_pair(k, t)
+        insert(s)
 
-    # minimalize: drop any element whose head another head divides
-    basis = [dv for i, dv in enumerate(basis) if not any(
-        j != i and ev[0] <= dv[0] and ev[1] <= dv[1] and (ev[2] != dv[2] or j < i)
-        for j, ev in enumerate(basis))]
     # inter-reduce tails to the unique reduced basis; heads stay put
-    for i in range(len(basis)):
-        r = reduce_packed(dict(basis[i][4]), basis[:i] + basis[i + 1:], order, dom)
-        basis[i] = prepare_divisor(r, order, dom)
-    basis.sort(key=lambda dv: dv[2])
-    return GroebnerBasis(order, [from_packed(dict(dv[4]), order, dom) for dv in basis],
+    for i in range(len(reducers)):
+        r = reduce_packed(dict(reducers[i][4]), reducers[:i] + reducers[i + 1:], order, dom)
+        reducers[i] = prepare_divisor(r, order, dom)
+    reducers.sort(key=lambda dv: dv[2])
+    return GroebnerBasis(order, [from_packed(dict(dv[4]), order, dom) for dv in reducers],
                          reduced=True)
 
 

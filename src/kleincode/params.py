@@ -457,6 +457,12 @@ class ConstraintStore:
         # Only free parameters mentioned by some constraint need scanning;
         # the others stay 0 and the substituted ones follow from the rest.
         constraints = [*self.nonzeros.values(), *self.equalities]
+        if not constraints:
+            # Nothing to meet: the zero assignment, whose substituted rows
+            # are the constant terms of their right-hand sides.
+            zero = (0,) * self.ring.t
+            return tuple(self.subs[i].terms.get(zero, 0) if i in self.subs else 0
+                         for i in range(self.ring.t)), False
         idx = sorted(set().union(*(c.variables() for c in constraints)))
         if not _affordable(idx, 1 + sum(len(c.terms) for c in constraints)):
             return None, False

@@ -1,5 +1,6 @@
 import pytest
 
+from kleincode import groebner
 from kleincode.groebner import (
     InfiniteFootprint,
     buchberger,
@@ -137,34 +138,86 @@ def test_footprint_counts_variety_points(dom, order, spec):
         assert len(footprint(gbi)) == len(enumerate_variety(gens, spec, 2))
 
 
+def _random_extras(rng, dom):
+    """One or two random polynomials with four terms of exponents below 7."""
+    extras = []
+    for _ in range(1 + rng.below(2)):
+        terms = {(rng.below(7), rng.below(7)): rng.below(8) for _ in range(4)}
+        p = Polynomial(dom, 2, terms)
+        if not p.is_zero():
+            extras.append(p)
+    return extras
+
+
+def _assert_reduced_basis_of(gb, gens, order, spec, zero_dim):
+    """Certificate through paths that use no pair criterion: the basis is
+    reduced and monic, every S-pair of it reduces to 0 by full division,
+    every generator has normal form 0, and a zero-dimensional radical ideal
+    has as many footprint monomials as variety points."""
+    basis = list(gb)
+    heads = [g.leading_term(order) for g in basis]
+    for g in gens:
+        assert divide(g, basis, order, FULL)[1].is_zero()
+    for i, g in enumerate(basis):
+        assert heads[i][1] == 1
+        assert not any(mono_divides(h, m) for j, (h, _) in enumerate(heads) if j != i
+                       for m in g.terms)
+        for f in basis[:i]:
+            assert divide(s_polynomial(g, f, order), basis, order, FULL)[1].is_zero()
+    if zero_dim:
+        assert len(footprint(gb)) == len(enumerate_variety(gens, spec, 2))
+
+
 @pytest.mark.parametrize("weights, tiebreak", [((2, 3), 1), ((3, 2), 0), ((1, 1), 0), ((1, 1), 1)])
 def test_buchberger_under_config_orders(dom, spec, weights, tiebreak):
-    # orders a --config file can choose: on random zero-dimensional ideals the
-    # basis spans the generators, every S-pair reduces to zero, the basis is
-    # reduced, and the footprint counts the variety's points
+    # orders a --config file can choose, on random zero-dimensional ideals
     order = MonomialOrder(weights, tiebreak)
     feq = [parse_poly("X^8+X", dom), parse_poly("Y^8+Y", dom)]
     rng = SplitMix64(0xB0C4 + 4 * weights[0] + tiebreak)
     for _ in range(25):
-        extras = []
-        for _ in range(1 + rng.below(2)):
-            terms = {(rng.below(7), rng.below(7)): rng.below(8) for _ in range(4)}
-            p = Polynomial(dom, 2, terms)
-            if not p.is_zero():
-                extras.append(p)
-        gens = feq + extras
+        gens = feq + _random_extras(rng, dom)
+        _assert_reduced_basis_of(buchberger(gens, order), gens, order, spec, True)
+
+
+def test_buchberger_pair_criteria_certificate(dom, spec):
+    # the pair criteria drop S-pairs without reducing them; the certificate
+    # reduces every S-pair of the output, on 60 random ideals under random
+    # weighted orders, half of them without the field equations (mostly
+    # positive-dimensional, some the unit ideal), the other half with the
+    # field equations before or after the random generators
+    feq = [parse_poly("X^8+X", dom), parse_poly("Y^8+Y", dom)]
+    rng = SplitMix64(0x6E4D)
+    shapes = set()
+    for i in range(60):
+        order = MonomialOrder((1 + rng.below(5), 1 + rng.below(5)), rng.below(2))
+        gens = _random_extras(rng, dom)
+        if i % 2:
+            gens = [*gens, *feq] if rng.below(2) else [*feq, *gens]
+        else:
+            gens += _random_extras(rng, dom)
         gb = buchberger(gens, order)
-        basis = list(gb)
-        heads = [g.leading_term(order) for g in basis]
-        for g in gens:
-            assert divide(g, basis, order, FULL)[1].is_zero()
-        for i, g in enumerate(basis):
-            assert heads[i][1] == 1
-            assert not any(mono_divides(h, m) for j, (h, _) in enumerate(heads) if j != i
-                           for m in g.terms)
-            for f in basis[:i]:
-                assert divide(s_polynomial(g, f, order), basis, order, FULL)[1].is_zero()
-        assert len(footprint(gb)) == len(enumerate_variety(gens, spec, 2))
+        _assert_reduced_basis_of(gb, gens, order, spec, bool(i % 2))
+        shapes.add((bool(i % 2), len(gb)))
+    assert len(shapes) >= 8, shapes
+
+
+def test_buchberger_work_on_a_dense_codeword(dom, gb, fp, monkeypatch):
+    # The basis of one weight identity, for an F on all 22 footprint
+    # monomials.  reduce_packed calls, inputs and inter-reduction included:
+    # 188 with the coprime-head criterion alone, 30 with the Gebauer-Moeller
+    # criteria; with neither the chain criterion nor B_k it is 59.
+    F = Polynomial(dom, 2, {(a, b): 1 + (a + 2 * b) % 7 for a, b in fp})
+    calls = []
+    real = groebner.reduce_packed
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "reduce_packed", counting)
+    bigger = buchberger([F, *gb], gb.order)
+    assert len(calls) <= 188 // 4
+    assert len(fp) - len(footprint(bigger)) == 21
 
 
 def test_order_domain_check_klein(gb):

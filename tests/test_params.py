@@ -240,6 +240,22 @@ def test_store_decisions_match_brute_force():
     assert min(shapes.values()) >= 30, shapes
 
 
+def test_store_with_only_substitutions_needs_no_scan(monkeypatch):
+    ring = ParamRing(3)
+    cs = ConstraintStore(ring).with_zero(expr("a2+a1^2+5", ring)).with_zero(expr("a3+a1+3", ring))
+    assert cs.subs and not cs.nonzeros and not cs.equalities
+
+    def no_scan(self, grid, nonzeros):
+        raise AssertionError("a store without constraints is never scanned")
+
+    monkeypatch.setattr(ConstraintStore, "_satisfied", no_scan)
+    # a3 = 0 is free; a1 = a3 + 3 and a2 = a3^2 follow
+    assert cs.witness() == (3, 0, 0)
+    assert cs.vacuous is False
+    for text in ("a2+a1^2+5", "a3+a1+3"):
+        assert expr(text, ring).evaluate(cs.witness()) == 0
+
+
 def test_store_above_the_scan_limit_stays_live(monkeypatch):
     ring = ParamRing(7)
     cs = ConstraintStore(ring)
