@@ -36,9 +36,9 @@ print("divisibility baseline:", divisibility_bound((0, 1), fp))
 cs = ctx.fresh_store()
 W = ctx.root.mul_mono((0, 2))
 print("\nY^2 * F           =", format_poly(W, ctx.order))
-_, W = param_reduce_step(W, ctx.divisor("K", cs), HEAD, cs, ctx.order)
+_, W = param_reduce_step(W, ctx.divisor("K", cs), HEAD, cs)
 print("after red K head  =", format_poly(W, ctx.order))
-_, W = param_reduce_step(W, ctx.divisor("F", cs), FULL, cs, ctx.order)
+_, W = param_reduce_step(W, ctx.divisor("F", cs), FULL, cs)
 print("after red F full  =", format_poly(W, ctx.order))
 
 # The remainder is univariate in X.  If a1 != 0 its head X^4 is a new

@@ -17,16 +17,13 @@ from kleincode.codes import (
     code_for_threshold,
     construct_table,
     count_weight_one,
-    enumerate_variety,
     evaluation_vector,
     min_distance,
     weight_via_footprint,
 )
-from kleincode.gf import gf8
 from kleincode.poly import parse_poly
 
-spec = gf8()
-v = enumerate_variety(list(klein.ideal_generators()), spec, 2)
+v = klein.klein_variety()
 fp = klein.klein_footprint()
 delta = full_bound_map()
 

@@ -10,12 +10,10 @@ import time
 from kleincode import klein
 from kleincode.autosearch import SearchBudget, auto_search
 from kleincode.casebound import full_bound_map
-from kleincode.codes import coset_min_weight, enumerate_variety
-from kleincode.gf import gf8
+from kleincode.codes import coset_min_weight
 from kleincode.poly import format_monomial
 
-spec = gf8()
-v = enumerate_variety(list(klein.ideal_generators()), spec, 2)
+v = klein.klein_variety()
 fp = klein.klein_footprint()
 order = klein.klein_order()
 delta = full_bound_map()
@@ -28,7 +26,7 @@ delta = full_bound_map()
 # bounds turn out to be tight for each of these.
 print("exact oracles (8^t codeword representatives each):")
 for M in [(0, 1), (1, 1), (0, 2), (2, 1), (1, 2), (3, 1)]:
-    support = [m for m in fp.descending() if order.compare(m, M) < 0]
+    support = klein.class_support(M)
     t0 = time.time()
     w, _ = coset_min_weight(M, support, v, "exhaustive", order=order, fp=fp)
     print(f"  {format_monomial(M):6s} t={len(support)}: min weight {w}, "

@@ -9,7 +9,8 @@ Library layout:
 * ``params``    -- parametric coefficients and constraint stores
 * ``casebound`` -- the symbolic case-split engine and trace verifier
 * ``autosearch``-- bounded automatic rediscovery of case-split bounds
-* ``klein``     -- the canonical Klein setup and static constants
+* ``klein``     -- the canonical Klein setup (field, order, basis, footprint,
+  variety, class supports) and static constants
 * ``cli``       -- command-line front end (``kleincode ...``)
 """
 

@@ -44,12 +44,12 @@ class SearchBudget:
     max_work: int = 60_000
 
 
-def auto_search(M: tuple, budget: SearchBudget = None, fp=None) -> BoundReport:
+def auto_search(M: tuple, budget: SearchBudget = None) -> BoundReport:
     """Iterative deepening: complete passes at depth 0, 1, ... max_depth,
     keeping the best proved bound, until the work budget runs out.  Returns
     the verified replay of the best pass's steps."""
     budget = budget or SearchBudget()
-    ctx = KleinParametric(M, fp)
+    ctx = KleinParametric(M)
     order, dom = ctx.order, ctx.domain
     decode = order.decode
 
@@ -154,7 +154,7 @@ def auto_search(M: tuple, budget: SearchBudget = None, fp=None) -> BoundReport:
                                frozenset(), depth, budget.max_branches)
         if value > bound:
             bound, best_steps = value, steps
-    report = verify_trace(ctx.M, best_steps, fp=ctx.fp)
+    report = verify_trace(ctx.M, best_steps)
     if report.bound != bound:
         raise TraceError(f"search proposed {bound}, its replay proves {report.bound}")
     for leaf in report.leaves:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groebner import Footprint, buchberger, footprint
-from .klein import ideal_generators, klein_domain, klein_footprint, klein_order
+from .klein import class_support, ideal_generators, klein_domain, klein_footprint, klein_order
 from .params import (
     ConstraintStore,
     ParamDomain,
@@ -55,7 +55,6 @@ from .poly import (
     Polynomial,
     divide,
     format_monomial,
-    format_poly,
     mono_divides,
     parse_poly,
 )
@@ -237,14 +236,13 @@ class BoundReport:
 class KleinParametric:
     """Root polynomial and lifted divisors for one leading-monomial class."""
 
-    def __init__(self, M: tuple, fp: Footprint = None):
+    def __init__(self, M: tuple):
         self.order = klein_order()
-        self.fp = fp or klein_footprint()
+        self.fp = klein_footprint()
         self.M = M = tuple(M)
         self.upset = frozenset(upset_in_footprint(M, self.fp))
         self._counts: dict = {}
-        self.support = [m for m in self.fp.descending()
-                        if self.order.compare(m, M) < 0]
+        self.support = class_support(M)
         self.t = len(self.support)
         self.ring = ParamRing(self.t)
         self.domain = ParamDomain(self.ring)
@@ -291,13 +289,13 @@ class KleinParametric:
 
 
 def param_reduce_step(s: Polynomial, divisor: Polynomial, mode: str,
-                      cs: ConstraintStore, order=None):
+                      cs: ConstraintStore):
     """One trace reduction: returns (q, r) with s = q*divisor + r re-verified.
 
     The divisor's leading coefficient must reduce to a nonzero constant
     under the store (all four trace divisors are monic).
     """
-    order = order or klein_order()
+    order = klein_order()
     lm, lc = divisor.leading_term(order)
     lc_const = cs.reduce(lc).as_const()
     if lc_const is None or lc_const == 0:
@@ -312,11 +310,9 @@ def param_reduce_step(s: Polynomial, divisor: Polynomial, mode: str,
 # ---------------------------------------------------------------------------
 # trace verification
 
-def verify_trace(M: tuple, steps, t: int = None, fp: Footprint = None) -> BoundReport:
+def verify_trace(M: tuple, steps) -> BoundReport:
     """Replay a trace for class M and return its verified bound report."""
-    ctx = KleinParametric(M, fp)
-    if t is not None and t != ctx.t:
-        raise ValueError(f"class {format_monomial(ctx.M)} has {ctx.t} parameters, not {t}")
+    ctx = KleinParametric(M)
     steps = tuple(steps)
     leaves: list[Leaf] = []
 
@@ -333,7 +329,7 @@ def verify_trace(M: tuple, steps, t: int = None, fp: Footprint = None) -> BoundR
                     raise InvalidStep(f"{label}: reduce on the zero polynomial")
                 before = W.leading_term(ctx.order)[0]
                 _, r = param_reduce_step(W, ctx.divisor(step.divisor, cs),
-                                         step.mode, cs, ctx.order)
+                                         step.mode, cs)
                 if r == W:
                     raise InvalidStep(
                         f"{label}: red {step.divisor} {step.mode} changed nothing")
@@ -397,11 +393,10 @@ def _check_claim(ctx, W, mono, cs, label):
 # ---------------------------------------------------------------------------
 # instantiation soundness
 
-def instantiate_and_check(M: tuple, leaf: Leaf, nsamples: int, seed: int,
-                          fp: Footprint = None):
+def instantiate_and_check(M: tuple, leaf: Leaf, nsamples: int, seed: int):
     """Sample concrete parameter values satisfying the leaf and verify every
     established monomial is absent from the footprint of <F> + I8."""
-    ctx = KleinParametric(M, fp)
+    ctx = KleinParametric(M)
     if leaf.vacuous or leaf.constraints.vacuous:
         raise UnsatisfiableLeaf(leaf.label)
     assignments = leaf.constraints.sample_witnesses(nsamples, seed)
@@ -453,16 +448,15 @@ def load_trace_text(name: str, traces_dir=None) -> str:
     return resources.files("kleincode").joinpath(f"traces/{name}.trace").read_text()
 
 
-def full_bound_map(traces_dir=None, fp: Footprint = None) -> dict:
+def full_bound_map(traces_dir=None) -> dict:
     """delta(M) for all 22 classes: the trace bound where one is shipped,
     the divisibility count elsewhere."""
-    fp = fp or klein_footprint()
-    return bound_map_from_reports(verify_all_traces(traces_dir, fp), fp)
+    return bound_map_from_reports(verify_all_traces(traces_dir))
 
 
-def bound_map_from_reports(reports: dict, fp: Footprint = None) -> dict:
+def bound_map_from_reports(reports: dict) -> dict:
     """full_bound_map for trace reports that are already verified."""
-    fp = fp or klein_footprint()
+    fp = klein_footprint()
     out = {}
     for M in fp:
         base = divisibility_bound(M, fp)
@@ -473,10 +467,9 @@ def bound_map_from_reports(reports: dict, fp: Footprint = None) -> dict:
     return out
 
 
-def verify_all_traces(traces_dir=None, fp: Footprint = None) -> dict:
-    fp = fp or klein_footprint()
+def verify_all_traces(traces_dir=None) -> dict:
     reports = {}
     for M, name in TRACED_CLASSES.items():
         steps = parse_trace(load_trace_text(name, traces_dir))
-        reports[M] = verify_trace(M, steps, fp=fp)
+        reports[M] = verify_trace(M, steps)
     return reports

@@ -26,11 +26,10 @@ from dataclasses import dataclass
 from . import klein
 from .casebound import (
     TRACED_CLASSES,
+    NotInFootprint,
+    TraceError,
     bound_map_from_reports,
-    divisibility_bound,
     full_bound_map,
-    instantiate_and_check,
-    load_trace_text,
     parse_trace,
     verify_all_traces,
     verify_trace,
@@ -38,33 +37,22 @@ from .casebound import (
 from .codes import (
     EXACT_LIMIT_COEFFS,
     DimensionTooLarge,
-    build_code,
     code_for_threshold,
     construct_table,
     coset_min_weight,
-    count_weight_one,
     enumerate_variety,
-    evaluation_vector,
-    gf_rank,
     min_distance,
-    verify_fano,
-    weight_via_footprint,
 )
-from .gf import field_make
+from .gf import FieldSpec, gf8
 from .groebner import buchberger, footprint
 from .poly import (
-    FULL,
-    HEAD,
+    ExponentCapExceeded,
     FieldDomain,
     MonomialOrder,
-    Polynomial,
-    divide,
     format_monomial,
-    format_poly,
     parse_monomial,
     parse_poly,
 )
-from .rng import SplitMix64
 
 
 @dataclass
@@ -72,7 +60,7 @@ class RunConfig:
     modulus_bits: int = klein.GF8_MODULUS_BITS
     weights: tuple = klein.ORDER_WEIGHTS
     tiebreak: int = klein.ORDER_TIEBREAK
-    generators: tuple = (klein.CURVE_TEXT, klein.FIELD_EQ_X_TEXT, klein.FIELD_EQ_Y_TEXT)
+    generators: tuple = klein.GENERATOR_TEXTS
     seed: int = 42
     sample_count: int = 100_000
     fmt: str = "text"
@@ -82,14 +70,12 @@ class RunConfig:
         return (self.modulus_bits == klein.GF8_MODULUS_BITS
                 and tuple(self.weights) == klein.ORDER_WEIGHTS
                 and self.tiebreak == klein.ORDER_TIEBREAK
-                and tuple(self.generators) == (klein.CURVE_TEXT,
-                                               klein.FIELD_EQ_X_TEXT,
-                                               klein.FIELD_EQ_Y_TEXT))
+                and tuple(self.generators) == klein.GENERATOR_TEXTS)
 
     def spec(self):
         if self.modulus_bits == klein.GF8_MODULUS_BITS:
-            return klein.klein_field()
-        return field_make(self.modulus_bits.bit_length() - 1, self.modulus_bits)
+            return gf8()
+        return FieldSpec(self.modulus_bits.bit_length() - 1, self.modulus_bits)
 
     def order(self):
         return MonomialOrder(self.weights, self.tiebreak)
@@ -179,18 +165,22 @@ def cmd_variety(args) -> int:
 
 def _bound_reports(args):
     """(reports, delta map); the traces are verified once, and the delta
-    map, None for auto-search, always covers every class."""
+    map, None for auto-search, always covers every class.  A --lm class
+    outside the footprint is refused before any work."""
+    M = None
+    if getattr(args, "lm", None):
+        M = parse_monomial(args.lm)
+        if M not in klein.klein_footprint():
+            raise NotInFootprint(f"{format_monomial(M)} outside the footprint")
     if getattr(args, "auto", False):
         from .autosearch import SearchBudget, auto_search
 
         budget = SearchBudget()
-        classes = ([parse_monomial(args.lm)] if getattr(args, "lm", None)
-                   else sorted(TRACED_CLASSES))
-        return {M: auto_search(M, budget) for M in classes}, None
+        classes = [M] if M is not None else sorted(TRACED_CLASSES)
+        return {c: auto_search(c, budget) for c in classes}, None
     reports = verify_all_traces(getattr(args, "traces", None))
     delta = bound_map_from_reports(reports)
-    if getattr(args, "lm", None):
-        M = parse_monomial(args.lm)
+    if M is not None:
         reports = {M: reports[M]} if M in reports else {}
     return reports, delta
 
@@ -244,7 +234,7 @@ def cmd_table(args) -> int:
             f"--measure-upto {measure_upto} is above the exact-scan limit of "
             f"{EXACT_LIMIT_COEFFS} coefficients; no row was measured")
     delta = full_bound_map(getattr(args, "traces", None))
-    v = enumerate_variety(cfg.gens(), cfg.spec(), 2)
+    v = klein.klein_variety()
     fp = klein.klein_footprint()
     rows = construct_table(delta, v)
     enriched = []
@@ -283,13 +273,11 @@ def cmd_oracle(args) -> int:
     cfg = load_config(args)
     _require_klein(cfg, "oracle")
     M = parse_monomial(args.lm)
-    order = klein.klein_order()
-    fp = klein.klein_footprint()
-    v = enumerate_variety(cfg.gens(), cfg.spec(), 2)
-    support = [m for m in fp.descending() if order.compare(m, M) < 0]
+    support = klein.class_support(M)
     mode = args.mode
     jobs = max(1, getattr(args, "jobs", 1) or 1)
-    w, exact = coset_min_weight(M, support, v, mode, order=order, fp=fp,
+    w, exact = coset_min_weight(M, support, klein.klein_variety(), mode,
+                                order=klein.klein_order(), fp=klein.klein_footprint(),
                                 seed=cfg.seed, count=cfg.sample_count, jobs=jobs)
     delta = full_bound_map()[M]
     result = {
@@ -431,9 +419,12 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except SystemExit:
         raise
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ExponentCapExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except TraceError as exc:
+        sys.stderr.write(f"verification failed: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

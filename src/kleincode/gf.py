@@ -157,11 +157,6 @@ class FieldSpec:
         return f"FieldSpec(m={self.m}, modulus_bits=0b{self.modulus_bits:b})"
 
 
-def field_make(m: int, modulus_bits: int) -> FieldSpec:
-    """Construct GF(2^m) with the given modulus; raises ReducibleModulus."""
-    return FieldSpec(m, modulus_bits)
-
-
 @lru_cache(maxsize=None)
 def gf8() -> FieldSpec:
     """The canonical GF(8) with modulus x^3 + x + 1."""

@@ -35,12 +35,11 @@ class InfiniteFootprint(ValueError):
 
 
 class GroebnerBasis:
-    __slots__ = ("order", "gens", "reduced")
+    __slots__ = ("order", "gens")
 
-    def __init__(self, order: MonomialOrder, gens, reduced: bool = False):
+    def __init__(self, order: MonomialOrder, gens):
         self.order = order
         self.gens = list(gens)
-        self.reduced = reduced
 
     def heads(self):
         return [g.leading_term(self.order)[0] for g in self.gens]
@@ -154,8 +153,7 @@ def buchberger(gens, order: MonomialOrder) -> GroebnerBasis:
         r = reduce_packed(dict(reducers[i][4]), reducers[:i] + reducers[i + 1:], order, dom)
         reducers[i] = prepare_divisor(r, order, dom)
     reducers.sort(key=lambda dv: dv[2])
-    return GroebnerBasis(order, [from_packed(dict(dv[4]), order, dom) for dv in reducers],
-                         reduced=True)
+    return GroebnerBasis(order, [from_packed(dict(dv[4]), order, dom) for dv in reducers])
 
 
 def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:

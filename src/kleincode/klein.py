@@ -5,13 +5,17 @@ with weights (2, 3) and ties won by the larger Y exponent; the curve is
 Y^3 + X^3*Y + X with the two field equations adjoined.  Any irreducible
 modulus gives an isomorphic field, so footprint sizes, weights and code
 parameters do not depend on the choice; fixing one keeps output byte-stable.
+
+The setting is a constant, not a parameter: all Klein-only code takes its
+field, order, footprint, variety and class supports from here.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .gf import FieldSpec, gf8
+from .codes import Variety, enumerate_variety
+from .gf import gf8
 from .groebner import Footprint, GroebnerBasis, buchberger, footprint
 from .poly import FieldDomain, MonomialOrder, Polynomial, parse_poly
 
@@ -19,9 +23,8 @@ GF8_MODULUS_BITS = 0b1011
 ORDER_WEIGHTS = (2, 3)
 ORDER_TIEBREAK = 1
 
-CURVE_TEXT = "Y^3+X^3*Y+X"
-FIELD_EQ_X_TEXT = "X^8+X"
-FIELD_EQ_Y_TEXT = "Y^8+Y"
+# the curve, then the field equations of X and Y
+GENERATOR_TEXTS = ("Y^3+X^3*Y+X", "X^8+X", "Y^8+Y")
 
 # Best distances known to exist for length-22 codes over GF(8) at the 15
 # constructed dimensions (static constants from the published code tables;
@@ -33,14 +36,9 @@ BEST_KNOWN_DISTANCE = {
 }
 
 
-def klein_field() -> FieldSpec:
-    """The canonical field: the one gf8() instance."""
-    return gf8()
-
-
 @lru_cache(maxsize=None)
 def klein_domain() -> FieldDomain:
-    return FieldDomain(klein_field())
+    return FieldDomain(gf8())
 
 
 @lru_cache(maxsize=None)
@@ -49,19 +47,9 @@ def klein_order() -> MonomialOrder:
 
 
 @lru_cache(maxsize=None)
-def curve_polynomial() -> Polynomial:
-    return parse_poly(CURVE_TEXT, klein_domain())
-
-
-@lru_cache(maxsize=None)
 def ideal_generators() -> tuple[Polynomial, ...]:
     """Generators of the full ideal: curve plus both field equations."""
-    dom = klein_domain()
-    return (
-        curve_polynomial(),
-        parse_poly(FIELD_EQ_X_TEXT, dom),
-        parse_poly(FIELD_EQ_Y_TEXT, dom),
-    )
+    return tuple(parse_poly(text, klein_domain()) for text in GENERATOR_TEXTS)
 
 
 @lru_cache(maxsize=None)
@@ -72,3 +60,17 @@ def klein_basis() -> GroebnerBasis:
 @lru_cache(maxsize=None)
 def klein_footprint() -> Footprint:
     return footprint(klein_basis())
+
+
+@lru_cache(maxsize=None)
+def klein_variety() -> Variety:
+    """The 22 affine points of the curve over GF(8)."""
+    return enumerate_variety(list(ideal_generators()), gf8(), 2)
+
+
+@lru_cache(maxsize=None)
+def class_support(M: tuple) -> tuple:
+    """Footprint monomials below M, largest first: the monomials m1 > m2 > ...
+    of a reduced codeword polynomial M + a1*m1 + a2*m2 + ..."""
+    order = klein_order()
+    return tuple(m for m in klein_footprint().descending() if order.compare(m, M) < 0)

@@ -312,13 +312,9 @@ class ConstraintStore:
     # -- reduction -----------------------------------------------------
 
     def reduce(self, p: ParamPoly) -> ParamPoly:
-        """Apply substitutions to fixpoint (bounded by t passes)."""
-        for _ in range(self.ring.t + 1):
-            q = p.substitute(self.subs)
-            if q.terms == p.terms:
-                return q
-            p = q
-        return p
+        """Apply the substitutions.  No right-hand side mentions a substituted
+        parameter (_renormalize keeps them so), so one pass is the fixpoint."""
+        return p.substitute(self.subs)
 
     # -- branching -------------------------------------------------------
 
@@ -355,17 +351,11 @@ class ConstraintStore:
         return self.with_zero(c), self.with_nonzero(c)
 
     def _renormalize(self):
-        # Re-reduce every stored expression against the updated subs so all
-        # right-hand sides stay free of substituted parameters.
-        for _ in range(self.ring.t + 1):
-            changed = False
-            for i, rhs in list(self.subs.items()):
-                r2 = rhs.substitute({j: v for j, v in self.subs.items() if j != i})
-                if r2.terms != rhs.terms:
-                    self.subs[i] = r2
-                    changed = True
-            if not changed:
-                break
+        # Re-reduce every stored expression against the updated subs.  The
+        # newest right-hand side is reduced, so it mentions no substituted
+        # parameter, and the older ones mention none but the newest: one
+        # pass leaves every right-hand side free of substituted parameters.
+        self.subs = {i: rhs.substitute(self.subs) for i, rhs in self.subs.items()}
         new_nonzeros = {}
         for c in self.nonzeros.values():
             c2 = self.reduce(c)

@@ -212,20 +212,6 @@ class Polynomial:
     def zero(cls, domain, arity):
         return cls(domain, arity, {}, _normalized=True)
 
-    @classmethod
-    def const(cls, domain, arity, c):
-        if domain.is_zero(c):
-            return cls.zero(domain, arity)
-        return cls(domain, arity, {(0,) * arity: c}, _normalized=True)
-
-    @classmethod
-    def monomial(cls, domain, arity, mono, c=None):
-        if len(mono) != arity:
-            raise ArityMismatch(f"monomial {mono} in arity {arity}")
-        if c is None:
-            c = domain.one
-        return cls(domain, arity, {tuple(mono): c})
-
     # -- basics ------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -264,17 +250,6 @@ class Polynomial:
                     out.pop(m, None)
                 else:
                     out[m] = v
-        return Polynomial(dom, self.arity, out, _normalized=True)
-
-    def scale(self, c) -> "Polynomial":
-        dom = self.domain
-        if dom.is_zero(c):
-            return Polynomial.zero(dom, self.arity)
-        out = {}
-        for m, v in self.terms.items():
-            cv = dom.mul(c, v)
-            if not dom.is_zero(cv):
-                out[m] = cv
         return Polynomial(dom, self.arity, out, _normalized=True)
 
     def mul_mono(self, mono: tuple, c=None) -> "Polynomial":
@@ -528,10 +503,7 @@ class _Parser:
         if tok.startswith("a") and len(tok) > 1:
             if self.ring is None:
                 raise ParseError(f"parameter {tok} in a concrete polynomial")
-            idx = int(tok[1:]) - 1
-            e = self.maybe_exponent()
-            coef = dom.mul(coef, self.ring.var_pow(idx, e))
-            return coef, exps
+            return dom.mul(coef, self.parse_param(tok)), exps
         if tok.isdigit():
             coef = dom.mul(coef, dom.from_enc(int(tok)))
             return coef, exps
@@ -545,6 +517,13 @@ class _Parser:
                 raise ParseError(f"exponent expected, got {t!r}")
             return int(t)
         return 1
+
+    def parse_param(self, tok):
+        """a<i>[^e] as a power of a parameter of the ring."""
+        idx = int(tok[1:]) - 1
+        if not 0 <= idx < self.ring.t:
+            raise ParseError(f"parameter {tok} outside a1..a{self.ring.t}")
+        return self.ring.var_pow(idx, self.maybe_exponent())
 
     def parse_param_sum(self):
         dom = self.domain
@@ -563,8 +542,7 @@ class _Parser:
                 first = False
                 tok = self.take()
                 if tok.startswith("a") and len(tok) > 1:
-                    idx = int(tok[1:]) - 1
-                    coef = dom.mul(coef, self.ring.var_pow(idx, self.maybe_exponent()))
+                    coef = dom.mul(coef, self.parse_param(tok))
                 elif tok.isdigit():
                     coef = dom.mul(coef, dom.from_enc(int(tok)))
                 else:

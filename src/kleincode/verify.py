@@ -17,6 +17,7 @@ from .casebound import (
     verify_all_traces,
 )
 from .codes import (
+    build_code,
     code_for_threshold,
     construct_table,
     count_weight_one,
@@ -35,8 +36,6 @@ from .groebner import buchberger, footprint, normal_form, order_domain_check, s_
 from .poly import (
     FULL,
     HEAD,
-    FieldDomain,
-    MonomialOrder,
     Polynomial,
     divide,
     format_monomial,
@@ -202,13 +201,11 @@ def suite_cor1(seed, quick):
 
 def suite_variety(seed, quick):
     spec = gf8()
-    v = enumerate_variety(list(klein.ideal_generators()), spec, 2)
+    v = klein.klein_variety()
     if len(v) != 22 or (0, 0) not in v.points:
         return False, f"size {len(v)}"
     if not verify_fano(v):
         return False, "Fano structure violated"
-    from .codes import build_code
-
     fp = klein.klein_footprint()
     code = build_code(list(fp), v)
     if gf_rank(code.G, spec) != 22:
@@ -218,10 +215,9 @@ def suite_variety(seed, quick):
 
 def suite_weight_identity(seed, quick):
     dom = klein.klein_domain()
-    spec = gf8()
     fp = klein.klein_footprint()
     gb = klein.klein_basis()
-    v = enumerate_variety(list(klein.ideal_generators()), spec, 2)
+    v = klein.klein_variety()
     rng = SplitMix64(seed ^ 0x1D)
     n = 50 if quick else 1000
     for i in range(n):
@@ -241,11 +237,8 @@ def suite_weight_identity(seed, quick):
 
 
 def suite_weight_one(seed, quick):
-    from .codes import build_code
-
-    spec = gf8()
     fp = klein.klein_footprint()
-    v = enumerate_variety(list(klein.ideal_generators()), spec, 2)
+    v = klein.klein_variety()
     full = build_code(list(fp), v)
     if count_weight_one(full) != 154:
         return False, "full code weight-one count"
@@ -256,9 +249,8 @@ def suite_weight_one(seed, quick):
 
 
 def suite_table(seed, quick):
-    spec = gf8()
     fp = klein.klein_footprint()
-    v = enumerate_variety(list(klein.ideal_generators()), spec, 2)
+    v = klein.klein_variety()
     delta = full_bound_map()
     rows = construct_table(delta, v)
     limit = 3 if quick else 5
@@ -291,14 +283,13 @@ def suite_bound_soundness(seed, quick, jobs=1):
     """Seeded random codewords per class never fall below the bound."""
     spec = gf8()
     fp = klein.klein_footprint()
-    order = klein.klein_order()
-    v = enumerate_variety(list(klein.ideal_generators()), spec, 2)
+    v = klein.klein_variety()
     delta = full_bound_map()
     count = 2000 if quick else 100_000
     rows_all = {m: monomial_vector(m, v) for m in fp}
 
     def check(M):
-        support = [m for m in fp.descending() if order.compare(m, M) < 0]
+        support = klein.class_support(M)
         rows = np.array([rows_all[m] for m in support], dtype=np.uint8).reshape(-1, len(v))
         rng_seed = (seed << 8) ^ (M[0] * 37 + M[1])
         return M, sampled_min_weight(rows_all[M], rows, spec, rng_seed, count)
@@ -334,11 +325,9 @@ def suite_x7_claim(seed, quick):
     """Sampled check: every class-X^7 codeword that is not a scalar multiple
     of X^7 + 1 has weight at least 3."""
     spec = gf8()
-    fp = klein.klein_footprint()
-    order = klein.klein_order()
-    v = enumerate_variety(list(klein.ideal_generators()), spec, 2)
+    v = klein.klein_variety()
     M = (7, 0)
-    support = [m for m in fp.descending() if order.compare(m, M) < 0]
+    support = klein.class_support(M)
     rows = np.stack([monomial_vector(m, v) for m in support])
     offset = monomial_vector(M, v)
     count = 100_000 if quick else 1_000_000

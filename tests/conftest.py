@@ -4,7 +4,6 @@ from contextlib import redirect_stdout
 import pytest
 
 from kleincode import klein
-from kleincode.codes import enumerate_variety
 from kleincode.gf import gf8
 
 
@@ -34,8 +33,8 @@ def fp():
 
 
 @pytest.fixture(scope="session")
-def variety(spec):
-    return enumerate_variety(list(klein.ideal_generators()), spec, 2)
+def variety():
+    return klein.klein_variety()
 
 
 def run_cli(argv):

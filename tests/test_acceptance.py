@@ -110,10 +110,10 @@ def test_criterion_05_weight_identity(dom, gb, fp, variety):
             f"{checked} checked")
 
 
-def test_criterion_06_bound_map(fp):
+def test_criterion_06_bound_map():
     t0 = time.time()
-    reports = verify_all_traces(fp=fp)  # raises on any step failure
-    delta = full_bound_map(fp=fp)
+    reports = verify_all_traces()  # raises on any step failure
+    delta = full_bound_map()
     ok = delta == EXPECTED_DELTA and len(reports) == 9
     _report("6 bound map reproduction", ok, time.time() - t0, 10)
 
@@ -186,17 +186,16 @@ def test_criterion_10_weight_one(fp, variety):
     _report("10 weight-one counts", ok, time.time() - t0, 1)
 
 
-def test_criterion_11_leaf_instantiation(fp):
+def test_criterion_11_leaf_instantiation():
     t0 = time.time()
-    reports = verify_all_traces(fp=fp)
+    reports = verify_all_traces()
     checked = 0
     for M, rep in sorted(reports.items()):
         for idx, leaf in enumerate(rep.leaves):
             if leaf.vacuous:
                 continue
             instantiate_and_check(M, leaf, nsamples=50,
-                                  seed=0xACC ^ (idx * 131) ^ (M[0] * 17 + M[1]),
-                                  fp=fp)
+                                  seed=0xACC ^ (idx * 131) ^ (M[0] * 17 + M[1]))
             checked += 1
     _report("11 leaf instantiation x50", True, time.time() - t0, 300,
             f"{checked} leaves")

@@ -58,12 +58,12 @@ def test_upset_outside_footprint(fp):
 # ---------------------------------------------------------------------------
 # reduce steps
 
-def test_param_reduce_chain(order):
+def test_param_reduce_chain():
     ctx = KleinParametric((0, 1))
     cs = ctx.fresh_store()
     s = ctx.root.mul_mono((0, 2))
-    _, r1 = param_reduce_step(s, ctx.divisor("K", cs), HEAD, cs, order)
-    q, r2 = param_reduce_step(r1, ctx.divisor("F", cs), FULL, cs, order)
+    _, r1 = param_reduce_step(s, ctx.divisor("K", cs), HEAD, cs)
+    q, r2 = param_reduce_step(r1, ctx.divisor("F", cs), FULL, cs)
     expected = parse_poly(
         "a1*X^4+(a1^3+a2)*X^3+a1^2*a2*X^2+(a1*a2^2+1)*X+a2^3",
         ctx.domain, ring=ctx.ring)
@@ -71,58 +71,54 @@ def test_param_reduce_chain(order):
     assert q.mul(ctx.divisor("F", cs)).add(r2) == r1
 
 
-def test_param_reduce_self_to_zero(order):
+def test_param_reduce_self_to_zero():
     ctx = KleinParametric((0, 1))
     cs = ctx.fresh_store()
-    _, r = param_reduce_step(ctx.root, ctx.divisor("F", cs), FULL, cs, order)
+    _, r = param_reduce_step(ctx.root, ctx.divisor("F", cs), FULL, cs)
     assert r.is_zero()
 
 
-def test_param_reduce_no_step(order):
+def test_param_reduce_no_step():
     ctx = KleinParametric((0, 1))
     cs = ctx.fresh_store()
     s = ctx.root  # head Y is not divisible by X^8
-    q, r = param_reduce_step(s, ctx.divisor("FX", cs), HEAD, cs, order)
+    q, r = param_reduce_step(s, ctx.divisor("FX", cs), HEAD, cs)
     assert q.is_zero() and r == s
 
 
 # ---------------------------------------------------------------------------
 # verify_trace
 
-def test_verify_trace_s31(fp):
+def test_verify_trace_s31():
     steps = parse_trace(load_trace_text("s31"))
-    rep = verify_trace((0, 1), steps, t=2, fp=fp)
+    rep = verify_trace((0, 1), steps)
+    assert rep.t == 2
     assert rep.baseline == 14
     assert rep.bound == 18
     assert [l.count for l in rep.leaves] == [18, 19, 21]
 
 
-def test_verify_trace_s33(fp):
-    rep = verify_trace((1, 1), parse_trace(load_trace_text("s33")), fp=fp)
+def test_verify_trace_s33():
+    rep = verify_trace((1, 1), parse_trace(load_trace_text("s33")))
     assert rep.bound == 15
     assert rep.baseline == 12
 
 
-def test_verify_trace_empty(fp):
-    rep = verify_trace((0, 1), (), fp=fp)
+def test_verify_trace_empty():
+    rep = verify_trace((0, 1), ())
     assert rep.bound == rep.baseline == 14
     assert len(rep.leaves) == 1
 
 
-def test_verify_trace_wrong_t(fp):
-    with pytest.raises(ValueError):
-        verify_trace((0, 1), (), t=5, fp=fp)
-
-
-def test_all_nine_trace_bounds(fp):
-    reports = verify_all_traces(fp=fp)
+def test_all_nine_trace_bounds():
+    reports = verify_all_traces()
     assert {M: r.bound for M, r in reports.items()} == TRACE_BOUNDS
     for rep in reports.values():
         assert all(not leaf.vacuous for leaf in rep.leaves)
         assert rep.bound >= rep.baseline
 
 
-def test_unjustified_claim_rejected(fp):
+def test_unjustified_claim_rejected():
     # claiming X^4 without branching on a1 must fail
     steps = parse_trace("""
     mul Y^2
@@ -131,25 +127,25 @@ def test_unjustified_claim_rejected(fp):
     claim X^4
     """)
     with pytest.raises(UnjustifiedClaim):
-        verify_trace((0, 1), steps, fp=fp)
+        verify_trace((0, 1), steps)
 
 
-def test_useless_reduce_rejected(fp):
+def test_useless_reduce_rejected():
     steps = parse_trace("""
     red FX head
     """)
     with pytest.raises(InvalidStep):
-        verify_trace((0, 1), steps, fp=fp)
+        verify_trace((0, 1), steps)
 
 
-def test_malformed_step_trees_rejected(fp):
+def test_malformed_step_trees_rejected():
     # trees built in code bypass the parser's "branch is last" rule
     with pytest.raises(InvalidStep, match="last step"):
-        verify_trace((0, 1), (Branch("a1", (), ()), Claim((4, 0))), fp=fp)
+        verify_trace((0, 1), (Branch("a1", (), ()), Claim((4, 0))))
     with pytest.raises(InvalidStep, match="unknown step"):
-        verify_trace((0, 1), ("garbage", None), fp=fp)
+        verify_trace((0, 1), ("garbage", None))
     with pytest.raises(InvalidStep, match="bad red step"):
-        verify_trace((0, 1), (Red("G", HEAD),), fp=fp)
+        verify_trace((0, 1), (Red("G", HEAD),))
 
 
 def test_full_bound_map_exact():
@@ -196,14 +192,14 @@ def test_parse_trace_errors():
 # ---------------------------------------------------------------------------
 # instantiation
 
-def test_instantiate_s31_leaf(fp):
-    rep = verify_trace((0, 1), parse_trace(load_trace_text("s31")), fp=fp)
+def test_instantiate_s31_leaf():
+    rep = verify_trace((0, 1), parse_trace(load_trace_text("s31")))
     leaf = rep.leaves[0]  # a1 != 0, established {X^4}
-    out = instantiate_and_check((0, 1), leaf, nsamples=25, seed=99, fp=fp)
+    out = instantiate_and_check((0, 1), leaf, nsamples=25, seed=99)
     assert out["samples"] == 25
 
 
-def test_instantiate_specific_assignment(dom, gb, fp, order):
+def test_instantiate_specific_assignment(dom, order):
     # a1 = alpha (enc 2), a2 = 0: X^4..X^7 must leave the footprint
     from kleincode.groebner import buchberger, footprint
     from kleincode.klein import ideal_generators
@@ -215,7 +211,7 @@ def test_instantiate_specific_assignment(dom, gb, fp, order):
         assert (a, 0) not in fp2
 
 
-def test_instantiate_vacuous_leaf_raises(fp):
+def test_instantiate_vacuous_leaf_raises():
     from kleincode.casebound import Leaf
     from kleincode.params import ConstraintStore, ParamRing
 
@@ -223,26 +219,26 @@ def test_instantiate_vacuous_leaf_raises(fp):
     cs = ConstraintStore(ring).with_nonzero(ring.var(0)).with_zero(ring.var(0))
     leaf = Leaf("bad", cs, (), 14, vacuous=True)
     with pytest.raises(UnsatisfiableLeaf):
-        instantiate_and_check((0, 1), leaf, nsamples=5, seed=1, fp=fp)
+        instantiate_and_check((0, 1), leaf, nsamples=5, seed=1)
 
 
-def test_instantiate_deterministic(fp):
-    rep = verify_trace((0, 1), parse_trace(load_trace_text("s31")), fp=fp)
+def test_instantiate_deterministic():
+    rep = verify_trace((0, 1), parse_trace(load_trace_text("s31")))
     leaf = rep.leaves[1]
     a = leaf.constraints.sample_witnesses(10, seed=3)
     b = leaf.constraints.sample_witnesses(10, seed=3)
     assert a == b
 
 
-def test_instantiate_refuses_zero_samples(fp):
+def test_instantiate_refuses_zero_samples():
     # a satisfiable leaf with no samples asked for is a usage error, not an
     # unsatisfiable leaf
-    rep = verify_trace((0, 1), parse_trace(load_trace_text("s31")), fp=fp)
+    rep = verify_trace((0, 1), parse_trace(load_trace_text("s31")))
     leaf = rep.leaves[0]
-    assert instantiate_and_check((0, 1), leaf, nsamples=1, seed=3, fp=fp)["samples"] == 1
+    assert instantiate_and_check((0, 1), leaf, nsamples=1, seed=3)["samples"] == 1
     for n in (0, -2):
         with pytest.raises(ValueError, match=f"sample count {n} "):
-            instantiate_and_check((0, 1), leaf, nsamples=n, seed=3, fp=fp)
+            instantiate_and_check((0, 1), leaf, nsamples=n, seed=3)
 
 
 def test_delta_map_range_and_baseline_monotone(fp):

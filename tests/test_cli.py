@@ -144,6 +144,49 @@ def test_trace_verify_file():
     assert "verified bound 12" in out
 
 
+BAD_TRACES = {
+    "parameter": ("branch a9 {\n  claim Y\n} else {\n  claim Y\n}\n",
+                  "error: parameter a9 outside a1..a2\n"),
+    "exponent": ("mul X^2000000\n", "error: exponent cap 1048576 exceeded\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_TRACES))
+def test_trace_verify_malformed_input_exit_two(kind, tmp_path, capsys):
+    text, message = BAD_TRACES[kind]
+    path = tmp_path / "bad.trace"
+    path.write_text(text)
+    code, out = run_cli(["trace-verify", str(path), "--lm", "Y"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_TRACES))
+def test_bound_malformed_trace_dir_exit_two(kind, tmp_path, capsys):
+    for trace in TRACES.glob("*.trace"):
+        (tmp_path / trace.name).write_text(trace.read_text())
+    text, message = BAD_TRACES[kind]
+    (tmp_path / "s31.trace").write_text(text)
+    code, out = run_cli(["bound", "--traces", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == message
+
+
+def test_trace_verify_failed_replay_exit_one(capsys):
+    # s31 is the derivation for Y; replayed for X its first reduction by the
+    # curve has nothing to cancel
+    code, out = run_cli(["trace-verify", str(TRACES / "s31.trace"), "--lm", "X"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "verification failed: X: red K head changed nothing\n"
+
+
+@pytest.mark.parametrize("extra", [[], ["--auto"]])
+def test_bound_class_outside_footprint_refused(extra, capsys):
+    code, out = run_cli(["bound", *extra, "--lm", "X^8"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: X^8 outside the footprint\n"
+
+
 def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         run_cli_raw = __import__("kleincode.cli", fromlist=["main"]).main

@@ -1,16 +1,16 @@
 import pytest
 
-from kleincode.gf import DivisionByZero, ReducibleModulus, field_make
+from kleincode.gf import DivisionByZero, ReducibleModulus, FieldSpec
 
 
 def test_gf8_construction():
-    spec = field_make(3, 0b1011)
+    spec = FieldSpec(3, 0b1011)
     assert spec.q == 8
     assert len(spec.elements()) == 8
 
 
 def test_gf2_construction():
-    spec = field_make(1, 0b11)
+    spec = FieldSpec(1, 0b11)
     assert spec.q == 2
     assert spec.elements() == [0, 1]
 
@@ -24,7 +24,7 @@ def test_reducible_modulus_rejected():
             prod ^= b << i
     assert prod == 0b1001
     with pytest.raises(ReducibleModulus):
-        field_make(3, 0b1001)
+        FieldSpec(3, 0b1001)
 
 
 def test_arith_examples(spec):
@@ -81,7 +81,7 @@ def test_nonzero_count(spec):
 def test_imprimitive_modulus_still_works():
     # x^4 + x^3 + x^2 + x + 1 is irreducible but x has order 5, not 15;
     # the generator search must still build consistent tables.
-    spec = field_make(4, 0b11111)
+    spec = FieldSpec(4, 0b11111)
     for a in range(1, 16):
         assert spec.mul(a, spec.inv(a)) == 1
     assert spec.pow(2, 5) == 1

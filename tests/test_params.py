@@ -339,3 +339,44 @@ def test_vanishing_scan_matches_brute_force():
     grid = assignment_grid(4, [1, 3])
     assert [tuple(grid[:, n]) for n in (0, 1, 8, 63)] == [
         (0, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 7, 0, 7)]
+
+
+def _fixpoint_reduce(cs, p):
+    # substitution repeated until nothing changes: the reference for reduce
+    for _ in range(cs.ring.t + 1):
+        q = p.substitute(cs.subs)
+        if q == p:
+            return q
+        p = q
+    raise AssertionError("substitutions did not reach a fixpoint")
+
+
+def test_reduce_is_one_substitution_on_branched_stores():
+    # seeded chains of branches whose expressions are mostly linear in some
+    # parameter, so substitutions pile up and rewrite each other: every
+    # right-hand side, nonzero and equality stays free of substituted
+    # parameters, and one substitute() pass is the fixpoint
+    rng = random.Random(0x5EB5)
+    substituted = 0
+    for _ in range(150):
+        t = rng.randint(2, 5)
+        ring = ParamRing(t)
+        cs = ConstraintStore(ring)
+        for _ in range(rng.randint(1, 5)):
+            i = rng.randrange(t)
+            others = [j for j in range(t) if j != i]
+            rest = _random_poly(rng, ring, sorted(rng.sample(others, rng.randint(0, t - 1))),
+                                rng.randint(1, 2))
+            c = ring.var(i).scale(rng.randrange(1, 8)).add(rest)
+            if rng.random() < 0.2:
+                c = _random_poly(rng, ring, range(t), rng.randint(1, 2))
+            cs = cs.with_zero(c) if rng.random() < 0.7 else cs.with_nonzero(c)
+            done = set(cs.subs)
+            for q in [*cs.subs.values(), *cs.nonzeros.values(), *cs.equalities]:
+                assert not q.variables() & done
+            p = _random_poly(rng, ring, range(t), rng.randint(1, 3))
+            r = cs.reduce(p)
+            assert r == _fixpoint_reduce(cs, p)
+            assert cs.reduce(r) == r
+        substituted += len(cs.subs)
+    assert substituted >= 150

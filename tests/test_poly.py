@@ -84,8 +84,6 @@ def test_poly_arith_examples(dom):
     yx = P("Y+X", dom)
     assert yx.add(yx).is_zero()
     assert P("Y", dom).mul(P("Y^2", dom)) == P("Y^3", dom)
-    k = P("Y^3+X^3*Y+X", dom)
-    assert k.scale(1) == k
 
 
 def test_leading_terms(dom, order):
@@ -98,7 +96,7 @@ def test_leading_terms(dom, order):
 
 
 def test_exponent_cap(dom):
-    big = Polynomial.monomial(dom, 2, (1 << 20, 0))
+    big = Polynomial(dom, 2, {(1 << 20, 0): 1})
     with pytest.raises(ExponentCapExceeded):
         big.mul(big)
 
