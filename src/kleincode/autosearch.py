@@ -50,11 +50,11 @@ def auto_search(M: tuple, budget: SearchBudget = None) -> BoundReport:
     the verified replay of the best pass's steps."""
     budget = budget or SearchBudget()
     ctx = KleinParametric(M)
-    order, dom = ctx.order, ctx.domain
+    order, ring = ctx.order, ctx.ring
     decode = order.decode
 
     def prepare(d):
-        return prepare_divisor(packed(d, order), order, dom)
+        return prepare_divisor(packed(d, order), order, ring)
 
     # Working polynomials are packed dicts (see poly.MonomialOrder), so the
     # head is max(W) and a Mul move is a key shift.
@@ -113,7 +113,7 @@ def auto_search(M: tuple, budget: SearchBudget = None) -> BoundReport:
                 if work[0] > budget.max_work:
                     break
                 if d[0] <= lm[0] and d[1] <= lm[1]:
-                    r = reduce_packed(dict(W), [d], order, dom, HEAD)
+                    r = reduce_packed(dict(W), [d], order, ring, HEAD)
                     value, steps = explore(r, node, established, depth, branches)
                     consider(value, (Red(name, HEAD),) + steps)
             # branch on an undetermined leading coefficient (skip monsters:

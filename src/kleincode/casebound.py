@@ -39,15 +39,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groebner import Footprint, buchberger, footprint
-from .klein import class_support, ideal_generators, klein_domain, klein_footprint, klein_order
-from .params import (
-    ConstraintStore,
-    ParamDomain,
-    ParamPoly,
-    ParamRing,
-    evaluate_grid,
-    format_param,
+from .klein import (
+    class_support,
+    ideal_generators,
+    klein_basis,
+    klein_domain,
+    klein_footprint,
+    klein_order,
 )
+from .params import ConstraintStore, ParamPoly, ParamRing, evaluate_grid, format_param
 from .poly import (
     FULL,
     HEAD,
@@ -244,29 +244,21 @@ class KleinParametric:
         self._counts: dict = {}
         self.support = class_support(M)
         self.t = len(self.support)
-        self.ring = ParamRing(self.t)
-        self.domain = ParamDomain(self.ring)
-        terms = {M: self.ring.one()}
+        self.ring = ring = ParamRing(self.t)
+        terms = {M: ring.one}
         for i, m in enumerate(self.support):
-            terms[m] = self.ring.var(i)
-        self.root = Polynomial(self.domain, 2, terms, _normalized=True)
-        self.divisors = {
-            "K": self._lift("Y^3+X^3*Y+X"),
-            "FX": self._lift("X^8+X"),
-            "FXY": self._lift("X^7*Y+Y"),
-        }
-
-    def _lift(self, text: str) -> Polynomial:
-        concrete = parse_poly(text, klein_domain())
-        return Polynomial(self.domain, 2,
-                          {m: self.ring.const(c) for m, c in concrete.terms.items()},
-                          _normalized=True)
+            terms[m] = ring.var(i)
+        self.root = Polynomial(ring, 2, terms, _normalized=True)
+        # the reduced basis, heads ascending: the curve, X^8+X, X^7*Y+Y
+        self.divisors = dict(zip(("K", "FX", "FXY"), (
+            Polynomial(ring, 2, {m: ring.const(c) for m, c in g.terms.items()},
+                       _normalized=True) for g in klein_basis())))
 
     def fresh_store(self) -> ConstraintStore:
         return ConstraintStore(self.ring)
 
     def parse_expr(self, text: str) -> ParamPoly:
-        p = parse_poly(text, self.domain, arity=2, ring=self.ring)
+        p = parse_poly(text, self.ring)
         for m in p.terms:
             if any(m):
                 raise ParseError(f"branch expression {text!r} mentions X or Y")
@@ -455,16 +447,12 @@ def full_bound_map(traces_dir=None) -> dict:
 
 
 def bound_map_from_reports(reports: dict) -> dict:
-    """full_bound_map for trace reports that are already verified."""
+    """full_bound_map for trace reports that are already verified.  A
+    report's bound is never below its baseline, the divisibility count: every
+    leaf count includes M's upset."""
     fp = klein_footprint()
-    out = {}
-    for M in fp:
-        base = divisibility_bound(M, fp)
-        if M in reports:
-            out[M] = max(base, reports[M].bound)
-        else:
-            out[M] = base
-    return out
+    return {M: reports[M].bound if M in reports else divisibility_bound(M, fp)
+            for M in fp}
 
 
 def verify_all_traces(traces_dir=None) -> dict:

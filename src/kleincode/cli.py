@@ -45,14 +45,7 @@ from .codes import (
 )
 from .gf import FieldSpec, gf8
 from .groebner import buchberger, footprint
-from .poly import (
-    ExponentCapExceeded,
-    FieldDomain,
-    MonomialOrder,
-    format_monomial,
-    parse_monomial,
-    parse_poly,
-)
+from .poly import ExponentCapExceeded, MonomialOrder, format_monomial, parse_monomial, parse_poly
 
 
 @dataclass
@@ -81,8 +74,8 @@ class RunConfig:
         return MonomialOrder(self.weights, self.tiebreak)
 
     def gens(self):
-        dom = FieldDomain(self.spec())
-        return [parse_poly(t, dom) for t in self.generators]
+        spec = self.spec()
+        return [parse_poly(t, spec) for t in self.generators]
 
 
 def load_config(args) -> RunConfig:
@@ -166,7 +159,8 @@ def cmd_variety(args) -> int:
 def _bound_reports(args):
     """(reports, delta map); the traces are verified once, and the delta
     map, None for auto-search, always covers every class.  A --lm class
-    outside the footprint is refused before any work."""
+    outside the footprint is refused before any work; one without a trace
+    is reported by the replay of the empty trace, its divisibility count."""
     M = None
     if getattr(args, "lm", None):
         M = parse_monomial(args.lm)
@@ -181,8 +175,25 @@ def _bound_reports(args):
     reports = verify_all_traces(getattr(args, "traces", None))
     delta = bound_map_from_reports(reports)
     if M is not None:
-        reports = {M: reports[M]} if M in reports else {}
+        reports = {M: reports[M] if M in reports else verify_trace(M, ())}
     return reports, delta
+
+
+def _class_entry(M, rep) -> dict:
+    return {
+        "monomial": format_monomial(M),
+        "parameters": rep.t,
+        "baseline": rep.baseline,
+        "bound": rep.bound,
+        "leaves": list(rep.leaf_rows()),
+    }
+
+
+def _write_class_csv(entries) -> None:
+    sys.stdout.write("monomial,parameters,baseline,bound\n")
+    for e in entries:
+        sys.stdout.write(f"{e['monomial']},{e['parameters']},"
+                         f"{e['baseline']},{e['bound']}\n")
 
 
 def cmd_bound(args) -> int:
@@ -191,27 +202,14 @@ def cmd_bound(args) -> int:
     reports, delta = _bound_reports(args)
     source = "auto" if delta is None else "traces"
     fp = klein.klein_footprint()
-    out = []
-    for M in sorted(reports, key=klein.klein_order().key):
-        rep = reports[M]
-        entry = {
-            "monomial": format_monomial(M),
-            "parameters": rep.t,
-            "baseline": rep.baseline,
-            "bound": rep.bound,
-            "leaves": list(rep.leaf_rows()),
-        }
-        out.append(entry)
+    out = [_class_entry(M, reports[M]) for M in sorted(reports, key=klein.klein_order().key)]
     if cfg.fmt == "json":
         payload = {"source": source, "classes": out}
         if delta is not None:
             payload["delta_map"] = {format_monomial(m): delta[m] for m in fp}
         sys.stdout.write(_emit_json(payload))
     elif cfg.fmt == "csv":
-        sys.stdout.write("monomial,parameters,baseline,bound\n")
-        for e in out:
-            sys.stdout.write(f"{e['monomial']},{e['parameters']},"
-                             f"{e['baseline']},{e['bound']}\n")
+        _write_class_csv(out)
     else:
         for e in out:
             sys.stdout.write(f"{e['monomial']}: bound {e['bound']} "
@@ -311,15 +309,11 @@ def cmd_trace_verify(args) -> int:
         steps = parse_trace(fh.read())
     M = parse_monomial(args.lm)
     rep = verify_trace(M, steps)
-    payload = {
-        "monomial": format_monomial(M),
-        "parameters": rep.t,
-        "baseline": rep.baseline,
-        "bound": rep.bound,
-        "leaves": list(rep.leaf_rows()),
-    }
+    payload = _class_entry(M, rep)
     if cfg.fmt == "json":
         sys.stdout.write(_emit_json(payload))
+    elif cfg.fmt == "csv":
+        _write_class_csv([payload])
     else:
         sys.stdout.write(f"{payload['monomial']}: verified bound {rep.bound} "
                          f"(baseline {rep.baseline}, {len(rep.leaves)} leaves)\n")
@@ -334,6 +328,8 @@ def cmd_trace_verify(args) -> int:
 def cmd_verify_all(args) -> int:
     cfg = load_config(args)
     _require_klein(cfg, "verify-all")
+    if cfg.fmt != "text":
+        raise ValueError(f"verify-all prints text only, not --format {cfg.fmt}")
     quick = getattr(args, "quick", False)
     jobs = max(1, getattr(args, "jobs", 1) or 1)
     failures = []

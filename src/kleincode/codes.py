@@ -17,7 +17,7 @@ import numpy as np
 
 from .gf import FieldSpec
 from .groebner import GroebnerBasis, buchberger, footprint
-from .poly import MonomialOrder, Polynomial, ZeroPolynomial
+from .poly import MonomialOrder, Polynomial, ZeroPolynomial, format_monomial
 from .rng import SplitMix64
 
 
@@ -63,7 +63,7 @@ def enumerate_variety(gens, spec: FieldSpec, arity: int = 2) -> Variety:
             coords[i] = v % spec.q
             v //= spec.q
         pt = tuple(coords)
-        if all(g.eval(pt, spec) == 0 for g in gens):
+        if all(g.eval(pt) == 0 for g in gens):
             points.append(pt)
     return Variety(spec, points)
 
@@ -98,7 +98,7 @@ def verify_fano(v: Variety) -> bool:
 
 def evaluation_vector(F: Polynomial, v: Variety) -> np.ndarray:
     """(F(P_1), ..., F(P_n)) as a uint8 enc vector in variety order."""
-    return np.array([F.eval(p, v.spec) for p in v], dtype=np.uint8)
+    return np.array([F.eval(p) for p in v], dtype=np.uint8)
 
 
 def monomial_vector(mono: tuple, v: Variety) -> np.ndarray:
@@ -379,21 +379,21 @@ def coset_min_weight(M: tuple, support, v: Variety, mode: str = "exhaustive",
     exhaustive and gray (both the exact bit-plane scan, on `jobs` threads)
     and sample (seeded, exact=False).
     """
+    M = tuple(M)
     support = [tuple(m) for m in support]
     if order is not None:
         for m in support:
             if order.compare(m, M) >= 0:
-                raise SupportNotBelowM(f"{m} not below {M}")
+                raise SupportNotBelowM(
+                    f"{format_monomial(m)} not below {format_monomial(M)}")
     if fp is not None:
-        if tuple(M) not in fp:
-            raise SupportNotBelowM(f"{M} outside the footprint")
-        for m in support:
+        for m in (M, *support):
             if m not in fp:
-                raise SupportNotBelowM(f"{m} outside the footprint")
+                raise SupportNotBelowM(f"{format_monomial(m)} outside the footprint")
     if mode not in ("exhaustive", "gray", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
     spec = v.spec
-    offset = monomial_vector(tuple(M), v)
+    offset = monomial_vector(M, v)
     rows = np.zeros((len(support), len(v)), dtype=np.uint8)
     for i, m in enumerate(support):
         rows[i] = monomial_vector(m, v)

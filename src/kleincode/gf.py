@@ -14,6 +14,7 @@ output refer to this representation.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 
@@ -48,9 +49,16 @@ class FieldSpec:
     """Immutable description of GF(2^m) with precomputed tables.
 
     Safe to share across workers: nothing is mutated after construction.
+    It is also the concrete coefficient domain of poly.Polynomial.
     """
 
     __slots__ = ("m", "modulus_bits", "q", "_exp", "_log", "_mul_table")
+
+    parametric = False
+    zero, one = 0, 1
+    # builtins, so the reduction loop pays no Python call for them
+    add = staticmethod(operator.xor)
+    is_zero = staticmethod(operator.not_)
 
     def __init__(self, m: int, modulus_bits: int):
         if not 1 <= m <= 16:
@@ -104,13 +112,13 @@ class FieldSpec:
         self._exp = exp
         self._log = log
 
-    def check(self, a: int) -> int:
+    def from_enc(self, a: int) -> int:
         if not 0 <= a < self.q:
             raise ValueError(f"enc {a} outside [0, {self.q})")
         return a
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
+    def compatible(self, other) -> bool:
+        return isinstance(other, FieldSpec) and other.modulus_bits == self.modulus_bits
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

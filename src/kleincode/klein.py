@@ -15,9 +15,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .codes import Variety, enumerate_variety
-from .gf import gf8
+from .gf import FieldSpec, gf8
 from .groebner import Footprint, GroebnerBasis, buchberger, footprint
-from .poly import FieldDomain, MonomialOrder, Polynomial, parse_poly
+from .poly import MonomialOrder, Polynomial, parse_poly
 
 GF8_MODULUS_BITS = 0b1011
 ORDER_WEIGHTS = (2, 3)
@@ -37,8 +37,9 @@ BEST_KNOWN_DISTANCE = {
 
 
 @lru_cache(maxsize=None)
-def klein_domain() -> FieldDomain:
-    return FieldDomain(gf8())
+def klein_domain() -> FieldSpec:
+    """The coefficient domain of the concrete Klein polynomials: GF(8)."""
+    return gf8()
 
 
 @lru_cache(maxsize=None)

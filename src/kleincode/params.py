@@ -26,45 +26,6 @@ from .poly import NonInvertibleLeadingCoefficient
 from .rng import SplitMix64
 
 
-class ParamRing:
-    """t parameters a1..at over GF(8).
-
-    The field is fixed: exponent folding (a^8 = a), exact division and the
-    grid scans all assume q = 8.
-    """
-
-    __slots__ = ("t", "spec", "_zero", "_one")
-
-    def __init__(self, t: int):
-        self.t = t
-        self.spec = gf8()
-        self._zero = ParamPoly(self, {})
-        self._one = ParamPoly(self, {(0,) * t: 1})
-
-    def zero(self) -> "ParamPoly":
-        return self._zero
-
-    def one(self) -> "ParamPoly":
-        return self._one
-
-    def const(self, c: int) -> "ParamPoly":
-        if c == 0:
-            return self._zero
-        return ParamPoly(self, {(0,) * self.t: c})
-
-    def var(self, i: int) -> "ParamPoly":
-        return self.var_pow(i, 1)
-
-    def var_pow(self, i: int, e: int) -> "ParamPoly":
-        if not 0 <= i < self.t:
-            raise IndexError(f"parameter a{i+1} outside ring with t={self.t}")
-        if e == 0:
-            return self._one
-        exps = [0] * self.t
-        exps[i] = _fold(e)
-        return ParamPoly(self, {tuple(exps): 1})
-
-
 def _fold(e: int) -> int:
     # a^8 = a, so nonzero exponents live in 1..7.
     return e if e <= 7 else ((e - 1) % 7) + 1
@@ -116,7 +77,7 @@ class ParamPoly:
 
     def scale(self, c: int) -> "ParamPoly":
         if c == 0:
-            return self.ring.zero()
+            return self.ring.zero
         if c == 1:
             return self
         mul = self.ring.spec.mul
@@ -127,7 +88,7 @@ class ParamPoly:
         if not subs or not any(any(m[i] for i in subs) for m in self.terms):
             return self
         ring = self.ring
-        acc = ring.zero()
+        acc = ring.zero
         for m, c in self.terms.items():
             term = ring.const(c)
             for i, e in enumerate(m):
@@ -175,8 +136,75 @@ class ParamPoly:
         return f"ParamPoly({format_param(self)})"
 
 
+class ParamRing:
+    """t parameters a1..at over GF(8): the parametric coefficient domain of
+    poly.Polynomial, with ParamPoly coefficients.
+
+    The field is fixed: exponent folding (a^8 = a), exact division and the
+    grid scans all assume q = 8.
+    """
+
+    __slots__ = ("t", "spec", "zero", "one")
+    parametric = True
+
+    def __init__(self, t: int):
+        self.t = t
+        self.spec = gf8()
+        self.zero = ParamPoly(self, {})
+        self.one = ParamPoly(self, {(0,) * t: 1})
+
+    def const(self, c: int) -> "ParamPoly":
+        if c == 0:
+            return self.zero
+        return ParamPoly(self, {(0,) * self.t: c})
+
+    def var(self, i: int) -> "ParamPoly":
+        return self.var_pow(i, 1)
+
+    def var_pow(self, i: int, e: int) -> "ParamPoly":
+        if not 0 <= i < self.t:
+            raise IndexError(f"parameter a{i+1} outside ring with t={self.t}")
+        if e == 0:
+            return self.one
+        exps = [0] * self.t
+        exps[i] = _fold(e)
+        return ParamPoly(self, {tuple(exps): 1})
+
+    # -- the coefficient-domain protocol of poly.Polynomial -----------------
+
+    is_zero = staticmethod(ParamPoly.is_zero)
+    add = staticmethod(ParamPoly.add)
+    mul = staticmethod(ParamPoly.mul)
+
+    def inv(self, a):
+        c = a.as_const()
+        if c is None:
+            raise NonInvertibleLeadingCoefficient(
+                f"parametric leading coefficient {format_param(a)}")
+        if c == 0:
+            raise NonInvertibleLeadingCoefficient("zero leading coefficient")
+        return self.const(self.spec.inv(c))
+
+    def from_enc(self, n: int):
+        return self.const(self.spec.from_enc(n))
+
+    @staticmethod
+    def format_coef(c):
+        const = c.as_const()
+        if const == 1:
+            return None
+        if const is not None:
+            return str(const)
+        if len(c.terms) == 1:
+            return format_param(c)
+        return f"({format_param(c)})"
+
+    def compatible(self, other) -> bool:
+        return isinstance(other, ParamRing) and other.t == self.t
+
+
 def _param_pow(p: ParamPoly, e: int) -> ParamPoly:
-    acc = p.ring.one()
+    acc = p.ring.one
     for _ in range(_fold(e)):
         acc = acc.mul(p)
     return acc
@@ -244,58 +272,6 @@ def format_param(p: ParamPoly) -> str:
     return "+".join(parts)
 
 
-class ParamDomain:
-    """Coefficient-domain adapter so Polynomial works over ParamPoly."""
-
-    __slots__ = ("ring",)
-    parametric = True
-
-    def __init__(self, ring: ParamRing):
-        self.ring = ring
-
-    @property
-    def zero(self):
-        return self.ring.zero()
-
-    @property
-    def one(self):
-        return self.ring.one()
-
-    def is_zero(self, c) -> bool:
-        return c.is_zero()
-
-    def add(self, a, b):
-        return a.add(b)
-
-    def mul(self, a, b):
-        return a.mul(b)
-
-    def inv(self, a):
-        c = a.as_const()
-        if c is None:
-            raise NonInvertibleLeadingCoefficient(
-                f"parametric leading coefficient {format_param(a)}")
-        if c == 0:
-            raise NonInvertibleLeadingCoefficient("zero leading coefficient")
-        return self.ring.const(self.ring.spec.inv(c))
-
-    def from_enc(self, n: int):
-        return self.ring.const(self.ring.spec.check(n))
-
-    def format_coef(self, c):
-        const = c.as_const()
-        if const == 1:
-            return None
-        if const is not None:
-            return str(const)
-        if len(c.terms) == 1:
-            return format_param(c)
-        return f"({format_param(c)})"
-
-    def compatible(self, other) -> bool:
-        return isinstance(other, ParamDomain) and other.ring.t == self.ring.t
-
-
 class ConstraintStore:
     """Substitutions, equalities and nonzero assertions for one branch."""
 
@@ -324,7 +300,7 @@ class ConstraintStore:
         const = c.as_const()
         if const is not None:
             if const == 0:
-                child.equalities.append(self.ring.one())  # unsatisfiable marker
+                child.equalities.append(self.ring.one)  # unsatisfiable marker
             return child
         child.nonzeros[c.key()] = c
         return child
@@ -335,7 +311,7 @@ class ConstraintStore:
         const = c.as_const()
         if const is not None:
             if const != 0:
-                child.equalities.append(self.ring.one())
+                child.equalities.append(self.ring.one)
             return child
         solved = _solve_linear(c)
         if solved is None:
@@ -361,7 +337,7 @@ class ConstraintStore:
             c2 = self.reduce(c)
             const = c2.as_const()
             if const == 0:
-                self.equalities.append(self.ring.one())
+                self.equalities.append(self.ring.one)
             elif const is None:
                 new_nonzeros[c2.key()] = c2
         self.nonzeros = new_nonzeros

@@ -2,10 +2,13 @@
 
 Monomials are plain tuples of non-negative exponents (index 0 = X,
 index 1 = Y).  Polynomials are term maps from monomial to a nonzero
-coefficient; the coefficient domain is pluggable so the same machinery
-runs over a concrete GF(2^m) (enc integers) and over the parametric
-ring GF(8)[a1..at] used by the case-split engine.  Both domains have
-characteristic 2, so subtraction is addition throughout.
+coefficient.  There are two coefficient domains: ``gf.FieldSpec``, a
+concrete GF(2^m) with enc integer coefficients, and ``params.ParamRing``,
+the parametric ring GF(8)[a1..at] of the case-split engine.  A domain
+provides ``zero``, ``one``, ``is_zero(c)``, ``add(a, b)``, ``mul(a, b)``,
+``inv(a)``, ``from_enc(n)``, ``compatible(other)`` and ``parametric``,
+and a parametric one also ``t``, ``var_pow(i, e)`` and ``format_coef(c)``.
+Both domains have characteristic 2, so subtraction is addition throughout.
 
 The order is two-variable weighted-degree-lex, and its key is one packed
 int.  One reduction loop, ``reduce_packed``, serves every division: it
@@ -21,10 +24,6 @@ Both modes return quotients such that s = sum(q_i d_i) + r exactly.
 """
 
 from __future__ import annotations
-
-import operator
-
-from .gf import FieldSpec
 
 EXPONENT_CAP = 1 << 20
 
@@ -152,46 +151,6 @@ class MonomialOrder:
         return f"MonomialOrder(weighted {self.weights}, tiebreak {self.tiebreak_var})"
 
 
-# ---------------------------------------------------------------------------
-# coefficient domains
-
-class FieldDomain:
-    """Concrete GF(2^m) coefficients as enc integers."""
-
-    __slots__ = ("spec",)
-    parametric = False
-
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    # builtins, so the reduction loop pays no Python call for them
-    is_zero = staticmethod(operator.not_)
-    add = staticmethod(operator.xor)
-
-    def mul(self, a, b):
-        return self.spec.mul(a, b)
-
-    def inv(self, a):
-        if a == 0:
-            raise NonInvertibleLeadingCoefficient("zero leading coefficient")
-        return self.spec.inv(a)
-
-    def from_enc(self, n: int):
-        return self.spec.check(n)
-
-    def compatible(self, other) -> bool:
-        return isinstance(other, FieldDomain) and other.spec.q == self.spec.q \
-            and other.spec.modulus_bits == self.spec.modulus_bits
-
-
 class Polynomial:
     __slots__ = ("domain", "arity", "terms")
 
@@ -205,12 +164,6 @@ class Polynomial:
         else:
             is_zero = domain.is_zero
             self.terms = {m: c for m, c in terms.items() if not is_zero(c)}
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, domain, arity):
-        return cls(domain, arity, {}, _normalized=True)
 
     # -- basics ------------------------------------------------------------
 
@@ -269,12 +222,11 @@ class Polynomial:
         m = max(self.terms, key=order.key)
         return m, self.terms[m]
 
-    def eval(self, point: tuple, spec: FieldSpec = None):
-        """Evaluate at a point of the field; 0^0 = 1."""
-        if getattr(self.domain, "parametric", False):
+    def eval(self, point: tuple):
+        """Evaluate at a point of the coefficient field; 0^0 = 1."""
+        spec = self.domain
+        if spec.parametric:
             raise ParametricCoefficients("eval needs concrete coefficients")
-        if spec is None:
-            spec = self.domain.spec
         if len(point) != self.arity:
             raise ArityMismatch(f"point {point} in arity {self.arity}")
         acc = 0
@@ -404,8 +356,9 @@ def _is_one(dom, c) -> bool:
 #
 # terms joined by '+'; a term is [coef*]X^a*Y^b with '^1' and '*' elidable.
 # Concrete coefficients are enc integers ("5*X^2*Y"); parametric ones use
-# a1..at, with parentheses around sums: "(a1^3+a2)*X^3".  Whitespace is
-# insignificant.  Printing round-trips parsing bit-exactly.
+# a1..at, with parentheses around sums: "(a1^3+a2)*X^3".  A parenthesised
+# coefficient is parsed by the same sum and term loop and must not mention
+# X or Y.  Whitespace is insignificant.  Printing round-trips parsing bit-exactly.
 
 import re
 
@@ -429,12 +382,12 @@ _VAR_INDEX = {"X": 0, "Y": 1}
 
 
 class _Parser:
-    def __init__(self, tokens, domain, arity, ring):
+    def __init__(self, tokens, domain, arity):
         self.toks = tokens
         self.i = 0
         self.domain = domain
         self.arity = arity
-        self.ring = ring
+        self.depth = 0  # open parentheses: inside them X and Y are refused
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -452,15 +405,16 @@ class _Parser:
             raise ParseError(f"expected {tok!r}, got {t!r}")
 
     def parse_poly(self) -> Polynomial:
-        acc = Polynomial.zero(self.domain, self.arity)
-        while True:
-            acc = acc.add(self.parse_term())
-            if self.peek() == "+":
-                self.take()
-                continue
-            break
+        acc = self.parse_sum()
         if self.peek() is not None:
             raise ParseError(f"trailing input at {self.peek()!r}")
+        return acc
+
+    def parse_sum(self) -> Polynomial:
+        acc = self.parse_term()
+        while self.peek() == "+":
+            self.take()
+            acc = acc.add(self.parse_term())
         return acc
 
     def parse_term(self) -> Polynomial:
@@ -486,13 +440,16 @@ class _Parser:
         dom = self.domain
         tok = self.take()
         if tok == "(":
-            if self.ring is None:
+            if not dom.parametric:
                 raise ParseError("parenthesized coefficients need a parametric ring")
-            val = self.parse_param_sum()
+            self.depth += 1
+            val = self.parse_sum()
             self.expect(")")
-            coef = dom.mul(coef, val)
-            return coef, exps
+            self.depth -= 1
+            return dom.mul(coef, val.coef((0,) * self.arity)), exps
         if tok in _VAR_INDEX:
+            if self.depth:
+                raise ParseError(f"{tok} inside a parenthesized coefficient")
             idx = _VAR_INDEX[tok]
             if idx >= self.arity:
                 raise ArityMismatch(f"variable {tok} outside arity {self.arity}")
@@ -501,7 +458,7 @@ class _Parser:
             exps[idx] += e
             return coef, exps
         if tok.startswith("a") and len(tok) > 1:
-            if self.ring is None:
+            if not dom.parametric:
                 raise ParseError(f"parameter {tok} in a concrete polynomial")
             return dom.mul(coef, self.parse_param(tok)), exps
         if tok.isdigit():
@@ -521,42 +478,13 @@ class _Parser:
     def parse_param(self, tok):
         """a<i>[^e] as a power of a parameter of the ring."""
         idx = int(tok[1:]) - 1
-        if not 0 <= idx < self.ring.t:
-            raise ParseError(f"parameter {tok} outside a1..a{self.ring.t}")
-        return self.ring.var_pow(idx, self.maybe_exponent())
-
-    def parse_param_sum(self):
-        dom = self.domain
-        acc = dom.zero
-        while True:
-            coef = dom.one
-            first = True
-            while True:
-                tok = self.peek()
-                if tok is None or tok in ("+", ")"):
-                    if first:
-                        raise ParseError("empty parametric term")
-                    break
-                if not first:
-                    self.expect("*")
-                first = False
-                tok = self.take()
-                if tok.startswith("a") and len(tok) > 1:
-                    coef = dom.mul(coef, self.parse_param(tok))
-                elif tok.isdigit():
-                    coef = dom.mul(coef, dom.from_enc(int(tok)))
-                else:
-                    raise ParseError(f"unexpected token {tok!r} in coefficient")
-            acc = dom.add(acc, coef)
-            if self.peek() == "+":
-                self.take()
-                continue
-            break
-        return acc
+        if not 0 <= idx < self.domain.t:
+            raise ParseError(f"parameter {tok} outside a1..a{self.domain.t}")
+        return self.domain.var_pow(idx, self.maybe_exponent())
 
 
-def parse_poly(text: str, domain, arity: int = 2, ring=None) -> Polynomial:
-    return _Parser(_tokenize(text), domain, arity, ring).parse_poly()
+def parse_poly(text: str, domain, arity: int = 2) -> Polynomial:
+    return _Parser(_tokenize(text), domain, arity).parse_poly()
 
 
 def parse_monomial(text: str, arity: int = 2) -> tuple:
@@ -608,7 +536,7 @@ def format_poly(p: Polynomial, order: MonomialOrder = None) -> str:
 
 def _format_coef(dom, c):
     """Return the coefficient prefix, or None when it prints as bare 1."""
-    if getattr(dom, "parametric", False):
+    if dom.parametric:
         return dom.format_coef(c)
     if c == 1:
         return None

@@ -65,8 +65,7 @@ def test_param_reduce_chain():
     _, r1 = param_reduce_step(s, ctx.divisor("K", cs), HEAD, cs)
     q, r2 = param_reduce_step(r1, ctx.divisor("F", cs), FULL, cs)
     expected = parse_poly(
-        "a1*X^4+(a1^3+a2)*X^3+a1^2*a2*X^2+(a1*a2^2+1)*X+a2^3",
-        ctx.domain, ring=ctx.ring)
+        "a1*X^4+(a1^3+a2)*X^3+a1^2*a2*X^2+(a1*a2^2+1)*X+a2^3", ctx.ring)
     assert r2 == expected
     assert q.mul(ctx.divisor("F", cs)).add(r2) == r1
 

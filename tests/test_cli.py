@@ -55,6 +55,20 @@ def test_bound_single_class():
     assert "X*Y: bound 15" in out
 
 
+def test_bound_class_without_trace_reports_divisibility_count():
+    code, out = run_cli(["bound", "--lm", "X^6*Y^2", "--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["classes"] == [{
+        "monomial": "X^6*Y^2", "parameters": 21, "baseline": 1, "bound": 1,
+        "leaves": [{"constraints": "(no constraints)", "established": [],
+                    "count": 1, "vacuous": False}],
+    }]
+    assert data["delta_map"]["X^6*Y^2"] == 1
+    code, out = run_cli(["bound", "--lm", "X^6*Y^2"])
+    assert out.startswith("X^6*Y^2: bound 1 (baseline 1, 1 leaves)\n")
+
+
 def test_bound_with_trace_dir():
     code, out = run_cli(["bound", "--traces", str(TRACES), "--format", "json"])
     assert code == 0
@@ -137,11 +151,25 @@ def test_oracle_exact_scan_refused(extra, capsys):
     assert "8^21 = 9223372036854775808 states" in capsys.readouterr().err
 
 
+def test_oracle_class_outside_footprint_named_as_monomial(capsys):
+    code, out = run_cli(["oracle", "--lm", "X^8"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: X^8 outside the footprint\n"
+
+
 def test_trace_verify_file():
     code, out = run_cli(["trace-verify", str(TRACES / "s34.trace"),
                          "--lm", "X^2*Y"])
     assert code == 0
     assert "verified bound 12" in out
+
+
+def test_trace_verify_csv_is_the_bound_class_row():
+    code, out = run_cli(["trace-verify", str(TRACES / "s34.trace"), "--lm", "X^2*Y",
+                         "--format", "csv"])
+    assert code == 0
+    _, bound_csv = run_cli(["bound", "--lm", "X^2*Y", "--format", "csv"])
+    assert out == bound_csv == "monomial,parameters,baseline,bound\nX^2*Y,7,10,12\n"
 
 
 BAD_TRACES = {
@@ -257,6 +285,16 @@ def test_config_override(tmp_path):
     # casebound-dependent commands refuse non-default configurations
     code, _ = run_cli(["table", "--config", str(cfg)])
     assert code == 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_all_refuses_other_formats_before_any_suite(fmt, monkeypatch, capsys):
+    from kleincode import verify
+
+    monkeypatch.setattr(verify, "run_suites", lambda **kw: pytest.fail("a suite ran"))
+    code, out = run_cli(["verify-all", "--quick", "--format", fmt])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: verify-all prints text only, not --format {fmt}\n"
 
 
 def test_verify_all_jobs_independent():

@@ -68,7 +68,7 @@ def test_fano(variety, dom, spec):
 def test_evaluation_vectors(dom, variety):
     w1 = evaluation_vector(parse_poly("X^7+1", dom), variety)
     assert int(np.count_nonzero(w1)) == 1
-    assert evaluation_vector(Polynomial.zero(dom, 2), variety).sum() == 0
+    assert evaluation_vector(Polynomial(dom, 2), variety).sum() == 0
     ones = evaluation_vector(parse_poly("1", dom), variety)
     assert int(np.count_nonzero(ones)) == 22
 
@@ -130,7 +130,7 @@ def test_weight_via_footprint_examples(dom, gb, variety):
     assert zeros == 21
     assert weight_via_footprint(parse_poly("1", dom), gb) == 22
     with pytest.raises(ZeroPolynomial):
-        weight_via_footprint(Polynomial.zero(dom, 2), gb)
+        weight_via_footprint(Polynomial(dom, 2), gb)
 
 
 def test_weight_identity_random(dom, gb, fp, variety):

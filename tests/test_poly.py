@@ -1,6 +1,6 @@
 import pytest
 
-from kleincode.params import ParamDomain, ParamRing
+from kleincode.params import ParamRing
 from kleincode.poly import (
     FULL,
     HEAD,
@@ -92,7 +92,7 @@ def test_leading_terms(dom, order):
     assert P("X^7*Y+Y", dom).leading_term(order) == ((7, 1), 1)
     assert P("5", dom).leading_term(order) == ((0, 0), 5)
     with pytest.raises(ZeroPolynomial):
-        Polynomial.zero(dom, 2).leading_term(order)
+        Polynomial(dom, 2).leading_term(order)
 
 
 def test_exponent_cap(dom):
@@ -121,15 +121,14 @@ def test_divide_parametric_chain(order):
     # Y^2 * (Y + a1*X + a2) reduced by the curve (head) then by F (full)
     # terminates with the displayed quartic remainder.
     ring = ParamRing(2)
-    pdom = ParamDomain(ring)
-    F = parse_poly("Y+a1*X+a2", pdom, ring=ring)
-    K = parse_poly("Y^3+X^3*Y+X", pdom, ring=ring)
+    F = parse_poly("Y+a1*X+a2", ring)
+    K = parse_poly("Y^3+X^3*Y+X", ring)
     s = F.mul_mono((0, 2))
     _, r1 = divide(s, [K], order, HEAD)
-    assert r1 == parse_poly("X^3*Y+a1*X*Y^2+a2*Y^2+X", pdom, ring=ring)
+    assert r1 == parse_poly("X^3*Y+a1*X*Y^2+a2*Y^2+X", ring)
     quots, r2 = divide(r1, [F], order, FULL)
     expected = parse_poly(
-        "a1*X^4+(a1^3+a2)*X^3+a1^2*a2*X^2+(a1*a2^2+1)*X+a2^3", pdom, ring=ring)
+        "a1*X^4+(a1^3+a2)*X^3+a1^2*a2*X^2+(a1*a2^2+1)*X+a2^3", ring)
     assert r2 == expected
     assert quots[0].mul(F).add(r2) == r1
 
@@ -213,8 +212,7 @@ def test_eval_examples(dom, spec):
 
 def test_eval_requires_concrete():
     ring = ParamRing(1)
-    pdom = ParamDomain(ring)
-    p = parse_poly("a1*X", pdom, ring=ring)
+    p = parse_poly("a1*X", ring)
     with pytest.raises(ParametricCoefficients):
         p.eval((1, 1))
 
@@ -255,16 +253,24 @@ def test_parse_whitespace_insensitive(dom):
 
 def test_parse_parametric_round_trip():
     ring = ParamRing(3)
-    pdom = ParamDomain(ring)
     cases = [
         "a1*X^4+(a1^3+a2)*X^3+a1^2*a2*X^2+(a1*a2^2+1)*X+a2^3",
         "(a1+1)*X^3*Y+a2*X*Y^2",
         "a3",
     ]
     for text in cases:
-        p = parse_poly(text, pdom, ring=ring)
+        p = parse_poly(text, ring)
         assert format_poly(p) == text
-        assert parse_poly(format_poly(p), pdom, ring=ring) == p
+        assert parse_poly(format_poly(p), ring) == p
+
+
+def test_parse_parenthesized_coefficient_is_a_sum_without_x_or_y():
+    ring = ParamRing(2)
+    assert parse_poly("((a1+1))*X", ring) == parse_poly("(a1+1)*X", ring)
+    assert parse_poly("(a1*(a2+1)+3)*Y", ring) == parse_poly("(a1*a2+a1+3)*Y", ring)
+    for bad in ["(a1+X)*Y", "(Y)", "((a1+X^2))", "(a1", "()*X"]:
+        with pytest.raises(ParseError):
+            parse_poly(bad, ring)
 
 
 def test_random_print_parse_round_trip(dom):
