@@ -27,16 +27,41 @@ from .casebound import (
     TraceError,
     verify_trace,
 )
+from .codes import coset_min_weight
+from .klein import class_support, klein_variety
 from .params import format_param
 from .poly import HEAD, packed, prepare_divisor, reduce_packed
 
 DEFAULT_MOVES = ((1, 0), (0, 1), (0, 2), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0))
+# Classes with at most this many parameters get the exact coset minimum as
+# their ceiling: on a 2-vCPU x86 host an 8^8-word scan takes about 50 ms,
+# an 8^9-word one 0.3 s.
+CEILING_SCAN_COEFFS = 8
+
+
+def coset_ceiling(M: tuple) -> int:
+    """The weight of a word known to lie in the coset M + span(class_support(M)),
+    so no proved bound of the class can exceed it.
+
+    With t = len(class_support(M)) <= CEILING_SCAN_COEFFS it is the exact
+    minimum from codes.coset_min_weight.  Otherwise it is n - t: evaluation
+    on the n footprint monomials is a bijection onto GF(8)^n, so the t
+    support rows are independent, some t points carry an invertible minor,
+    and the coset word that vanishes on those points has weight <= n - t.
+    """
+    support = class_support(M)
+    v = klein_variety()
+    if len(support) > CEILING_SCAN_COEFFS:
+        return len(v) - len(support)
+    return coset_min_weight(M, support, v)[0]
 
 
 @dataclass(frozen=True)
 class SearchBudget:
     """Depth counts multiplications; work units approximate polynomial-size
-    weighted node visits, shared across the iterative-deepening passes."""
+    weighted node visits, shared across the iterative-deepening passes.
+    Whatever the budget, the search stops before a pass once its proved
+    bound reaches the class's coset_ceiling."""
 
     max_depth: int = 3
     max_branches: int = 8
@@ -46,8 +71,10 @@ class SearchBudget:
 
 def auto_search(M: tuple, budget: SearchBudget = None) -> BoundReport:
     """Iterative deepening: complete passes at depth 0, 1, ... max_depth,
-    keeping the best proved bound, until the work budget runs out.  Returns
-    the verified replay of the best pass's steps."""
+    keeping the best proved bound, until the work budget runs out or the
+    bound reaches coset_ceiling(M), which no pass could beat.  Returns the
+    verified replay of the best pass's steps; a replay above the ceiling
+    would be unsound and raises TraceError."""
     budget = budget or SearchBudget()
     ctx = KleinParametric(M)
     order, ring = ctx.order, ctx.ring
@@ -145,9 +172,10 @@ def auto_search(M: tuple, budget: SearchBudget = None) -> BoundReport:
         memo[key] = (best, best_steps)
         return best, claim + best_steps
 
+    ceiling = coset_ceiling(ctx.M)
     bound, best_steps = len(ctx.upset), ()
     for depth in range(budget.max_depth + 1):
-        if work[0] > budget.max_work:
+        if work[0] > budget.max_work or bound >= ceiling:
             break
         memo.clear()
         value, steps = explore(packed(ctx.root, order), intern(ctx.fresh_store()),
@@ -157,6 +185,9 @@ def auto_search(M: tuple, budget: SearchBudget = None) -> BoundReport:
     report = verify_trace(ctx.M, best_steps)
     if report.bound != bound:
         raise TraceError(f"search proposed {bound}, its replay proves {report.bound}")
+    if report.bound > ceiling:
+        raise TraceError(f"replay proves {report.bound}, above the weight {ceiling} "
+                         f"of a word in the coset")
     for leaf in report.leaves:
         leaf.established = tuple(sorted(leaf.established))
     return report

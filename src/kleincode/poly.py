@@ -354,7 +354,8 @@ def _is_one(dom, c) -> bool:
 # ---------------------------------------------------------------------------
 # text grammar
 #
-# terms joined by '+'; a term is [coef*]X^a*Y^b with '^1' and '*' elidable.
+# terms joined by '+'; a term is [coef*]X^a*Y^b with factors joined by '*',
+# which is never optional; only '^1' may be left out ("X*Y", not "XY").
 # Concrete coefficients are enc integers ("5*X^2*Y"); parametric ones use
 # a1..at, with parentheses around sums: "(a1^3+a2)*X^3".  A parenthesised
 # coefficient is parsed by the same sum and term loop and must not mention

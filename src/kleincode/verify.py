@@ -343,7 +343,7 @@ def suite_x7_claim(seed, quick):
 
 
 def suite_autosearch(seed, quick):
-    from .autosearch import SearchBudget, auto_search
+    from .autosearch import SearchBudget, auto_search, coset_ceiling
 
     rep = auto_search((0, 1), SearchBudget(max_depth=0))
     if rep.bound != rep.baseline:
@@ -351,7 +351,11 @@ def suite_autosearch(seed, quick):
     rep = auto_search((0, 1), SearchBudget(max_depth=2, max_work=20_000))
     if rep.bound != 18:
         return False, f"Y rediscovery returned {rep.bound}"
-    return True, "floor and Y rediscovery"
+    for M, delta in full_bound_map().items():
+        ceiling = coset_ceiling(M)
+        if delta > ceiling:
+            return False, f"{format_monomial(M)}: bound {delta} above coset word weight {ceiling}"
+    return True, "floor, Y rediscovery and bounds under coset word weights"
 
 
 def run_suites(seed=42, quick=False, jobs=1):

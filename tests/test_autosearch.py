@@ -1,7 +1,15 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from kleincode.autosearch import SearchBudget, auto_search
-from kleincode.casebound import Branch, UnjustifiedClaim, verify_trace
+from kleincode import autosearch
+from kleincode.autosearch import SearchBudget, auto_search, coset_ceiling
+from kleincode.casebound import Branch, TraceError, UnjustifiedClaim, verify_trace
+from kleincode.poly import parse_monomial
+
+GOLDEN_DELTA = json.loads((Path(__file__).parent / "golden" / "bound.json")
+                          .read_text())["delta_map"]
 
 
 def test_depth_zero_is_baseline(fp):
@@ -48,3 +56,41 @@ def test_report_is_verified_replay():
     # without the case split the nonzero side's claims are not justified
     with pytest.raises(UnjustifiedClaim):
         verify_trace((0, 1), _first_branch_to_nonzero(rep.steps))
+
+
+def test_ceiling_bounds_every_golden_delta():
+    """An independent check of the traces: every proved bound is at most the
+    weight of a word that lies in the class's coset."""
+    tight = {"1", "X", "Y", "X^2", "X*Y", "X^3", "Y^2", "X^2*Y", "X^4",
+             "X^5*Y^2", "X^6*Y^2"}
+    assert len(GOLDEN_DELTA) == 22
+    for name, delta in GOLDEN_DELTA.items():
+        ceiling = coset_ceiling(parse_monomial(name))
+        assert delta == ceiling if name in tight else delta < ceiling, name
+
+
+def _count_reductions(monkeypatch):
+    calls = [0]
+    reduce_packed = autosearch.reduce_packed
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return reduce_packed(*args, **kwargs)
+
+    monkeypatch.setattr(autosearch, "reduce_packed", counting)
+    return calls
+
+
+def test_cutoff_stops_at_the_ceiling(monkeypatch):
+    calls = _count_reductions(monkeypatch)
+    rep = auto_search((0, 1))
+    assert rep.bound == 18 and calls[0] <= 100
+    calls[0] = 0
+    rep = auto_search((6, 2))
+    assert rep.bound == rep.baseline == 1 and calls[0] == 0
+
+
+def test_bound_above_the_ceiling_raises(monkeypatch):
+    monkeypatch.setattr(autosearch, "coset_ceiling", lambda M: 17)
+    with pytest.raises(TraceError):
+        auto_search((0, 1))

@@ -1,5 +1,6 @@
 import pytest
 
+from kleincode.klein import class_support
 from kleincode.params import ParamRing
 from kleincode.poly import (
     FULL,
@@ -284,3 +285,17 @@ def test_parse_errors(dom):
     for bad in ["X^", "++", "a1*X", "5*", "(a1+1)*X", "Z"]:
         with pytest.raises((ParseError, ArityMismatch)):
             parse_poly(bad, dom)
+
+
+def test_parse_requires_star_between_factors(dom):
+    for bad in ["XY", "5X"]:
+        with pytest.raises(ParseError, match="expected '\\*'"):
+            parse_poly(bad, dom)
+
+
+def test_parse_parameters_run_to_a21():
+    # X^6*Y^2, the largest class, has the most parameters
+    ring = ParamRing(len(class_support((6, 2))))
+    assert parse_poly("a21*X", ring) == Polynomial(ring, 2, {(1, 0): ring.var(20)})
+    with pytest.raises(ParseError, match="a1..a21"):
+        parse_poly("a22*X", ring)
