@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass
 
 from . import klein
@@ -273,10 +274,9 @@ def cmd_oracle(args) -> int:
     M = parse_monomial(args.lm)
     support = klein.class_support(M)
     mode = args.mode
-    jobs = max(1, getattr(args, "jobs", 1) or 1)
     w, exact = coset_min_weight(M, support, klein.klein_variety(), mode,
                                 order=klein.klein_order(), fp=klein.klein_footprint(),
-                                seed=cfg.seed, count=cfg.sample_count, jobs=jobs)
+                                seed=cfg.seed, count=cfg.sample_count, jobs=args.jobs)
     delta = full_bound_map()[M]
     result = {
         "monomial": format_monomial(M),
@@ -330,8 +330,6 @@ def cmd_verify_all(args) -> int:
     _require_klein(cfg, "verify-all")
     if cfg.fmt != "text":
         raise ValueError(f"verify-all prints text only, not --format {cfg.fmt}")
-    quick = getattr(args, "quick", False)
-    jobs = max(1, getattr(args, "jobs", 1) or 1)
     failures = []
 
     def report(name, ok, detail=""):
@@ -344,11 +342,26 @@ def cmd_verify_all(args) -> int:
 
     from .verify import run_suites
 
-    for name, ok, detail in run_suites(seed=cfg.seed, quick=quick, jobs=jobs):
+    # Each suite's time goes to stderr, so stdout stays reproducible.
+    start = time.perf_counter()
+    for name, ok, detail in run_suites(seed=cfg.seed, quick=args.quick, jobs=args.jobs):
         report(name, ok, detail)
+        now = time.perf_counter()
+        sys.stderr.write(f"{name}: {now - start:.3f} s\n")
+        start = now
     sys.stdout.write(("PASS" if not failures else "FAIL") +
                      f" ({len(failures)} failing suites)\n")
     return 0 if not failures else 1
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
 
 
 def main(argv=None) -> int:
@@ -389,7 +402,7 @@ def main(argv=None) -> int:
     p.add_argument("--lm", required=True)
     p.add_argument("--mode", choices=("exhaustive", "gray", "sample"),
                    default="exhaustive")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = sub.add_parser("trace-verify", parents=[common],
                        help="verify one trace file")
@@ -399,7 +412,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify-all", parents=[common],
                        help="run every invariant suite")
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
 
     args = parser.parse_args(argv)
     handlers = {

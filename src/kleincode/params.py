@@ -4,6 +4,16 @@ A ParamPoly is a polynomial in the parameters with GF(8) coefficients,
 kept reduced modulo a_i^8 = a_i (exponents fold into 1..7), so equality
 of reduced forms is exactly equality as functions GF(8)^t -> GF(8).
 
+A monomial a1^e1*...*at^et is one int, the packed key
+sum(e_i << 4*(t-1-i)): four bits per parameter, a1 in the most significant
+nibble.  Reduced exponents stay below 8, so bit 3 of every nibble is clear
+and comparing two keys compares their exponent vectors lexicographically
+from a1 on: integer order is the order of exponent tuples, and sorted
+terms, leading monomials and printed forms follow it.  A product of two
+reduced monomials is their sum, with each nibble at most 14, so no carry
+crosses nibbles; the nibbles that reach 8..14 have bit 3 set and fold to
+e - 7 (a^8 = a) by one subtraction over the whole key (ParamPoly.mul).
+
 A ConstraintStore records what a branch of a case analysis has assumed:
 triangular substitutions a_i := expr (from "assume c = 0" branches whose
 expression is linear in some parameter with a constant coefficient),
@@ -31,7 +41,27 @@ def _fold(e: int) -> int:
     return e if e <= 7 else ((e - 1) % 7) + 1
 
 
+def _accumulate(out: dict, terms: dict) -> None:
+    """Add terms into out, in place."""
+    for m, c in terms.items():
+        v = out.get(m, 0) ^ c
+        if v:
+            out[m] = v
+        else:
+            out.pop(m, None)
+
+
 class ParamPoly:
+    """{packed monomial key: nonzero GF(8) coefficient}.
+
+    The key of a1^e1*...*at^et is sum(e_i << 4*(t-1-i)), a1 in the top
+    nibble.  Every e_i is at most 7, so integer order on keys is the
+    lexicographic order of the exponent tuples (e1, ..., et): max() gives
+    the same leading monomial and sorted() the same printed order as
+    tuples would.  mul adds keys and folds each nibble that reaches 8..14
+    back to 1..7 (a^8 = a).
+    """
+
     __slots__ = ("ring", "terms", "_key")
 
     def __init__(self, ring: ParamRing, terms: dict):
@@ -48,27 +78,29 @@ class ParamPoly:
             return 0
         if len(self.terms) == 1:
             ((m, c),) = self.terms.items()
-            if not any(m):
+            if not m:
                 return c
         return None
 
     def add(self, other: "ParamPoly") -> "ParamPoly":
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, 0) ^ c
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
+        _accumulate(out, other.terms)
         return ParamPoly(self.ring, out)
 
     def mul(self, other: "ParamPoly") -> "ParamPoly":
-        mul = self.ring.spec.mul
+        # m1 + m2 adds the exponents nibble by nibble, each sum at most 14,
+        # so nothing carries into the next nibble.  h holds bit 3 of the
+        # nibbles that reached 8..14, and s + (h >> 3) - h takes 7 from each
+        # of them: a^e = a^(e - 7).
+        high, table = self.ring.high, self.ring.table
         out: dict = {}
         for m1, c1 in self.terms.items():
+            row = table[c1][1]
             for m2, c2 in other.terms.items():
-                m = tuple(_fold(a + b) for a, b in zip(m1, m2))
-                v = out.get(m, 0) ^ mul(c1, c2)
+                s = m1 + m2
+                h = s & high
+                m = s + (h >> 3) - h
+                v = out.get(m, 0) ^ row[c2]
                 if v:
                     out[m] = v
                 else:
@@ -80,46 +112,53 @@ class ParamPoly:
             return self.ring.zero
         if c == 1:
             return self
-        mul = self.ring.spec.mul
-        return ParamPoly(self.ring, {m: mul(c, v) for m, v in self.terms.items()})
+        row = self.ring.table[c][1]
+        return ParamPoly(self.ring, {m: row[v] for m, v in self.terms.items()})
 
     def substitute(self, subs: dict) -> "ParamPoly":
         """Replace parameters by ParamPoly values; one pass."""
-        if not subs or not any(any(m[i] for i in subs) for m in self.terms):
+        return self._substitute(subs, self.ring.nibbles(subs))
+
+    def _substitute(self, subs: dict, mask: int) -> "ParamPoly":
+        # mask covers the nibbles of the substituted parameters, so a term
+        # that mentions none of them is skipped with one &.
+        for m in self.terms:
+            if m & mask:
+                break
+        else:
             return self
         ring = self.ring
-        acc = ring.zero
+        shifts = ring.shifts
+        powers = {}
+        out: dict = {}
         for m, c in self.terms.items():
-            term = ring.const(c)
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                base = subs.get(i)
-                factor = _param_pow(base, e) if base is not None else ring.var_pow(i, e)
-                term = term.mul(factor)
-            acc = acc.add(term)
-        return acc
+            term = ParamPoly(ring, {m & ~mask: c})
+            for i, base in subs.items():
+                e = (m >> shifts[i]) & 15
+                if e:
+                    if (i, e) not in powers:
+                        powers[i, e] = _param_pow(base, e)
+                    term = term.mul(powers[i, e])
+            _accumulate(out, term.terms)
+        return ParamPoly(ring, out)
 
     def evaluate(self, assignment) -> int:
-        spec = self.ring.spec
+        table, shifts = self.ring.table, self.ring.shifts
         acc = 0
         for m, c in self.terms.items():
             v = c
-            for x, e in zip(assignment, m):
+            for x, sh in zip(assignment, shifts):
+                e = (m >> sh) & 15
                 if e:
-                    v = spec.mul(v, spec.pow(x, e))
-                    if v == 0:
-                        break
+                    v = table[v][e][x]
             acc ^= v
         return acc
 
     def variables(self) -> set:
-        used = set()
+        used = 0
         for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(i)
-        return used
+            used |= m
+        return {i for i, sh in enumerate(self.ring.shifts) if (used >> sh) & 15}
 
     def key(self) -> tuple:
         if self._key is None:
@@ -141,22 +180,27 @@ class ParamRing:
     poly.Polynomial, with ParamPoly coefficients.
 
     The field is fixed: exponent folding (a^8 = a), exact division and the
-    grid scans all assume q = 8.
+    grid scans all assume q = 8.  `shifts[i]` places a_{i+1}'s nibble in a
+    packed key, `high` has bit 3 of every nibble set, and `table[c][e][x]`
+    is c * x^e.
     """
 
-    __slots__ = ("t", "spec", "zero", "one")
+    __slots__ = ("t", "spec", "shifts", "high", "table", "zero", "one")
     parametric = True
 
     def __init__(self, t: int):
         self.t = t
         self.spec = gf8()
+        self.shifts = tuple(4 * (t - 1 - i) for i in range(t))
+        self.high = sum(8 << sh for sh in self.shifts)
+        self.table = _mul_pow_table().tolist()
         self.zero = ParamPoly(self, {})
-        self.one = ParamPoly(self, {(0,) * t: 1})
+        self.one = ParamPoly(self, {0: 1})
 
     def const(self, c: int) -> "ParamPoly":
         if c == 0:
             return self.zero
-        return ParamPoly(self, {(0,) * self.t: c})
+        return ParamPoly(self, {0: c})
 
     def var(self, i: int) -> "ParamPoly":
         return self.var_pow(i, 1)
@@ -166,9 +210,11 @@ class ParamRing:
             raise IndexError(f"parameter a{i+1} outside ring with t={self.t}")
         if e == 0:
             return self.one
-        exps = [0] * self.t
-        exps[i] = _fold(e)
-        return ParamPoly(self, {tuple(exps): 1})
+        return ParamPoly(self, {_fold(e) << self.shifts[i]: 1})
+
+    def nibbles(self, idx) -> int:
+        """The nibbles of the parameters idx in a packed key, all bits set."""
+        return sum(15 << self.shifts[i] for i in idx)
 
     # -- the coefficient-domain protocol of poly.Polynomial -----------------
 
@@ -231,19 +277,24 @@ def assignment_grid(t: int, idx, start: int = 0, stop: int = None) -> np.ndarray
 
 def evaluate_grid(polys, grid: np.ndarray) -> np.ndarray:
     """Each of polys at every column of an assignment grid, as a
-    len(polys) x columns uint8 array.  All terms are evaluated together."""
+    len(polys) x columns uint8 array.  All terms are evaluated together;
+    only the parameters some term uses are unpacked from the keys."""
     if not polys:
         return np.zeros((0, grid.shape[1]), dtype=np.uint8)
-    starts, exps, coefs = [], [], []
+    starts, monos, coefs = [], [], []
     for p in polys:
         starts.append(len(coefs))
-        exps += p.terms or [(0,) * len(grid)]  # the zero polynomial as 0 * 1
+        monos += p.terms or [0]  # the zero polynomial as 0 * 1
         coefs += p.terms.values() or [0]
+    used = 0
+    for m in monos:
+        used |= m
     table = _mul_pow_table()
     vals = np.array(coefs, dtype=np.uint8)[:, None]
-    for i, column in enumerate(zip(*exps)):
-        if any(column):
-            vals = table[vals, np.array(column)[:, None], grid[i]]
+    for i, sh in enumerate(polys[0].ring.shifts):
+        if (used >> sh) & 15:
+            exps = np.array([(m >> sh) & 15 for m in monos], dtype=np.uint8)
+            vals = table[vals, exps[:, None], grid[i]]
     vals = np.bitwise_xor.reduceat(vals, starts, axis=0)
     # constants alone leave a single column
     return vals if vals.shape[1] == grid.shape[1] else vals.repeat(grid.shape[1], axis=1)
@@ -262,12 +313,12 @@ def format_param(p: ParamPoly) -> str:
     for m in sorted(p.terms, reverse=True):
         c = p.terms[m]
         factors = []
-        if c != 1 or not any(m):
+        if c != 1 or not m:
             factors.append(str(c))
-        for i, e in enumerate(m):
-            if e == 0:
-                continue
-            factors.append(f"a{i+1}" if e == 1 else f"a{i+1}^{e}")
+        for i, sh in enumerate(p.ring.shifts):
+            e = (m >> sh) & 15
+            if e:
+                factors.append(f"a{i+1}" if e == 1 else f"a{i+1}^{e}")
         parts.append("*".join(factors))
     return "+".join(parts)
 
@@ -275,11 +326,12 @@ def format_param(p: ParamPoly) -> str:
 class ConstraintStore:
     """Substitutions, equalities and nonzero assertions for one branch."""
 
-    __slots__ = ("ring", "subs", "nonzeros", "equalities", "_scan", "_cache")
+    __slots__ = ("ring", "subs", "nonzeros", "equalities", "_mask", "_scan", "_cache")
 
     def __init__(self, ring: ParamRing, subs=None, nonzeros=None, equalities=None):
         self.ring = ring
         self.subs = dict(subs or {})
+        self._mask = ring.nibbles(self.subs)  # kept in step with subs
         self.nonzeros = dict(nonzeros or {})
         self.equalities = list(equalities or [])
         self._scan = None  # (witness-or-None, proved_unsat) once scanned
@@ -290,7 +342,7 @@ class ConstraintStore:
     def reduce(self, p: ParamPoly) -> ParamPoly:
         """Apply the substitutions.  No right-hand side mentions a substituted
         parameter (_renormalize keeps them so), so one pass is the fixpoint."""
-        return p.substitute(self.subs)
+        return p._substitute(self.subs, self._mask)
 
     # -- branching -------------------------------------------------------
 
@@ -331,7 +383,8 @@ class ConstraintStore:
         # newest right-hand side is reduced, so it mentions no substituted
         # parameter, and the older ones mention none but the newest: one
         # pass leaves every right-hand side free of substituted parameters.
-        self.subs = {i: rhs.substitute(self.subs) for i, rhs in self.subs.items()}
+        self._mask = self.ring.nibbles(self.subs)
+        self.subs = {i: rhs._substitute(self.subs, self._mask) for i, rhs in self.subs.items()}
         new_nonzeros = {}
         for c in self.nonzeros.values():
             c2 = self.reduce(c)
@@ -426,8 +479,7 @@ class ConstraintStore:
         if not constraints:
             # Nothing to meet: the zero assignment, whose substituted rows
             # are the constant terms of their right-hand sides.
-            zero = (0,) * self.ring.t
-            return tuple(self.subs[i].terms.get(zero, 0) if i in self.subs else 0
+            return tuple(self.subs[i].terms.get(0, 0) if i in self.subs else 0
                          for i in range(self.ring.t)), False
         idx = sorted(set().union(*(c.variables() for c in constraints)))
         if not _affordable(idx, 1 + sum(len(c.terms) for c in constraints)):
@@ -513,15 +565,16 @@ def _solve_linear(c: ParamPoly):
     """Find (i, rhs) with c = alpha*a_i + rest, alpha a nonzero constant and
     a_i absent from rest; returns the substitution a_i := rest/alpha."""
     ring = c.ring
-    for i in range(ring.t):
+    for i, sh in enumerate(ring.shifts):
+        nibble, linear = 15 << sh, 1 << sh
         alpha = None
         ok = True
         rest = {}
         for m, coef in c.terms.items():
-            if m[i] == 0:
+            if not m & nibble:
                 rest[m] = coef
                 continue
-            if m[i] == 1 and not any(e for j, e in enumerate(m) if j != i):
+            if m == linear:
                 alpha = coef
             else:
                 ok = False
@@ -538,25 +591,30 @@ def _exact_divide(p: ParamPoly, f: ParamPoly):
     if f.is_zero():
         return None
     ring = p.ring
-    spec = ring.spec
+    high, table = ring.high, ring.table
     flm = max(f.terms)
-    flc = f.terms[flm]
+    inv = ring.spec.inv(f.terms[flm])
     rem = dict(p.terms)
     quot: dict = {}
     guard = len(p.terms) * 8 + 16
     while rem and guard:
         guard -= 1
         m = max(rem)
-        if any(a < b for a, b in zip(m, flm)):
+        # Every exponent of m is at most 7, so each nibble of m | high holds
+        # 8 + e and taking flm's nibbles (at most 7) off borrows across no
+        # nibble.  Bit 3 of a nibble survives exactly where m's exponent is
+        # at least flm's.
+        if ((m | high) - flm) & high != high:
             return None
-        t = tuple(a - b for a, b in zip(m, flm))
-        qc = spec.mul(rem[m], spec.inv(flc))
+        t = m - flm
+        qc = table[rem[m]][1][inv]
         quot[t] = qc
+        row = table[qc][1]
         for fm, fc in f.terms.items():
-            k = tuple(a + b for a, b in zip(t, fm))
-            if any(e > 7 for e in k):
+            k = t + fm
+            if k & high:
                 return None  # would fold; stay in the plain polynomial ring
-            v = rem.get(k, 0) ^ spec.mul(qc, fc)
+            v = rem.get(k, 0) ^ row[fc]
             if v:
                 rem[k] = v
             else:

@@ -7,6 +7,8 @@ byte-identical reports.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import klein
@@ -359,6 +361,7 @@ def suite_autosearch(seed, quick):
 
 
 def run_suites(seed=42, quick=False, jobs=1):
+    """Run every suite in turn, yielding (name, ok, detail) as each ends."""
     suites = [
         ("gf-axioms", suite_gf),
         ("poly-orders", suite_orders),
@@ -375,17 +378,11 @@ def run_suites(seed=42, quick=False, jobs=1):
         ("casebound-instantiation", suite_instantiation),
         ("casebound-x7-claim", suite_x7_claim),
         ("autosearch", suite_autosearch),
+        ("casebound-bound-soundness", partial(suite_bound_soundness, jobs=jobs)),
     ]
-    out = []
     for name, fn in suites:
         try:
             ok, detail = fn(seed, quick)
         except Exception as exc:  # a crashed suite is a failed suite
             ok, detail = False, f"{type(exc).__name__}: {exc}"
-        out.append((name, ok, detail))
-    try:
-        ok, detail = suite_bound_soundness(seed, quick, jobs)
-    except Exception as exc:
-        ok, detail = False, f"{type(exc).__name__}: {exc}"
-    out.append(("casebound-bound-soundness", ok, detail))
-    return out
+        yield name, ok, detail

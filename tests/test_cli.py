@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -301,3 +302,29 @@ def test_verify_all_jobs_independent():
     _, out1 = run_cli(["verify-all", "--quick", "--seed", "7"])
     _, out2 = run_cli(["verify-all", "--quick", "--seed", "7", "--jobs", "3"])
     assert out1 == out2
+
+
+@pytest.mark.parametrize("command", [["oracle", "--lm", "Y"], ["verify-all", "--quick"]])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exit_two(command, jobs, monkeypatch, capsys):
+    from kleincode import cli, verify
+
+    monkeypatch.setattr(cli, "coset_min_weight", lambda *a, **kw: pytest.fail("a scan ran"))
+    monkeypatch.setattr(verify, "run_suites", lambda **kw: pytest.fail("a suite ran"))
+    code, out = run_cli([*command, "--jobs", jobs])
+    assert (code, out) == (2, "")
+    assert f"argument --jobs: {jobs} is below 1" in capsys.readouterr().err
+
+
+def test_verify_all_times_each_suite_on_stderr(capsys):
+    code, out = run_cli(["verify-all", "--quick", "--seed", "42"])
+    err = capsys.readouterr().err
+    *rows, verdict = out.splitlines()
+    assert code == 0 and verdict == "PASS (0 failing suites)"
+    suites = [row[5:].split(":")[0] for row in rows]
+    assert len(suites) == 16 and all(row.startswith("ok   ") for row in rows)
+    timed = [re.fullmatch(r"([a-z0-9-]+): (\d+\.\d{3}) s", line) for line in err.splitlines()]
+    assert all(timed) and [m.group(1) for m in timed] == suites
+    # the timings stay off stdout, which two runs reproduce byte for byte
+    assert " s\n" not in out
+    assert run_cli(["verify-all", "--quick", "--seed", "42"])[1] == out

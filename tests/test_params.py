@@ -379,3 +379,96 @@ def test_reduce_is_one_substitution_on_branched_stores():
             assert cs.reduce(r) == r
         substituted += len(cs.subs)
     assert substituted >= 150
+
+
+def _from_tuples(ring, terms):
+    """A ParamPoly built through the public constructors from
+    [(exponent tuple, coefficient)], and its pointwise reference value."""
+    p = ring.zero
+    for exps, c in terms:
+        term = ring.const(c)
+        for i, e in enumerate(exps):
+            term = term.mul(ring.var_pow(i, e))
+        p = p.add(term)
+    spec = ring.spec
+
+    def value(point):
+        acc = 0
+        for exps, c in terms:
+            v = c
+            for x, e in zip(point, exps):
+                v = spec.mul(v, spec.pow(x, e))
+            acc ^= v
+        return acc
+    return p, value
+
+
+def _random_terms(rng, t, top=7):
+    used = rng.sample(range(t), min(t, rng.randint(1, 3)))
+    return [(tuple(rng.randint(0, top) if i in used else 0 for i in range(t)),
+             rng.randrange(1, 8)) for _ in range(rng.randint(1, 4))]
+
+
+def _check_arithmetic(rng, t, points, trials):
+    ring = ParamRing(t)
+    spec = ring.spec
+    divided = 0
+    for _ in range(trials):
+        p, p_ref = _from_tuples(ring, _random_terms(rng, t))
+        q, q_ref = _from_tuples(ring, _random_terms(rng, t))
+        # exponents up to 3 keep g * f unfolded, so f divides it exactly
+        g, _ = _from_tuples(ring, _random_terms(rng, t, top=3))
+        f, _ = _from_tuples(ring, _random_terms(rng, t, top=3))
+        c, e = rng.randrange(8), rng.randrange(16)
+        subs = {i: _from_tuples(ring, _random_terms(rng, t))[0]
+                for i in rng.sample(range(t), rng.randint(1, min(t, 3)))}
+        results = {
+            "add": p.add(q), "mul": p.mul(q), "scale": p.scale(c),
+            "pow": params._param_pow(p, e), "subs": p.substitute(subs)}
+        quotient = params._exact_divide(p, q)
+        if not f.is_zero():
+            assert params._exact_divide(g.mul(f), f) == g
+        divided += quotient is not None
+        for x in points:
+            px, qx = p_ref(x), q_ref(x)
+            assert p.evaluate(x) == px and q.evaluate(x) == qx
+            assert results["add"].evaluate(x) == px ^ qx
+            assert results["mul"].evaluate(x) == spec.mul(px, qx)
+            assert results["scale"].evaluate(x) == spec.mul(c, px)
+            assert results["pow"].evaluate(x) == spec.pow(px, e)
+            moved = [subs[i].evaluate(x) if i in subs else v for i, v in enumerate(x)]
+            assert results["subs"].evaluate(x) == p.evaluate(moved)
+            if quotient is not None:
+                assert spec.mul(quotient.evaluate(x), qx) == px
+    return divided
+
+
+def test_packed_arithmetic_matches_pointwise_evaluation():
+    # every point for t <= 3; seeded points of X^6*Y^2's ring, t = 21
+    rng = random.Random(0xBADC0DE)
+    divided = 0
+    for t in (1, 2, 3):
+        points = list(itertools.product(range(8), repeat=t))
+        divided += _check_arithmetic(rng, t, points, 40 if t < 3 else 15)
+    points = [tuple(rng.randrange(8) for _ in range(21)) for _ in range(24)]
+    divided += _check_arithmetic(rng, 21, points, 60)
+    assert divided >= 5  # some random pairs divide outright
+
+
+def test_packed_folds_in_the_top_and_bottom_nibbles():
+    ring = ParamRing(21)
+    a1, a21 = ring.var_pow(0, 7), ring.var_pow(20, 7)
+    assert a1.mul(a1) == a1 and a21.mul(a21) == a21  # a^14 = a^7
+    both = ring.var_pow(0, 4).mul(ring.var_pow(20, 5))
+    product = both.mul(ring.var_pow(0, 6).mul(ring.var_pow(20, 3)))
+    assert format_param(product) == "a1^3*a21"  # a1^10 = a1^3, a21^8 = a21
+    assert params._param_pow(ring.var(20), 15) == ring.var(20)
+
+
+def test_exact_divide_refuses_a_borrow_in_a_lower_nibble():
+    # a1*a2 is the larger key, but a2^2 does not divide it
+    ring = ParamRing(2)
+    assert params._exact_divide(expr("a1*a2", ring), expr("a2^2", ring)) is None
+    assert params._exact_divide(expr("a1*a2^2", ring), expr("a2^2", ring)) == ring.var(0)
+    # a quotient term times the divisor may not fold: a1^4 * a1^4 = a1
+    assert params._exact_divide(expr("a1", ring), expr("a1^4", ring)) is None
