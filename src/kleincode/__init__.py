@@ -2,7 +2,7 @@
 
 Library layout:
 
-* ``gf``        -- GF(2^m) arithmetic (log/antilog tables)
+* ``gf``        -- GF(8) arithmetic (log/antilog tables)
 * ``poly``      -- sparse bivariate polynomials, orders, division modes
 * ``groebner``  -- Buchberger, normal forms, footprints
 * ``codes``     -- variety, evaluation codes, weight/distance oracles

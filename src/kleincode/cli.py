@@ -41,60 +41,36 @@ from .codes import (
     code_for_threshold,
     construct_table,
     coset_min_weight,
-    enumerate_variety,
     min_distance,
 )
-from .gf import FieldSpec, gf8
-from .groebner import buchberger, footprint
-from .poly import ExponentCapExceeded, MonomialOrder, format_monomial, parse_monomial, parse_poly
+from .poly import ExponentCapExceeded, format_monomial, parse_monomial
 
 
 @dataclass
 class RunConfig:
-    modulus_bits: int = klein.GF8_MODULUS_BITS
-    weights: tuple = klein.ORDER_WEIGHTS
-    tiebreak: int = klein.ORDER_TIEBREAK
-    generators: tuple = klein.GENERATOR_TEXTS
     seed: int = 42
     sample_count: int = 100_000
     fmt: str = "text"
 
-    @property
-    def is_klein_default(self) -> bool:
-        return (self.modulus_bits == klein.GF8_MODULUS_BITS
-                and tuple(self.weights) == klein.ORDER_WEIGHTS
-                and self.tiebreak == klein.ORDER_TIEBREAK
-                and tuple(self.generators) == klein.GENERATOR_TEXTS)
-
-    def spec(self):
-        if self.modulus_bits == klein.GF8_MODULUS_BITS:
-            return gf8()
-        return FieldSpec(self.modulus_bits.bit_length() - 1, self.modulus_bits)
-
-    def order(self):
-        return MonomialOrder(self.weights, self.tiebreak)
-
-    def gens(self):
-        spec = self.spec()
-        return [parse_poly(t, spec) for t in self.generators]
-
 
 def load_config(args) -> RunConfig:
+    """The defaults, then the config file, then the flags.  A config file
+    is a JSON object whose only keys are seed and sample_count, each a JSON
+    integer; anything else is a usage error before any work."""
     cfg = RunConfig()
     path = getattr(args, "config", None) or os.environ.get("KLEINCODE_CONFIG")
     if path:
         with open(path) as fh:
             data = json.load(fh)
-        for key in ("modulus_bits", "seed", "sample_count"):
-            if key in data:
-                setattr(cfg, key, int(data[key]))
-        if "weights" in data:
-            cfg.weights = tuple(int(w) for w in data["weights"])
-        if "tiebreak" in data:
-            cfg.tiebreak = int(data["tiebreak"])
-        if "generators" in data:
-            cfg.generators = tuple(data["generators"])
-        cfg.order()  # a malformed order is a usage error before any work
+        if not isinstance(data, dict):
+            raise ValueError(f"config {path} is not a JSON object")
+        for key, value in data.items():
+            if key not in ("seed", "sample_count"):
+                raise ValueError(f"config key {key!r} is not seed or sample_count")
+            if type(value) is not int:  # bool is a subclass of int
+                raise ValueError(f"config key {key!r} is not a JSON integer: "
+                                 f"{json.dumps(value)}")
+            setattr(cfg, key, value)
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     if getattr(args, "format", None):
@@ -106,21 +82,14 @@ def _emit_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _require_klein(cfg: RunConfig, what: str):
-    if not cfg.is_klein_default:
-        raise ValueError(f"{what} requires the default Klein configuration")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_footprint(args) -> int:
     cfg = load_config(args)
-    order = cfg.order()
-    gb = buchberger(cfg.gens(), order)
-    fp = footprint(gb)
+    order = klein.klein_order()
     rows = [{"monomial": format_monomial(m), "exponents": list(m),
-             "weight": order.weight(m)} for m in fp]
+             "weight": order.weight(m)} for m in klein.klein_footprint()]
     if cfg.fmt == "json":
         sys.stdout.write(_emit_json({"size": len(rows), "monomials": rows}))
     elif cfg.fmt == "csv":
@@ -142,8 +111,7 @@ def cmd_footprint(args) -> int:
 
 def cmd_variety(args) -> int:
     cfg = load_config(args)
-    v = enumerate_variety(cfg.gens(), cfg.spec(), 2)
-    pts = [list(p) for p in v]
+    pts = [list(p) for p in klein.klein_variety()]
     if cfg.fmt == "json":
         sys.stdout.write(_emit_json({"size": len(pts), "points": pts}))
     elif cfg.fmt == "csv":
@@ -199,7 +167,6 @@ def _write_class_csv(entries) -> None:
 
 def cmd_bound(args) -> int:
     cfg = load_config(args)
-    _require_klein(cfg, "bound")
     reports, delta = _bound_reports(args)
     source = "auto" if delta is None else "traces"
     fp = klein.klein_footprint()
@@ -226,8 +193,7 @@ def cmd_bound(args) -> int:
 
 def cmd_table(args) -> int:
     cfg = load_config(args)
-    _require_klein(cfg, "table")
-    measure_upto = getattr(args, "measure_upto", 0) or 0
+    measure_upto = args.measure_upto
     if measure_upto > EXACT_LIMIT_COEFFS:
         raise DimensionTooLarge(
             f"--measure-upto {measure_upto} is above the exact-scan limit of "
@@ -270,7 +236,6 @@ def cmd_table(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = load_config(args)
-    _require_klein(cfg, "oracle")
     M = parse_monomial(args.lm)
     support = klein.class_support(M)
     mode = args.mode
@@ -304,7 +269,6 @@ def cmd_oracle(args) -> int:
 
 def cmd_trace_verify(args) -> int:
     cfg = load_config(args)
-    _require_klein(cfg, "trace-verify")
     with open(args.file) as fh:
         steps = parse_trace(fh.read())
     M = parse_monomial(args.lm)
@@ -327,7 +291,6 @@ def cmd_trace_verify(args) -> int:
 
 def cmd_verify_all(args) -> int:
     cfg = load_config(args)
-    _require_klein(cfg, "verify-all")
     if cfg.fmt != "text":
         raise ValueError(f"verify-all prints text only, not --format {cfg.fmt}")
     failures = []
@@ -354,14 +317,21 @@ def cmd_verify_all(args) -> int:
     return 0 if not failures else 1
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is below 1")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def main(argv=None) -> int:
@@ -393,7 +363,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("table", parents=[common],
                        help="the [n, k, d] parameter table")
     p.add_argument("--traces", default=None)
-    p.add_argument("--measure-upto", type=int, default=0, dest="measure_upto",
+    p.add_argument("--measure-upto", type=_non_negative_int, default=0,
+                   dest="measure_upto",
                    help="exhaustively measure true d for dimensions up to K "
                         f"(at most {EXACT_LIMIT_COEFFS})")
 

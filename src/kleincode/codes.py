@@ -1,7 +1,7 @@
 """Variety enumeration, evaluation codes, and weight/distance oracles.
 
 Every codeword scan runs on one bit-plane scanner: a word of n symbols of
-GF(2^m) is packed into m unsigned n-bit planes, one per bit of the enc
+GF(8) is packed into three unsigned n-bit planes, one per bit of the enc
 value, so adding words is XOR of planes and the Hamming weight is
 np.bitwise_count(p0 | p1 | ...).  The exact scan (modes "exhaustive" and
 "gray" alike) packs all combinations of the lowest coefficients into one

@@ -1,15 +1,12 @@
-"""Arithmetic in GF(2^m) via log/antilog tables.
+"""Arithmetic in GF(8) via log/antilog tables.
 
-Elements are represented as integers ("enc") in ``[0, 2^m)`` whose binary
-digits are the coefficients of the polynomial-basis representation: bit i
-is the coefficient of alpha^i, where alpha is a root of the modulus
-polynomial.  Addition is bitwise XOR; multiplication and inversion go
-through discrete-log tables built from a multiplicative generator, so they
-stay valid for any irreducible (not necessarily primitive) modulus.
-
-The canonical field for everything downstream is GF(8) with modulus
-x^3 + x + 1 (bitmask 0b1011).  All enc integers in file formats and CLI
-output refer to this representation.
+GF(8) is the one field of the package, with modulus x^3 + x + 1 (bitmask
+0b1011).  Elements are integers ("enc") in ``[0, 8)`` whose binary digits
+are the coefficients of the polynomial-basis representation: bit i is the
+coefficient of alpha^i, where alpha is a root of the modulus.  Addition is
+bitwise XOR; multiplication and inversion go through discrete-log tables
+to the base alpha.  All enc integers in file formats and CLI output refer
+to this representation.
 """
 
 from __future__ import annotations
@@ -18,99 +15,41 @@ import operator
 from functools import lru_cache
 
 
-class ReducibleModulus(ValueError):
-    """The requested modulus polynomial factors over GF(2)."""
-
-
 class DivisionByZero(ZeroDivisionError):
     """Multiplicative inverse of the additive identity."""
 
 
-def _gf2_poly_mod(a: int, b: int) -> int:
-    """Remainder of carry-less polynomial division of a by b over GF(2)."""
-    db = b.bit_length() - 1
-    while a.bit_length() - 1 >= db:
-        a ^= b << (a.bit_length() - 1 - db)
-    return a
-
-
-def _is_irreducible(bits: int, m: int) -> bool:
-    # Trial division by every polynomial of degree 1 .. m//2.  A reducible
-    # polynomial of degree m has a factor in that range.
-    for d in range(1, m // 2 + 1):
-        for low in range(1 << d):
-            candidate = (1 << d) | low
-            if _gf2_poly_mod(bits, candidate) == 0:
-                return False
-    return True
-
-
 class FieldSpec:
-    """Immutable description of GF(2^m) with precomputed tables.
+    """GF(8) with modulus x^3 + x + 1 and precomputed tables.
 
     Safe to share across workers: nothing is mutated after construction.
     It is also the concrete coefficient domain of poly.Polynomial.
     """
 
-    __slots__ = ("m", "modulus_bits", "q", "_exp", "_log", "_mul_table")
+    __slots__ = ("_exp", "_log", "_mul_table")
 
+    m, q, modulus_bits = 3, 8, 0b1011
     parametric = False
     zero, one = 0, 1
     # builtins, so the reduction loop pays no Python call for them
     add = staticmethod(operator.xor)
     is_zero = staticmethod(operator.not_)
 
-    def __init__(self, m: int, modulus_bits: int):
-        if not 1 <= m <= 16:
-            raise ValueError(f"extension degree m={m} out of range [1, 16]")
-        if not (modulus_bits >> m) & 1:
-            raise ValueError(f"bit {m} of modulus 0b{modulus_bits:b} not set")
-        if modulus_bits >= 1 << (m + 1):
-            raise ValueError("modulus degree exceeds m")
-        if not _is_irreducible(modulus_bits, m):
-            raise ReducibleModulus(f"0b{modulus_bits:b} factors over GF(2)")
-        self.m = m
-        self.modulus_bits = modulus_bits
-        self.q = 1 << m
-        self._build_tables()
-        self._mul_table = None
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        acc = 0
-        while b:
-            if b & 1:
-                acc ^= a
-            b >>= 1
-            a <<= 1
-            if a >> self.m:
-                a ^= self.modulus_bits
-        return acc
-
-    def _build_tables(self) -> None:
-        q = self.q
-        # Find a multiplicative generator by trial; for m=1 the group is
-        # trivial and 1 generates it.
-        order = q - 1
-        gen = 1
-        for g in range(2, q):
-            x, n = g, 1
-            while x != 1:
-                x = self._raw_mul(x, g)
-                n += 1
-            if n == order:
-                gen = g
-                break
-        exp = [0] * (2 * order if order > 1 else 2)
-        log = [0] * q
+    def __init__(self):
+        # The unit group has prime order 7, so alpha (enc 2) generates it.
+        # exp is doubled so mul can index a sum of two logs unreduced.
+        exp = [0] * 14
+        log = [0] * 8
         x = 1
-        for i in range(order):
-            exp[i] = x
+        for i in range(7):
+            exp[i] = exp[i + 7] = x
             log[x] = i
-            x = self._raw_mul(x, gen)
-        for i in range(order, len(exp)):
-            exp[i] = exp[i - order]
+            x <<= 1
+            if x & 8:
+                x ^= self.modulus_bits
         self._exp = exp
         self._log = log
+        self._mul_table = None
 
     def from_enc(self, a: int) -> int:
         if not 0 <= a < self.q:
@@ -118,7 +57,7 @@ class FieldSpec:
         return a
 
     def compatible(self, other) -> bool:
-        return isinstance(other, FieldSpec) and other.modulus_bits == self.modulus_bits
+        return isinstance(other, FieldSpec)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -139,8 +78,6 @@ class FieldSpec:
             if e < 0:
                 raise DivisionByZero("0 raised to a negative power")
             return 0
-        if self.q == 2:
-            return a
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
     def elements(self) -> list[int]:
@@ -148,10 +85,8 @@ class FieldSpec:
         return list(range(self.q))
 
     def mul_table(self):
-        """q-by-q numpy multiplication table (uint8); m <= 8 only."""
+        """q-by-q numpy multiplication table (uint8)."""
         if self._mul_table is None:
-            if self.m > 8:
-                raise ValueError("mul_table supported for m <= 8")
             import numpy as np
 
             t = np.zeros((self.q, self.q), dtype=np.uint8)
@@ -167,5 +102,5 @@ class FieldSpec:
 
 @lru_cache(maxsize=None)
 def gf8() -> FieldSpec:
-    """The canonical GF(8) with modulus x^3 + x + 1."""
-    return FieldSpec(3, 0b1011)
+    """The shared GF(8) instance."""
+    return FieldSpec()

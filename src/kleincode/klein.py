@@ -3,8 +3,9 @@
 GF(8) is fixed with modulus x^3 + x + 1; the order is weighted-degree-lex
 with weights (2, 3) and ties won by the larger Y exponent; the curve is
 Y^3 + X^3*Y + X with the two field equations adjoined.  Any irreducible
-modulus gives an isomorphic field, so footprint sizes, weights and code
-parameters do not depend on the choice; fixing one keeps output byte-stable.
+cubic modulus gives an isomorphic field, so footprint sizes, weights and
+code parameters do not depend on the choice; fixing one keeps output
+byte-stable.
 
 The setting is a constant, not a parameter: all Klein-only code takes its
 field, order, footprint, variety and class supports from here.
@@ -19,7 +20,6 @@ from .gf import FieldSpec, gf8
 from .groebner import Footprint, GroebnerBasis, buchberger, footprint
 from .poly import MonomialOrder, Polynomial, parse_poly
 
-GF8_MODULUS_BITS = 0b1011
 ORDER_WEIGHTS = (2, 3)
 ORDER_TIEBREAK = 1
 

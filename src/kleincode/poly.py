@@ -2,8 +2,8 @@
 
 Monomials are plain tuples of non-negative exponents (index 0 = X,
 index 1 = Y).  Polynomials are term maps from monomial to a nonzero
-coefficient.  There are two coefficient domains: ``gf.FieldSpec``, a
-concrete GF(2^m) with enc integer coefficients, and ``params.ParamRing``,
+coefficient.  There are two coefficient domains: ``gf.FieldSpec``, the
+concrete GF(8) with enc integer coefficients, and ``params.ParamRing``,
 the parametric ring GF(8)[a1..at] of the case-split engine.  A domain
 provides ``zero``, ``one``, ``is_zero(c)``, ``add(a, b)``, ``mul(a, b)``,
 ``inv(a)``, ``from_enc(n)``, ``compatible(other)`` and ``parametric``,

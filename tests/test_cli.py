@@ -111,6 +111,15 @@ def test_table_measure_above_limit_refused_before_work(monkeypatch, capsys):
     assert measured == [1, 2, 3, 4, 5, 7, 8, 10]
 
 
+def test_table_measure_below_zero_refused(monkeypatch, capsys):
+    from kleincode import cli
+
+    monkeypatch.setattr(cli, "full_bound_map", lambda *a: pytest.fail("the table was built"))
+    code, out = run_cli(["table", "--measure-upto", "-4"])
+    assert (code, out) == (2, "")
+    assert "argument --measure-upto: -4 is below 0" in capsys.readouterr().err
+
+
 def test_oracle_sound_exit_zero():
     code, out = run_cli(["oracle", "--lm", "Y", "--mode", "exhaustive",
                          "--format", "json"])
@@ -268,24 +277,26 @@ def test_global_flags_before_subcommand(tmp_path, monkeypatch):
     assert seen == [(9, 2000), (11, 100_000)]
 
 
-def test_config_with_three_weights_refused(tmp_path, capsys):
+@pytest.mark.parametrize("text, named", [
+    ("[1, 2]", "is not a JSON object"),
+    ('{"sample_cont": 5}', "'sample_cont'"),
+    ('{"modulus_bits": 19}', "'modulus_bits'"),
+    ('{"weights": [3, 2], "seed": 1}', "'weights'"),
+    ('{"seed": 1.7}', "'seed'"),
+    ('{"seed": true}', "'seed'"),
+    ('{"sample_count": "5"}', "'sample_count'"),
+])
+def test_config_read_strictly(text, named, tmp_path, monkeypatch, capsys):
+    from kleincode import cli
+
+    monkeypatch.setattr(cli, "coset_min_weight", lambda *a, **kw: pytest.fail("a scan ran"))
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"weights": [2, 3, 1]}))
-    for command in ("footprint", "variety"):
-        code, out = run_cli([command, "--config", str(cfg)])
+    cfg.write_text(text)
+    for argv in (["variety"], ["oracle", "--lm", "Y", "--mode", "sample"]):
+        code, out = run_cli([*argv, "--config", str(cfg)])
         assert (code, out) == (2, "")
-        assert "the monomial order is bivariate" in capsys.readouterr().err
-
-
-def test_config_override(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"generators": ["X", "Y"], "modulus_bits": 0b1011}))
-    code, out = run_cli(["variety", "--config", str(cfg), "--format", "json"])
-    assert code == 0
-    assert json.loads(out)["points"] == [[0, 0]]
-    # casebound-dependent commands refuse non-default configurations
-    code, _ = run_cli(["table", "--config", str(cfg)])
-    assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config") and named in err, err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -1,30 +1,36 @@
 import pytest
 
-from kleincode.gf import DivisionByZero, ReducibleModulus, FieldSpec
+from kleincode.gf import DivisionByZero, gf8
 
 
-def test_gf8_construction():
-    spec = FieldSpec(3, 0b1011)
+def test_gf8_construction(spec):
+    assert spec is gf8()
     assert spec.q == 8
     assert len(spec.elements()) == 8
 
 
-def test_gf2_construction():
-    spec = FieldSpec(1, 0b11)
-    assert spec.q == 2
-    assert spec.elements() == [0, 1]
-
-
-def test_reducible_modulus_rejected():
-    # x^3 + 1 = (x + 1)(x^2 + x + 1): confirm by carry-less multiplication
-    a, b = 0b11, 0b111
+def _carry_less_mul_mod(a, b):
     prod = 0
-    for i in range(2):
-        if (a >> i) & 1:
-            prod ^= b << i
-    assert prod == 0b1001
-    with pytest.raises(ReducibleModulus):
-        FieldSpec(3, 0b1001)
+    for i in range(3):
+        if (b >> i) & 1:
+            prod ^= a << i
+    for i in (4, 3):
+        if (prod >> i) & 1:
+            prod ^= 0b1011 << (i - 3)
+    return prod
+
+
+def test_tables_match_carry_less_reference(spec):
+    # the hard-coded generator alpha = 2 against schoolbook arithmetic
+    for a in range(8):
+        for b in range(8):
+            assert spec.mul(a, b) == _carry_less_mul_mod(a, b)
+    powers = [spec.pow(2, e) for e in range(7)]
+    assert sorted(powers) == list(range(1, 8))
+    x = 1
+    for p in powers:
+        assert p == x
+        x = _carry_less_mul_mod(x, 2)
 
 
 def test_arith_examples(spec):
@@ -77,11 +83,3 @@ def test_pow_conventions(spec):
 def test_nonzero_count(spec):
     assert sum(1 for a in spec.elements() if a) == 7
 
-
-def test_imprimitive_modulus_still_works():
-    # x^4 + x^3 + x^2 + x + 1 is irreducible but x has order 5, not 15;
-    # the generator search must still build consistent tables.
-    spec = FieldSpec(4, 0b11111)
-    for a in range(1, 16):
-        assert spec.mul(a, spec.inv(a)) == 1
-    assert spec.pow(2, 5) == 1

@@ -169,7 +169,8 @@ def _assert_reduced_basis_of(gb, gens, order, spec, zero_dim):
 
 @pytest.mark.parametrize("weights, tiebreak", [((2, 3), 1), ((3, 2), 0), ((1, 1), 0), ((1, 1), 1)])
 def test_buchberger_under_config_orders(dom, spec, weights, tiebreak):
-    # orders a --config file can choose, on random zero-dimensional ideals
+    # the one Buchberger under the Klein order and three others, on random
+    # zero-dimensional ideals
     order = MonomialOrder(weights, tiebreak)
     feq = [parse_poly("X^8+X", dom), parse_poly("Y^8+Y", dom)]
     rng = SplitMix64(0xB0C4 + 4 * weights[0] + tiebreak)

@@ -1,17 +1,26 @@
-"""Every name a package module binds with ``import`` is used there.
+"""Every name the package binds is used.
 
-No linter ships with the project, so this test walks each module's syntax
-tree: an ``import x`` or ``from ... import`` that no expression, annotation
-or ``__all__`` entry reads is dead weight and fails the suite.
+No linter ships with the project, so these tests walk syntax trees:
+
+* an ``import x`` or ``from ... import`` that no expression, annotation
+  or ``__all__`` entry of its module reads is dead weight;
+* a top-level function, class or constant of the package that nothing in
+  the package, the demos or the benchmark harness names, other than its
+  own definition, is dead code.  Tests do not count as users.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "kleincode"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "kleincode"
 MODULES = sorted(SRC.glob("*.py"))
+USERS = MODULES + sorted((ROOT / "demos").glob("*.py")) + sorted(
+    p for p in (ROOT / "kbench").glob("*.py") if not p.name.startswith("test_"))
+DOTTED = re.compile(r"[A-Za-z_][\w.]*")
 
 
 def unused_imports(source: str) -> list:
@@ -51,3 +60,56 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_from_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def top_level_names(source: str) -> list:
+    """(line, name) of each function, class and constant the module body
+    defines; dunder names belong to the module protocol and are skipped."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in out if not name.startswith("__")]
+
+
+def referenced_names(source: str) -> set:
+    """Names read as a variable, an attribute, an import, or a part of a
+    dotted-name string such as the harness's "codes.min_distance"."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            names |= set(node.value.split("."))
+    return names
+
+
+def test_dead_name_detector():
+    src = ("import os\n"
+           "LIMIT = 3\n"
+           "UNUSED = 4\n"
+           "SPANS = ['mod.traced']\n"
+           "def traced(): return SPANS\n"
+           "def helper(): return LIMIT\n"
+           "def dead(): return os.sep\n"
+           "class Dead: pass\n"
+           "__version__ = '1'\n")
+    defined = top_level_names(src)
+    used = referenced_names(src) | referenced_names("from m import helper\n")
+    assert [d for d in defined if d[1] not in used] == [(3, "UNUSED"), (7, "dead"),
+                                                         (8, "Dead")]
+
+
+def test_no_dead_top_level_names():
+    used = set().union(*(referenced_names(p.read_text()) for p in USERS))
+    dead = [f"{path.name}:{line} {name}" for path in MODULES
+            for line, name in top_level_names(path.read_text()) if name not in used]
+    assert dead == []
