@@ -7,8 +7,10 @@ np.bitwise_count(p0 | p1 | ...).  The exact scan (modes "exhaustive" and
 "gray" alike) packs all combinations of the lowest coefficients into one
 table and XORs in the high-coefficient states a chunk at a time, refusing
 more than EXACT_LIMIT_COEFFS coefficients before any work.  The sampled
-scan gathers precomputed packed scalar multiples of each row by seeded
-SplitMix64 coefficients.
+scan splits the rows into groups of four, tabulates the packed span of each
+group once (8^4 words) and adds up one gathered table word per group for
+each seeded SplitMix64 message, a few thousand messages per block so that
+every temporary stays in cache.
 """
 
 from __future__ import annotations
@@ -204,19 +206,22 @@ def weight_via_footprint(F: Polynomial, gb: GroebnerBasis) -> int:
 
 EXACT_LIMIT_COEFFS = 10
 _LOW_COEFFS = 5          # coefficients enumerated in the packed low table
-_CHUNK_WORDS = 1 << 18   # words per temporary of the exact scan
-_SAMPLE_CHUNK = 1 << 15  # messages drawn per block of the sampled scan
+# The exact scan's temporaries hold _CHUNK_WORDS words (256 KB as uint32):
+# of 2^15 to 2^18, 2^16 gave the fastest kbench oracle passes on a 2-CPU
+# machine.  The sampled scan draws _SAMPLE_CHUNK messages per block, so none
+# of its temporaries outgrows the cache.
+_CHUNK_WORDS = 1 << 16   # words per temporary of the exact scan
+_SAMPLE_CHUNK = 1 << 12  # messages drawn per block of the sampled scan
+_GROUP_ROWS = 4          # rows per span table of the sampled scan
 
 
-def pack_planes(words: np.ndarray, q: int) -> np.ndarray:
-    """Bit-plane form of enc words over GF(q): (..., n) -> (log2 q, ...).
+def pack_planes(words: np.ndarray) -> np.ndarray:
+    """Bit-plane form of GF(8) enc words: (..., n) -> (3, ...).
 
     Plane b holds bit b of every symbol, symbol j at bit j of one unsigned
     word, so adding words is XOR of planes and the Hamming weight is the
     popcount of the OR of the planes.
     """
-    if q < 2 or q & (q - 1):
-        raise ValueError(f"q={q} is not a power of two")
     n = words.shape[-1]
     if n > 64:
         raise ValueError(f"length {n} does not fit a 64-bit plane word")
@@ -224,12 +229,12 @@ def pack_planes(words: np.ndarray, q: int) -> np.ndarray:
     shifts = np.arange(n, dtype=dtype)
     return np.stack([np.bitwise_or.reduce(((words >> b) & 1).astype(dtype) << shifts,
                                           axis=-1)
-                     for b in range(q.bit_length() - 1)])
+                     for b in range(FieldSpec.m)])
 
 
 def _packed_multiples(rows: np.ndarray, spec: FieldSpec) -> np.ndarray:
     """(bits, k, q) packed planes of c * rows[i] for every scalar c."""
-    return pack_planes(spec.mul_table()[:, rows], spec.q).transpose(0, 2, 1)
+    return pack_planes(spec.mul_table()[:, rows]).transpose(0, 2, 1)
 
 
 def _span_table(mults: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -258,7 +263,7 @@ def _least(mins):
 
 def _table_min(high: np.ndarray, low: np.ndarray, skip_zero: bool):
     """Minimum weight of high[:, i] ^ low[:, j] over all i, j, in chunks of
-    about _CHUNK_WORDS words so the temporaries stay a few MB."""
+    about _CHUNK_WORDS words so the temporaries stay in cache."""
     per = max(1, _CHUNK_WORDS // low.shape[1])
     acc = np.empty((per, low.shape[1]), dtype=low.dtype)
     tmp = np.empty_like(acc)
@@ -293,7 +298,7 @@ def exact_min_weight(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
             f"exact-scan limit of {EXACT_LIMIT_COEFFS} coefficients")
     mults = _packed_multiples(rows, spec)
     split = max(0, k - _LOW_COEFFS)
-    base = pack_planes(offset, spec.q)
+    base = pack_planes(offset)
     high = _span_table(mults[:, :split], base)
     low = _span_table(mults[:, split:], np.zeros_like(base))
     # one part per leading coefficient (the top digit of the high table)
@@ -321,20 +326,42 @@ def sample_weights(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
     weights[j] is the weight of offset + sum coeffs[j, i] * rows[i].
 
     The coefficients are the SplitMix64(seed).fill_below(q, (take, k))
-    stream, so results do not depend on the block size.
+    stream, so results do not depend on the block size.  Each group of
+    _GROUP_ROWS consecutive rows has a packed span table (offset folded
+    into the first), so a word is one gather per group.
     """
     if count < 1:
         raise ValueError(f"sample count {count} must be at least 1")
+    k = rows.shape[0]
     mults = _packed_multiples(rows, spec)
-    base = pack_planes(offset, spec.q)
+    base = pack_planes(offset)
+    starts = range(0, max(k, 1), _GROUP_ROWS)
+    # row-major (q^r, bits), so one gather fetches every plane of a word
+    tables = [np.ascontiguousarray(_span_table(
+        mults[:, g:g + _GROUP_ROWS], base if g == 0 else np.zeros_like(base)).T)
+        for g in starts]
+    idx = np.empty(_SAMPLE_CHUNK, dtype=np.intp)
+    words = np.empty((_SAMPLE_CHUNK, len(base)), dtype=base.dtype)
+    part = np.empty_like(words)
     rng = SplitMix64(seed)
     for done in range(0, count, _SAMPLE_CHUNK):
         take = min(_SAMPLE_CHUNK, count - done)
-        coeffs = rng.fill_below(spec.q, (take, rows.shape[0]))
-        planes = np.repeat(base[:, None], take, axis=1)
-        for i in range(rows.shape[0]):
-            planes ^= mults[:, i, coeffs[:, i]]
-        yield coeffs, np.bitwise_count(np.bitwise_or.reduce(planes, axis=0))
+        coeffs = rng.fill_below(spec.q, (take, k))
+        i, w, p = idx[:take], words[:take], part[:take]
+        for g, table in zip(starts, tables):
+            # the group's table index: its first coefficient is the top digit
+            i.fill(0)
+            for c in range(g, min(g + _GROUP_ROWS, k)):
+                i <<= spec.m
+                i |= coeffs[:, c]
+            # mode "clip" (the indices are in range) writes out unbuffered
+            np.take(table, i, axis=0, out=p if g else w, mode="clip")
+            if g:
+                w ^= p
+        # the planes' OR column by column: a reduce over the short axis is slower
+        word = w[:, 0] | w[:, 1]
+        word |= w[:, 2]
+        yield coeffs, np.bitwise_count(word)
 
 
 def sampled_min_weight(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,

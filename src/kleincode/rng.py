@@ -15,6 +15,11 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = 0xFFFFFFFFFFFFFFFF
 
+# fill_below makes the stream in runs of _RUN draws: state + i * gamma for
+# i = 1.._RUN, all mod 2^64 (uint64 arithmetic wraps).
+_RUN = 1 << 13
+_STEPS = np.arange(1, _RUN + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+
 
 def _mix(z: int) -> int:
     z = (z ^ (z >> 30)) * _MIX1 & _MASK
@@ -40,20 +45,32 @@ class SplitMix64:
             if v < limit:
                 return v % n
 
-    def fill_u64(self, count: int) -> np.ndarray:
-        """Vectorized block of the next `count` draws (same stream)."""
-        start = self.state
-        idx = np.arange(1, count + 1, dtype=np.uint64)
-        z = start + idx * np.uint64(_GAMMA)
-        self.state = int(z[-1]) if count else self.state
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-        return z
-
     def fill_below(self, n: int, shape) -> np.ndarray:
-        """Array of uniform draws in [0, n); n must be a power of two here."""
+        """Array of uniform draws in [0, n) of the given shape, in C order;
+        n must be a power of two, so a draw is the next output masked.
+
+        The values and the final state equal those of as many below(n)
+        calls.  The stream is made _RUN draws at a time in two reused
+        uint64 buffers and each run is masked straight into the result
+        (uint8 for n <= 256, else uint64), so no temporary grows with the
+        shape.
+        """
         assert n & (n - 1) == 0, "fill_below wants a power of two"
-        total = int(np.prod(shape)) if shape else 1
-        vals = self.fill_u64(total) & np.uint64(n - 1)
-        return vals.reshape(shape).astype(np.uint8 if n <= 256 else np.uint64)
+        out = np.empty(shape, dtype=np.uint8 if n <= 256 else np.uint64)
+        flat = out.reshape(-1)
+        run = min(_RUN, flat.size)
+        z, t = np.empty(run, dtype=np.uint64), np.empty(run, dtype=np.uint64)
+        mask = np.uint64(n - 1)
+        for s in range(0, flat.size, _RUN):
+            e = min(s + _RUN, flat.size)
+            zr, tr = z[:e - s], t[:e - s]
+            np.add(_STEPS[:e - s], np.uint64(self.state), out=zr)
+            self.state = (self.state + (e - s) * _GAMMA) & _MASK
+            # _mix, in place
+            zr ^= np.right_shift(zr, 30, out=tr)
+            zr *= np.uint64(_MIX1)
+            zr ^= np.right_shift(zr, 27, out=tr)
+            zr *= np.uint64(_MIX2)
+            zr ^= np.right_shift(zr, 31, out=tr)
+            np.bitwise_and(zr, mask, out=flat[s:e], casting="unsafe")
+        return out

@@ -1,10 +1,11 @@
 import itertools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kleincode import codes
+from kleincode import codes, klein
 from kleincode.casebound import full_bound_map
 from kleincode.codes import (
     DimensionTooLarge,
@@ -256,7 +257,7 @@ def test_pack_planes_round_trip():
     rng = SplitMix64(0x9A)
     for shape in [(22,), (5, 22), (3, 4, 22), (7, 1), (2, 32), (2, 33), (2, 64)]:
         words = rng.fill_below(8, shape)
-        planes = pack_planes(words, 8)
+        planes = pack_planes(words)
         assert planes.shape == (3,) + shape[:-1]
         assert np.array_equal(_unpack(planes, shape[-1]), words)
         weights = np.bitwise_count(planes[0] | planes[1] | planes[2])
@@ -264,12 +265,8 @@ def test_pack_planes_round_trip():
 
 
 def test_pack_planes_refuses_bad_shapes():
-    words = np.zeros((2, 22), dtype=np.uint8)
-    for q in (0, 1, 6, 12):
-        with pytest.raises(ValueError):
-            pack_planes(words, q)
     with pytest.raises(ValueError):
-        pack_planes(np.zeros((2, 65), dtype=np.uint8), 8)
+        pack_planes(np.zeros((2, 65), dtype=np.uint8))
 
 
 def _brute_min(offset, rows, mul, skip_zero):
@@ -324,20 +321,55 @@ def test_exact_scan_threads_end_with_the_call(order, fp, variety):
     assert threading.active_count() == before
 
 
-def test_sampled_scan_matches_uint8_formula(spec, variety, fp):
+def _scalar_coeffs(seed, count, k):
+    """The sampler's coefficients, drawn one scalar below(8) at a time."""
+    g = SplitMix64(seed)
+    return np.array([g.below(8) for _ in range(count * k)], dtype=np.uint8).reshape(count, k)
+
+
+# (seed, offset monomial, k, count): k = 0 is the class 1, k = 5, 6 and 7
+# are not multiples of the 4-row groups, and k = 22 is the whole footprint
+SAMPLED_CASES = [(0, (7, 0), 3, 500), (5, (7, 0), 10, 40_000), (77, (7, 0), 21, 3000),
+                 (2024, (7, 0), 1, 64), (3, (0, 0), 0, 100), (8, (7, 0), 5, 999),
+                 (9, (7, 0), 6, 1000), (10, (7, 0), 7, 1001), (11, (7, 0), 22, 2000),
+                 (12, (7, 0), 4, 1)]
+
+
+def test_sampled_scan_matches_uint8_formula(spec, variety, fp, monkeypatch):
     mul = spec.mul_table()
-    for seed, k, count in [(0, 3, 500), (5, 10, 40_000), (77, 21, 3000), (2024, 1, 64)]:
-        rows = np.stack([monomial_vector(m, variety) for m in list(fp)[:k]])
-        offset = monomial_vector((7, 0), variety)
-        coeffs = SplitMix64(seed).fill_below(8, (count, k))
-        block = np.broadcast_to(offset, (count, 22)).copy()
-        for i in range(k):
-            block ^= mul[coeffs[:, i][:, None], rows[i][None, :]]
-        blocks = list(sample_weights(offset, rows, spec, seed, count))
-        assert np.array_equal(np.concatenate([c for c, _ in blocks]), coeffs)
-        weights = np.count_nonzero(block, axis=1)
-        assert np.array_equal(np.concatenate([w for _, w in blocks]), weights)
-        assert sampled_min_weight(offset, rows, spec, seed, count) == weights.min()
+    # 7-message blocks make many blocks per case, the last one partial
+    for sample_chunk in (codes._SAMPLE_CHUNK, 7):
+        monkeypatch.setattr(codes, "_SAMPLE_CHUNK", sample_chunk)
+        for seed, M, k, count in SAMPLED_CASES:
+            rows = np.array([monomial_vector(m, variety) for m in list(fp)[:k]],
+                            dtype=np.uint8).reshape(k, 22)
+            offset = monomial_vector(M, variety)
+            coeffs = _scalar_coeffs(seed, count, k)
+            block = np.broadcast_to(offset, (count, 22)).copy()
+            for i in range(k):
+                block ^= mul[coeffs[:, i][:, None], rows[i][None, :]]
+            blocks = list(sample_weights(offset, rows, spec, seed, count))
+            assert len(blocks) == -(-count // sample_chunk)
+            assert np.array_equal(np.concatenate([c for c, _ in blocks]), coeffs)
+            weights = np.count_nonzero(block, axis=1)
+            assert np.array_equal(np.concatenate([w for _, w in blocks]), weights)
+            assert sampled_min_weight(offset, rows, spec, seed, count) == weights.min()
+
+
+def test_sampled_scan_memory_is_block_sized(spec, variety):
+    M = (6, 2)
+    support = klein.class_support(M)
+    assert len(support) == 21
+    rows = np.stack([monomial_vector(m, variety) for m in support])
+    offset = monomial_vector(M, variety)
+    tracemalloc.start()
+    try:
+        for _ in sample_weights(offset, rows, spec, 5, 100_000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 # ---------------------------------------------------------------------------
