@@ -15,7 +15,7 @@ divisibility count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .casebound import (
     BoundReport,
@@ -188,6 +188,6 @@ def auto_search(M: tuple, budget: SearchBudget = None) -> BoundReport:
     if report.bound > ceiling:
         raise TraceError(f"replay proves {report.bound}, above the weight {ceiling} "
                          f"of a word in the coset")
-    for leaf in report.leaves:
-        leaf.established = tuple(sorted(leaf.established))
-    return report
+    return replace(report, leaves=tuple(
+        replace(leaf, established=tuple(sorted(leaf.established)))
+        for leaf in report.leaves))

@@ -35,6 +35,9 @@ excluded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -56,6 +59,7 @@ from .poly import (
     divide,
     format_monomial,
     mono_divides,
+    parse_monomial,
     parse_poly,
 )
 
@@ -151,8 +155,6 @@ def parse_trace(text: str):
 
 
 def _parse_block(lines, i, top=False):
-    from .poly import parse_monomial
-
     steps = []
     while i < len(lines):
         line = lines[i]
@@ -202,7 +204,7 @@ def _parse_block(lines, i, top=False):
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass
+@dataclass(frozen=True)
 class Leaf:
     label: str
     constraints: ConstraintStore
@@ -211,12 +213,15 @@ class Leaf:
     vacuous: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundReport:
+    """A verified replay.  Frozen: verify_all_traces hands the same memoised
+    report to every caller."""
+
     M: tuple
     t: int
     baseline: int
-    leaves: list
+    leaves: tuple
     bound: int
     steps: tuple  # the step tree whose replay this report is
 
@@ -359,7 +364,7 @@ def verify_trace(M: tuple, steps) -> BoundReport:
     live = [leaf.count for leaf in leaves if not leaf.vacuous]
     if not live:
         raise VacuousEverywhere(f"every branch of {format_monomial(ctx.M)} is vacuous")
-    return BoundReport(ctx.M, ctx.t, len(ctx.upset), leaves, min(live), steps)
+    return BoundReport(ctx.M, ctx.t, len(ctx.upset), tuple(leaves), min(live), steps)
 
 
 def _check_claim(ctx, W, mono, cs, label):
@@ -432,11 +437,7 @@ TRACED_CLASSES = {
 
 def load_trace_text(name: str, traces_dir=None) -> str:
     if traces_dir is not None:
-        from pathlib import Path
-
         return (Path(traces_dir) / f"{name}.trace").read_text()
-    from importlib import resources
-
     return resources.files("kleincode").joinpath(f"traces/{name}.trace").read_text()
 
 
@@ -456,8 +457,15 @@ def bound_map_from_reports(reports: dict) -> dict:
 
 
 def verify_all_traces(traces_dir=None) -> dict:
-    reports = {}
-    for M, name in TRACED_CLASSES.items():
-        steps = parse_trace(load_trace_text(name, traces_dir))
-        reports[M] = verify_trace(M, steps)
-    return reports
+    """Reports for the nine traced classes.  The texts are read on every
+    call; each (M, text) pair is replayed once per process."""
+    return {M: _verified_trace(M, load_trace_text(name, traces_dir))
+            for M, name in TRACED_CLASSES.items()}
+
+
+@lru_cache(maxsize=32)
+def _verified_trace(M: tuple, text: str) -> BoundReport:
+    """verify_trace of one trace text, memoised by content, so an edited
+    file is replayed again and identical texts share one report.  A failing
+    replay raises and is not cached."""
+    return verify_trace(M, parse_trace(text))

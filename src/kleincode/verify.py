@@ -13,10 +13,15 @@ import numpy as np
 
 from . import klein
 from .casebound import (
+    TRACED_CLASSES,
+    bound_map_from_reports,
     divisibility_bound,
     full_bound_map,
     instantiate_and_check,
+    load_trace_text,
+    parse_trace,
     verify_all_traces,
+    verify_trace,
 )
 from .codes import (
     build_code,
@@ -272,10 +277,16 @@ def suite_table(seed, quick):
 
 
 def suite_traces(seed, quick):
+    """Each memoised report equals a fresh replay of its shipped trace, and
+    the bound map built from the reports is consistent with them."""
     reports = verify_all_traces()
-    delta = full_bound_map()
+    delta = bound_map_from_reports(reports)
     fp = klein.klein_footprint()
     for M, rep in reports.items():
+        fresh = verify_trace(M, parse_trace(load_trace_text(TRACED_CLASSES[M])))
+        if ((fresh.bound, fresh.baseline, list(fresh.leaf_rows()))
+                != (rep.bound, rep.baseline, list(rep.leaf_rows()))):
+            return False, f"memoised report differs from a fresh replay at {format_monomial(M)}"
         if not divisibility_bound(M, fp) == rep.baseline <= rep.bound == delta[M]:
             return False, f"map inconsistent at {format_monomial(M)}"
     return True, f"{len(reports)} traces verified, no step failures"

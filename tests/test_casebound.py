@@ -1,5 +1,11 @@
+import dataclasses
+import shutil
+from pathlib import Path
+
 import pytest
 
+from conftest import run_cli
+from kleincode import casebound
 from kleincode.casebound import (
     Branch,
     Claim,
@@ -33,6 +39,9 @@ TRACE_BOUNDS = {
     (0, 1): 18, (0, 2): 13, (1, 1): 15, (2, 1): 12, (1, 2): 10,
     (3, 1): 9, (2, 2): 7, (3, 2): 5, (7, 0): 1,
 }
+
+GOLDEN = Path(__file__).parent / "golden"
+TRACES = Path(casebound.__file__).parent / "traces"
 
 
 # ---------------------------------------------------------------------------
@@ -249,3 +258,62 @@ def test_delta_map_range_and_baseline_monotone(fp):
         for n in fp:
             if mono_divides(m, n):
                 assert divisibility_bound(n, fp) <= divisibility_bound(m, fp)
+
+
+# ---------------------------------------------------------------------------
+# the memo of shipped-trace replays
+
+def count_replays(monkeypatch) -> list:
+    """Record the class of every verify_trace call the memo makes."""
+    calls = []
+    real = casebound.verify_trace
+
+    def counting(M, steps):
+        calls.append(M)
+        return real(M, steps)
+
+    monkeypatch.setattr(casebound, "verify_trace", counting)
+    return calls
+
+
+def test_each_trace_text_is_replayed_once(tmp_path, monkeypatch):
+    casebound._verified_trace.cache_clear()
+    calls = count_replays(monkeypatch)
+    first = verify_all_traces()
+    assert len(calls) == 9
+    second = verify_all_traces()
+    assert full_bound_map() == EXPECTED_DELTA
+    assert len(calls) == 9
+    assert second is not first
+    assert all(second[M] is first[M] for M in TRACE_BOUNDS)
+    # a copied directory holds the same texts, so it shares their replays
+    for trace in TRACES.glob("*.trace"):
+        shutil.copy(trace, tmp_path)
+    copied = verify_all_traces(tmp_path)
+    assert len(calls) == 9
+    assert all(copied[M] is first[M] for M in TRACE_BOUNDS)
+
+
+def test_edited_trace_is_replayed_again(tmp_path, monkeypatch):
+    for trace in TRACES.glob("*.trace"):
+        shutil.copy(trace, tmp_path)
+    s39 = tmp_path / "s39.trace"  # X^7, the last class replayed
+    s39.write_text(s39.read_text().replace("claim X^7\n", "claim X^6\n", 1))
+    verify_all_traces()
+    calls = count_replays(monkeypatch)
+    with pytest.raises(UnjustifiedClaim):
+        verify_all_traces(tmp_path)
+    assert calls == [(7, 0)]
+    code, out = run_cli(["bound", "--traces", str(tmp_path)])
+    assert (code, out) == (1, "")
+    code, out = run_cli(["bound", "--format", "json"])
+    assert (code, out) == (0, GOLDEN.joinpath("bound.json").read_text())
+
+
+def test_reports_are_frozen():
+    rep = verify_all_traces()[(0, 1)]
+    assert isinstance(rep.leaves, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.bound = 19
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.leaves[0].established = ()

@@ -6,7 +6,11 @@ No linter ships with the project, so these tests walk syntax trees:
   or ``__all__`` entry of its module reads is dead weight;
 * a top-level function, class or constant of the package that nothing in
   the package, the demos or the benchmark harness names, other than its
-  own definition, is dead code.  Tests do not count as users.
+  own definition, is dead code.  Tests do not count as users;
+* a ``from m import`` inside a function, when the module already imports
+  from m at top level, re-runs an import for nothing.  Lazy imports of a
+  module the top level does not import (to defer a cost or break a cycle)
+  stay allowed.
 """
 
 import ast
@@ -113,3 +117,38 @@ def test_no_dead_top_level_names():
     dead = [f"{path.name}:{line} {name}" for path in MODULES
             for line, name in top_level_names(path.read_text()) if name not in used]
     assert dead == []
+
+
+def redundant_local_imports(source: str) -> list:
+    """(line, module) of each from-import inside a function whose module the
+    file already imports from at top level."""
+    tree = ast.parse(source)
+    top = {(node.level, node.module) for node in tree.body
+           if isinstance(node, ast.ImportFrom)}
+    return sorted({(node.lineno, "." * node.level + (node.module or ""))
+                   for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.level, node.module) in top})
+
+
+def test_redundant_local_import_detector():
+    src = ("from .poly import divide\n"
+           "from pathlib import Path\n"
+           "def parse():\n"
+           "    from .poly import parse_monomial\n"
+           "    from .klein import klein_order\n"
+           "    def inner():\n"
+           "        from pathlib import PurePath\n"
+           "    return parse_monomial, klein_order, inner\n"
+           "def lazy():\n"
+           "    from .. import poly\n"
+           "    from poly import divide\n"
+           "    return poly, divide\n")
+    assert redundant_local_imports(src) == [(4, ".poly"), (7, "pathlib")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_redundant_local_imports(path):
+    assert redundant_local_imports(path.read_text()) == []
