@@ -6,13 +6,13 @@ footprint     the 22 footprint monomials with their weights
 variety       the 22 points as enc coordinate pairs
 bound         per-class weight bounds from the shipped traces or auto-search
 table         the thresholded [n, k, d] parameter table
-oracle        brute-force coset minimum-weight scans
+oracle        coset minimum weight: one exact scan or a seeded sample
 trace-verify  replay and check one trace file
 verify-all    run every module's invariant suite
 
 All randomness flows from --seed through SplitMix64 (see rng.py), so all
-reports are bit-reproducible.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+reports are bit-reproducible.  Every command runs on the calling thread.
+Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -46,6 +46,11 @@ from .codes import (
 from .poly import ExponentCapExceeded, format_monomial, parse_monomial
 
 
+# 10^8 samples of the largest coset take about half a minute; a larger
+# count in a config file is a typo, not a request for a days-long scan.
+MAX_SAMPLE_COUNT = 10 ** 8
+
+
 @dataclass
 class RunConfig:
     seed: int = 42
@@ -56,7 +61,8 @@ class RunConfig:
 def load_config(args) -> RunConfig:
     """The defaults, then the config file, then the flags.  A config file
     is a JSON object whose only keys are seed and sample_count, each a JSON
-    integer; anything else is a usage error before any work."""
+    integer, sample_count in 1..MAX_SAMPLE_COUNT; anything else is a usage
+    error before any work."""
     cfg = RunConfig()
     path = getattr(args, "config", None) or os.environ.get("KLEINCODE_CONFIG")
     if path:
@@ -70,6 +76,9 @@ def load_config(args) -> RunConfig:
             if type(value) is not int:  # bool is a subclass of int
                 raise ValueError(f"config key {key!r} is not a JSON integer: "
                                  f"{json.dumps(value)}")
+            if key == "sample_count" and not 1 <= value <= MAX_SAMPLE_COUNT:
+                raise ValueError(f"config key 'sample_count' is {value}, outside "
+                                 f"1..{MAX_SAMPLE_COUNT}")
             setattr(cfg, key, value)
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
@@ -241,7 +250,7 @@ def cmd_oracle(args) -> int:
     mode = args.mode
     w, exact = coset_min_weight(M, support, klein.klein_variety(), mode,
                                 order=klein.klein_order(), fp=klein.klein_footprint(),
-                                seed=cfg.seed, count=cfg.sample_count, jobs=args.jobs)
+                                seed=cfg.seed, count=cfg.sample_count)
     delta = full_bound_map()[M]
     result = {
         "monomial": format_monomial(M),
@@ -307,7 +316,7 @@ def cmd_verify_all(args) -> int:
 
     # Each suite's time goes to stderr, so stdout stays reproducible.
     start = time.perf_counter()
-    for name, ok, detail in run_suites(seed=cfg.seed, quick=args.quick, jobs=args.jobs):
+    for name, ok, detail in run_suites(seed=cfg.seed, quick=args.quick):
         report(name, ok, detail)
         now = time.perf_counter()
         sys.stderr.write(f"{name}: {now - start:.3f} s\n")
@@ -317,21 +326,15 @@ def cmd_verify_all(args) -> int:
     return 0 if not failures else 1
 
 
-def _int_at_least(low: int):
-    """An argparse type: an int no smaller than low."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{value} is below {low}")
-        return value
-    return parse
-
-
-_positive_int = _int_at_least(1)
-_non_negative_int = _int_at_least(0)
+def _non_negative_int(text: str) -> int:
+    """An argparse type: an int no smaller than 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is below 0")
+    return value
 
 
 def main(argv=None) -> int:
@@ -371,9 +374,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("oracle", parents=[common],
                        help="brute-force coset minimum weight")
     p.add_argument("--lm", required=True)
-    p.add_argument("--mode", choices=("exhaustive", "gray", "sample"),
-                   default="exhaustive")
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
 
     p = sub.add_parser("trace-verify", parents=[common],
                        help="verify one trace file")
@@ -383,7 +384,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify-all", parents=[common],
                        help="run every invariant suite")
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--jobs", type=_positive_int, default=1)
 
     args = parser.parse_args(argv)
     handlers = {

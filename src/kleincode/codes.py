@@ -4,13 +4,14 @@ Every codeword scan runs on one bit-plane scanner: a word of n symbols of
 GF(8) is packed into three unsigned n-bit planes, one per bit of the enc
 value, so adding words is XOR of planes and the Hamming weight is
 np.bitwise_count(p0 | p1 | ...).  The exact scan (modes "exhaustive" and
-"gray" alike) packs all combinations of the lowest coefficients into one
-table and XORs in the high-coefficient states a chunk at a time, refusing
-more than EXACT_LIMIT_COEFFS coefficients before any work.  The sampled
-scan splits the rows into groups of four, tabulates the packed span of each
-group once (8^4 words) and adds up one gathered table word per group for
-each seeded SplitMix64 message, a few thousand messages per block so that
-every temporary stays in cache.
+"gray" name the same scan) packs all combinations of the lowest
+coefficients into one table and XORs in the high-coefficient states a chunk
+at a time on the calling thread, refusing more than EXACT_LIMIT_COEFFS
+coefficients before any work.  The sampled scan splits the rows into
+groups of four, tabulates the packed span of each group once (8^4 words)
+and adds up one gathered table word per group for each seeded SplitMix64
+message, a few thousand messages per block so that every temporary stays
+in cache.
 """
 
 from __future__ import annotations
@@ -282,14 +283,13 @@ def _table_min(high: np.ndarray, low: np.ndarray, skip_zero: bool):
 
 
 def exact_min_weight(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
-                     skip_zero: bool = False, jobs: int = 1) -> int:
+                     skip_zero: bool = False) -> int:
     """Minimum weight of offset + span(rows) over all q^k coefficient choices.
 
     The low coefficients form one packed table; the high ones are XORed in
     chunk by chunk.  skip_zero ignores zero words (the zero codeword of a
-    code).  jobs > 1 scans the q parts with different leading coefficients
-    on that many threads; the minimum does not depend on jobs.  More than
-    EXACT_LIMIT_COEFFS rows raise DimensionTooLarge before any work.
+    code).  More than EXACT_LIMIT_COEFFS rows raise DimensionTooLarge before
+    any work.
     """
     k = rows.shape[0]
     if k > EXACT_LIMIT_COEFFS:
@@ -301,20 +301,7 @@ def exact_min_weight(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
     base = pack_planes(offset)
     high = _span_table(mults[:, :split], base)
     low = _span_table(mults[:, split:], np.zeros_like(base))
-    # one part per leading coefficient (the top digit of the high table)
-    step = high.shape[1] // spec.q if split else high.shape[1]
-
-    def part(start):
-        return _table_min(high[:, start:start + step], low, skip_zero)
-
-    starts = range(0, high.shape[1], step)
-    if jobs > 1 and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            best = _least(list(pool.map(part, starts)))
-    else:
-        best = _least(map(part, starts))
+    best = _table_min(high, low, skip_zero)
     if best is None:
         raise ValueError("the exact scan met only zero words")
     return best
@@ -399,12 +386,13 @@ def min_distance(code: EvaluationCode, strategy: str = "exhaustive",
 
 def coset_min_weight(M: tuple, support, v: Variety, mode: str = "exhaustive",
                      order: MonomialOrder = None, fp=None, seed: int = 0,
-                     count: int = 100_000, jobs: int = 1) -> tuple[int, bool]:
+                     count: int = 100_000) -> tuple[int, bool]:
     """Minimum weight of ev(M + sum a_i m_i) over all coefficient choices.
 
     support must consist of footprint monomials strictly below M.  Modes:
-    exhaustive and gray (both the exact bit-plane scan, on `jobs` threads)
-    and sample (seeded, exact=False).
+    exhaustive and gray (one and the same exact bit-plane scan; "gray" is
+    kept as an alias for callers that name it) and sample (seeded,
+    exact=False).
     """
     M = tuple(M)
     support = [tuple(m) for m in support]
@@ -426,7 +414,7 @@ def coset_min_weight(M: tuple, support, v: Variety, mode: str = "exhaustive",
         rows[i] = monomial_vector(m, v)
     if mode == "sample":
         return sampled_min_weight(offset, rows, spec, seed, count), False
-    return exact_min_weight(offset, rows, spec, jobs=jobs), True
+    return exact_min_weight(offset, rows, spec), True
 
 
 def count_weight_one(code: EvaluationCode) -> int:

@@ -22,8 +22,9 @@ class DivisionByZero(ZeroDivisionError):
 class FieldSpec:
     """GF(8) with modulus x^3 + x + 1 and precomputed tables.
 
-    Safe to share across workers: nothing is mutated after construction.
-    It is also the concrete coefficient domain of poly.Polynomial.
+    Nothing is mutated after construction, so one shared instance serves
+    every caller.  It is also the concrete coefficient domain of
+    poly.Polynomial.
     """
 
     __slots__ = ("_exp", "_log", "_mul_table")

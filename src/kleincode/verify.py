@@ -7,8 +7,6 @@ byte-identical reports.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from . import klein
@@ -292,7 +290,7 @@ def suite_traces(seed, quick):
     return True, f"{len(reports)} traces verified, no step failures"
 
 
-def suite_bound_soundness(seed, quick, jobs=1):
+def suite_bound_soundness(seed, quick):
     """Seeded random codewords per class never fall below the bound."""
     spec = gf8()
     fp = klein.klein_footprint()
@@ -300,22 +298,11 @@ def suite_bound_soundness(seed, quick, jobs=1):
     delta = full_bound_map()
     count = 2000 if quick else 100_000
     rows_all = {m: monomial_vector(m, v) for m in fp}
-
-    def check(M):
+    for M in sorted(fp):
         support = klein.class_support(M)
         rows = np.array([rows_all[m] for m in support], dtype=np.uint8).reshape(-1, len(v))
         rng_seed = (seed << 8) ^ (M[0] * 37 + M[1])
-        return M, sampled_min_weight(rows_all[M], rows, spec, rng_seed, count)
-
-    classes = list(fp)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(check, classes))
-    else:
-        results = [check(M) for M in classes]
-    for M, worst in sorted(results):
+        worst = sampled_min_weight(rows_all[M], rows, spec, rng_seed, count)
         if worst < delta[M]:
             return False, f"{format_monomial(M)}: weight {worst} below {delta[M]}"
     return True, f"{count} samples x 22 classes"
@@ -371,7 +358,7 @@ def suite_autosearch(seed, quick):
     return True, "floor, Y rediscovery and bounds under coset word weights"
 
 
-def run_suites(seed=42, quick=False, jobs=1):
+def run_suites(seed=42, quick=False):
     """Run every suite in turn, yielding (name, ok, detail) as each ends."""
     suites = [
         ("gf-axioms", suite_gf),
@@ -389,7 +376,7 @@ def run_suites(seed=42, quick=False, jobs=1):
         ("casebound-instantiation", suite_instantiation),
         ("casebound-x7-claim", suite_x7_claim),
         ("autosearch", suite_autosearch),
-        ("casebound-bound-soundness", partial(suite_bound_soundness, jobs=jobs)),
+        ("casebound-bound-soundness", suite_bound_soundness),
     ]
     for name, fn in suites:
         try:
