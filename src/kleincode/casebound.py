@@ -44,7 +44,6 @@ import numpy as np
 from .groebner import Footprint, buchberger, footprint
 from .klein import (
     class_support,
-    ideal_generators,
     klein_basis,
     klein_domain,
     klein_footprint,
@@ -392,7 +391,9 @@ def _check_claim(ctx, W, mono, cs, label):
 
 def instantiate_and_check(M: tuple, leaf: Leaf, nsamples: int, seed: int):
     """Sample concrete parameter values satisfying the leaf and verify every
-    established monomial is absent from the footprint of <F> + I8."""
+    established monomial is absent from the footprint of <F> + I8.  I8 enters
+    as its reduced basis: it generates the same ideal as the curve and field
+    equations, so the reduced basis and footprint of the sum are the same."""
     ctx = KleinParametric(M)
     if leaf.vacuous or leaf.constraints.vacuous:
         raise UnsatisfiableLeaf(leaf.label)
@@ -400,7 +401,7 @@ def instantiate_and_check(M: tuple, leaf: Leaf, nsamples: int, seed: int):
     if not assignments:
         raise UnsatisfiableLeaf(leaf.label)
     dom = klein_domain()
-    gens = list(ideal_generators())
+    gens = klein_basis().gens
     order = klein_order()
     F_leaf = ctx.root.map_coeffs(leaf.constraints.reduce)
     grid = np.array(assignments, dtype=np.uint8).T

@@ -1,5 +1,11 @@
 """Variety enumeration, evaluation codes, and weight/distance oracles.
 
+Evaluation is vectorised: a Variety keeps, per coordinate, the rows of an
+8x8 power table for its points, and evaluate_terms gathers one column per
+term exponent and multiplies through mul_table, all points and terms at
+once.  Evaluation vectors, monomial rows and the variety scan itself all
+go through it; Polynomial.eval stays the scalar reference.
+
 Every codeword scan runs on one bit-plane scanner: a word of n symbols of
 GF(8) is packed into three unsigned n-bit planes, one per bit of the enc
 value, so adding words is XOR of planes and the Hamming weight is
@@ -16,11 +22,20 @@ in cache.
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
 from .gf import FieldSpec
 from .groebner import GroebnerBasis, buchberger, footprint
-from .poly import MonomialOrder, Polynomial, ZeroPolynomial, format_monomial
+from .poly import (
+    ArityMismatch,
+    MonomialOrder,
+    ParametricCoefficients,
+    Polynomial,
+    ZeroPolynomial,
+    format_monomial,
+)
 from .rng import SplitMix64
 
 
@@ -41,13 +56,19 @@ class SupportNotBelowM(ValueError):
 
 
 class Variety:
-    """Ordered list of distinct points, sorted by enc coordinates."""
+    """Ordered list of distinct points, sorted by enc coordinates.
 
-    __slots__ = ("spec", "points")
+    powers[i][j, r] is coordinate i of point j raised to r < q: the rows of
+    the field's power table that evaluate_terms gathers from.
+    """
+
+    __slots__ = ("spec", "points", "powers")
 
     def __init__(self, spec: FieldSpec, points):
         self.spec = spec
         self.points = tuple(sorted(points))
+        pw = spec.pow_table()
+        self.powers = tuple(pw[list(xs)] for xs in zip(*self.points))
 
     def __len__(self):
         return len(self.points)
@@ -58,17 +79,11 @@ class Variety:
 
 def enumerate_variety(gens, spec: FieldSpec, arity: int = 2) -> Variety:
     """Brute-force scan of all q^arity points for common zeros."""
-    points = []
-    coords = [0] * arity
-    for n in range(spec.q ** arity):
-        v = n
-        for i in range(arity):
-            coords[i] = v % spec.q
-            v //= spec.q
-        pt = tuple(coords)
-        if all(g.eval(pt) == 0 for g in gens):
-            points.append(pt)
-    return Variety(spec, points)
+    grid = Variety(spec, product(range(spec.q), repeat=arity))
+    common = np.ones(len(grid), dtype=bool)
+    for g in gens:
+        common &= evaluation_vector(g, grid) == 0
+    return Variety(spec, [p for p, z in zip(grid.points, common) if z])
 
 
 def verify_fano(v: Variety) -> bool:
@@ -99,23 +114,37 @@ def verify_fano(v: Variety) -> bool:
     return len(incidence) == 7 and all(c == 3 for c in incidence.values())
 
 
+def evaluate_terms(terms: dict, v: Variety) -> np.ndarray:
+    """sum of c * x^m over a concrete term map {m: c}, at every point x of v,
+    as a uint8 enc vector in variety order.
+
+    An exponent e >= 1 reads power table column (e - 1) % (q - 1) + 1,
+    which keeps 0^e = 0, and e = 0 reads column 0, so x^0 = 1 for every x.
+    Every point and term goes through mul_table at once."""
+    if not terms or not v.points:
+        return np.zeros(len(v), dtype=np.uint8)
+    exps = np.array(list(terms), dtype=np.int64)
+    cols = np.where(exps > 0, (exps - 1) % (v.spec.q - 1) + 1, 0)
+    vals = np.array(list(terms.values()), dtype=np.uint8)
+    mul = v.spec.mul_table()
+    for i, rows in enumerate(v.powers):
+        vals = mul[vals, rows[:, cols[:, i]]]
+    return np.bitwise_xor.reduce(vals, axis=1)
+
+
 def evaluation_vector(F: Polynomial, v: Variety) -> np.ndarray:
     """(F(P_1), ..., F(P_n)) as a uint8 enc vector in variety order."""
-    return np.array([F.eval(p) for p in v], dtype=np.uint8)
+    if F.domain.parametric:
+        raise ParametricCoefficients("evaluation needs concrete coefficients")
+    if v.points and F.arity != len(v.powers):
+        raise ArityMismatch(f"arity {F.arity} polynomial on a variety of "
+                            f"arity {len(v.powers)}")
+    return evaluate_terms(F.terms, v)
 
 
 def monomial_vector(mono: tuple, v: Variety) -> np.ndarray:
-    spec = v.spec
-    out = np.empty(len(v), dtype=np.uint8)
-    for j, pt in enumerate(v):
-        val = 1
-        for x, e in zip(pt, mono):
-            if e:
-                val = spec.mul(val, spec.pow(x, e))
-                if val == 0:
-                    break
-        out[j] = val
-    return out
+    """The evaluation vector of the monic monomial mono."""
+    return evaluate_terms({tuple(mono): 1}, v)
 
 
 class EvaluationCode:

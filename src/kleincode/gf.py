@@ -27,7 +27,7 @@ class FieldSpec:
     poly.Polynomial.
     """
 
-    __slots__ = ("_exp", "_log", "_mul_table")
+    __slots__ = ("_exp", "_log", "_rows", "_mul_table", "_pow_table")
 
     m, q, modulus_bits = 3, 8, 0b1011
     parametric = False
@@ -50,7 +50,10 @@ class FieldSpec:
                 x ^= self.modulus_bits
         self._exp = exp
         self._log = log
-        self._mul_table = None
+        # _rows[a][b] = a * b, so a product is two tuple lookups
+        self._rows = tuple(tuple(exp[log[a] + log[b]] if a and b else 0
+                                 for b in range(self.q)) for a in range(self.q))
+        self._mul_table = self._pow_table = None
 
     def from_enc(self, a: int) -> int:
         if not 0 <= a < self.q:
@@ -61,9 +64,11 @@ class FieldSpec:
         return isinstance(other, FieldSpec)
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
+        return self._rows[a][b]
+
+    def scaler(self, c: int):
+        """The map b -> c * b, as one bound tuple lookup."""
+        return self._rows[c].__getitem__
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -90,12 +95,17 @@ class FieldSpec:
         if self._mul_table is None:
             import numpy as np
 
-            t = np.zeros((self.q, self.q), dtype=np.uint8)
-            for a in range(1, self.q):
-                for b in range(1, self.q):
-                    t[a, b] = self.mul(a, b)
-            self._mul_table = t
+            self._mul_table = np.array(self._rows, dtype=np.uint8)
         return self._mul_table
+
+    def pow_table(self):
+        """q-by-q numpy power table (uint8): entry [a, r] is a^r, 0^0 = 1."""
+        if self._pow_table is None:
+            import numpy as np
+
+            self._pow_table = np.array([[self.pow(a, r) for r in range(self.q)]
+                                        for a in range(self.q)], dtype=np.uint8)
+        return self._pow_table
 
     def __repr__(self):
         return f"FieldSpec(m={self.m}, modulus_bits=0b{self.modulus_bits:b})"

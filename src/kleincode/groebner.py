@@ -1,9 +1,11 @@
 """Buchberger's algorithm, normal forms, and footprint enumeration.
 
 There is one Buchberger.  It keeps its basis packed (poly.packed: dicts
-keyed by the order's int key) and reduces inputs and S-pairs, and then each
-basis element against the rest, with the one reduction loop
-poly.reduce_packed; the Gebauer-Moeller criteria decide which S-pairs are
+keyed by the order's int key) and runs the one reduction loop
+poly.reduce_packed twice over: in the pair loop it top-reduces each input
+and S-pair (head mode: only the head is cancelled, tails stay as they
+are), and once the basis is complete it reduces each element's tail fully
+against the rest.  The Gebauer-Moeller criteria decide which S-pairs are
 reduced at all.  Bases are reduced and monic with a deterministic ordering
 (ascending heads), so repeated runs produce identical output.  The
 footprint of a zero-dimensional ideal is enumerated by walking the grid
@@ -16,6 +18,7 @@ import heapq
 
 from .poly import (
     FULL,
+    HEAD,
     MonomialOrder,
     Polynomial,
     ZeroPolynomial,
@@ -68,9 +71,12 @@ def buchberger(gens, order: MonomialOrder) -> GroebnerBasis:
     """Reduced monic Groebner basis with the normal selection strategy.
 
     Pairs are processed smallest head-lcm first.  Each input, and each
-    S-pair, is reduced by the active basis; a nonzero remainder h enters
-    through the update step of Gebauer and Moeller ("On an installation of
-    Buchberger's algorithm", J. Symbolic Comput. 6, 1988):
+    S-pair, is top-reduced by the active basis: reduction stops at the
+    first head no active head divides, since only whether the remainder is
+    zero, and its head, matter to the pair loop.  A nonzero remainder h
+    enters, tail unreduced, through the update step of Gebauer and Moeller
+    ("On an installation of Buchberger's algorithm", J. Symbolic Comput. 6,
+    1988):
 
     * chain criterion on the new pairs: a pair (h, g) goes when another new
       pair's head-lcm divides its lcm (of equal lcms at most one stays);
@@ -82,14 +88,16 @@ def buchberger(gens, order: MonomialOrder) -> GroebnerBasis:
       reducer; its queued pairs stay.
 
     The active heads stay pairwise non-dividing, so the final active list is
-    a minimal basis; inter-reducing its tails gives the reduced one.
+    a minimal basis; reducing each tail fully by the others, once, gives
+    the reduced one, which is unique: the output does not depend on the
+    generators' order, or on whether their tails were reduced.
     Elements stay monic, so an S-pair is the sum of two shifted elements.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ZeroPolynomial("no nonzero generators")
     dom = gens[0].domain
-    add, mul, is_zero, zero = dom.add, dom.mul, dom.is_zero, dom.zero
+    add, is_zero, zero = dom.add, dom.is_zero, dom.zero
     # every element so far, packed, monic and prepared as a divisor for
     # reduce_packed: (head exponents, head key, None, terms)
     basis = []
@@ -99,12 +107,13 @@ def buchberger(gens, order: MonomialOrder) -> GroebnerBasis:
     live = {}      # queued pair (i, j) -> its head lcm
 
     def insert(d):
-        r = reduce_packed(d, reducers, order, dom)
+        r = reduce_packed(d, reducers, order, dom, HEAD)
         if not r:
             return
         dv = prepare_divisor(r, order, dom)
         if dv[3] is not None:
-            dv = prepare_divisor({k: mul(dv[3], c) for k, c in r.items()}, order, dom)
+            scale = dom.scaler(dv[3])
+            dv = prepare_divisor({k: scale(c) for k, c in r.items()}, order, dom)
         k = len(basis)
         basis.append(dv)
         h = dv[:2]
@@ -148,7 +157,7 @@ def buchberger(gens, order: MonomialOrder) -> GroebnerBasis:
                     s[nk] = v
         insert(s)
 
-    # inter-reduce tails to the unique reduced basis; heads stay put
+    # reduce every tail fully, once, to the unique reduced basis; heads stay put
     for i in range(len(reducers)):
         r = reduce_packed(dict(reducers[i][4]), reducers[:i] + reducers[i + 1:], order, dom)
         reducers[i] = prepare_divisor(r, order, dom)

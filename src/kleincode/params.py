@@ -222,6 +222,11 @@ class ParamRing:
     add = staticmethod(ParamPoly.add)
     mul = staticmethod(ParamPoly.mul)
 
+    @staticmethod
+    def scaler(c):
+        """The map b -> c * b."""
+        return c.mul
+
     def inv(self, a):
         c = a.as_const()
         if c is None:

@@ -6,8 +6,10 @@ coefficient.  There are two coefficient domains: ``gf.FieldSpec``, the
 concrete GF(8) with enc integer coefficients, and ``params.ParamRing``,
 the parametric ring GF(8)[a1..at] of the case-split engine.  A domain
 provides ``zero``, ``one``, ``is_zero(c)``, ``add(a, b)``, ``mul(a, b)``,
-``inv(a)``, ``from_enc(n)``, ``compatible(other)`` and ``parametric``,
-and a parametric one also ``t``, ``var_pow(i, e)`` and ``format_coef(c)``.
+``scaler(c)`` (the map b -> c * b, with which reduce_packed scales a
+divisor once per step), ``inv(a)``, ``from_enc(n)``, ``compatible(other)``
+and ``parametric``, and a parametric one also ``t``, ``var_pow(i, e)`` and
+``format_coef(c)``.
 Both domains have characteristic 2, so subtraction is addition throughout.
 
 The order is two-variable weighted-degree-lex, and its key is one packed
@@ -295,7 +297,7 @@ def reduce_packed(p: dict, divisors, order: MonomialOrder, domain,
     cancels it.  FULL moves an irreducible head to the remainder and goes on;
     HEAD stops there.  When given, quots[i] accumulates divisor i's quotient."""
     add, mul, is_zero, zero = domain.add, domain.mul, domain.is_zero, domain.zero
-    decode = order.decode
+    scaler, decode = domain.scaler, order.decode
     rem: dict = {}
     while p:
         mk = max(p)
@@ -312,9 +314,10 @@ def reduce_packed(p: dict, divisors, order: MonomialOrder, domain,
                         qd.pop(tk, None)
                     else:
                         qd[tk] = qv
+                scale = scaler(qc)
                 for dmk, dc in items:
                     nk = tk + dmk
-                    v = add(p.get(nk, zero), mul(qc, dc))
+                    v = add(p.get(nk, zero), scale(dc))
                     if is_zero(v):
                         p.pop(nk, None)
                     else:

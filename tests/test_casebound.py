@@ -219,6 +219,33 @@ def test_instantiate_specific_assignment(dom, order):
         assert (a, 0) not in fp2
 
 
+def test_instantiate_footprint_matches_raw_generators(monkeypatch):
+    # instantiate_and_check starts from the reduced Klein basis; for every
+    # sampled leaf polynomial, the basis and footprint it sees equal those
+    # of F with the curve and field equations
+    from kleincode.groebner import buchberger, footprint
+    from kleincode.klein import ideal_generators
+
+    seen = []
+
+    def recording(gens, order):
+        gb = buchberger(gens, order)
+        seen.append((gens[0], gb))
+        return gb
+
+    monkeypatch.setattr(casebound, "buchberger", recording)
+    for M, name in (((0, 1), "s31"), ((1, 1), "s33"), ((3, 2), "s38")):
+        rep = verify_trace(M, parse_trace(load_trace_text(name)))
+        for leaf in rep.leaves:
+            if not leaf.vacuous:
+                instantiate_and_check(M, leaf, nsamples=3, seed=17)
+    assert len(seen) >= 20
+    for F, gb in seen:
+        raw = buchberger([F, *ideal_generators()], gb.order)
+        assert [g.terms for g in gb] == [g.terms for g in raw]
+        assert footprint(gb).monomials == footprint(raw).monomials
+
+
 def test_instantiate_vacuous_leaf_raises():
     from kleincode.casebound import Leaf
     from kleincode.params import ConstraintStore, ParamRing

@@ -28,7 +28,7 @@ from kleincode.codes import (
     verify_fano,
     weight_via_footprint,
 )
-from kleincode.poly import Polynomial, ZeroPolynomial, parse_poly
+from kleincode.poly import EXPONENT_CAP, Polynomial, ZeroPolynomial, parse_poly
 from kleincode.rng import SplitMix64
 
 EXPECTED_TABLE = [(1, 22), (2, 19), (3, 18), (4, 16), (5, 15), (7, 13), (8, 12),
@@ -83,6 +83,45 @@ def test_evaluation_linear(dom, variety):
         lhs = evaluation_vector(p.add(q), variety)
         rhs = evaluation_vector(p, variety) ^ evaluation_vector(q, variety)
         assert np.array_equal(lhs, rhs)
+
+
+def _assert_matches_scalar_eval(F, variety):
+    assert evaluation_vector(F, variety).tolist() == [F.eval(p) for p in variety]
+
+
+def test_evaluator_matches_scalar_eval(dom, variety):
+    # the vectorised evaluator against Polynomial.eval, point by point, on
+    # 200 seeded random polynomials with exponents up to 30 (past q - 1 and
+    # 2(q - 1), where the power table wraps)
+    rng = SplitMix64(0xE7A1)
+    for _ in range(200):
+        F = Polynomial(dom, 2, {(rng.below(31), rng.below(31)): rng.below(8)
+                                for _ in range(1 + rng.below(8))})
+        _assert_matches_scalar_eval(F, variety)
+
+
+def test_evaluator_edge_cases(dom, variety):
+    # the zero polynomial, the constant 1, exponents 7, 8, 14 and near
+    # EXPONENT_CAP; the origin is a point of the variety, so 0^0 = 1 and
+    # 0^e = 0 are both met
+    assert (0, 0) in variety.points
+    cap = EXPONENT_CAP
+    _assert_matches_scalar_eval(Polynomial(dom, 2), variety)
+    assert evaluation_vector(parse_poly("1", dom), variety).tolist() == [1] * 22
+    for e in (1, 6, 7, 8, 13, 14, 15, cap - 7, cap - 1, cap):
+        for mono in ((e, 0), (0, e), (e, e), (e, 1), (1, e)):
+            for c in (1, 5):
+                _assert_matches_scalar_eval(Polynomial(dom, 2, {mono: c}), variety)
+        _assert_matches_scalar_eval(
+            Polynomial(dom, 2, {(e, 0): 3, (0, e): 6, (0, 0): 1}), variety)
+
+
+def test_monomial_vector_is_monomial_evaluation(dom, fp, variety):
+    for m in fp:
+        vec = monomial_vector(m, variety)
+        assert vec.dtype == np.uint8
+        assert np.array_equal(vec, evaluation_vector(Polynomial(dom, 2, {m: 1}), variety))
+        assert vec.tolist() == [Polynomial(dom, 2, {m: 1}).eval(p) for p in variety]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from kleincode import groebner
+from kleincode import groebner, klein
 from kleincode.groebner import (
     InfiniteFootprint,
     buchberger,
@@ -205,7 +205,9 @@ def test_buchberger_work_on_a_dense_codeword(dom, gb, fp, monkeypatch):
     # The basis of one weight identity, for an F on all 22 footprint
     # monomials.  reduce_packed calls, inputs and inter-reduction included:
     # 188 with the coprime-head criterion alone, 30 with the Gebauer-Moeller
-    # criteria; with neither the chain criterion nor B_k it is 59.
+    # criteria (28 top-reductions in the pair loop, then one full reduction
+    # per element of the 2-element basis); with neither the chain criterion
+    # nor B_k it is 59.
     F = Polynomial(dom, 2, {(a, b): 1 + (a + 2 * b) % 7 for a, b in fp})
     calls = []
     real = groebner.reduce_packed
@@ -218,6 +220,36 @@ def test_buchberger_work_on_a_dense_codeword(dom, gb, fp, monkeypatch):
     bigger = buchberger([F, *gb], gb.order)
     assert len(calls) <= 188 // 4
     assert len(fp) - len(footprint(bigger)) == 21
+
+
+def _shuffled(items, rng):
+    items = list(items)
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+def test_reduced_basis_is_unique(dom, gb, fp):
+    # The pair loop top-reduces and the instantiation check starts from the
+    # reduced Klein basis; both rely on the reduced basis of <F> + I8 being
+    # one and the same however the ideal is presented.  50 seeded F, dense
+    # and sparse, from the raw generators, from the reduced basis, and from
+    # a shuffled list of both.
+    rng = SplitMix64(0x0B17)
+    raw = list(klein.ideal_generators())
+    monos = list(fp) + [(8, 0), (0, 3), (9, 4)]
+    shapes = set()
+    for i in range(50):
+        keep = 2 + (i % 5) * 6
+        F = Polynomial(dom, 2, {monos[rng.below(len(monos))]: 1 + rng.below(7)
+                                for _ in range(keep)})
+        ref = [g.terms for g in buchberger([F, *raw], gb.order)]
+        assert [g.terms for g in buchberger([*gb, F], gb.order)] == ref
+        mixed = _shuffled([F, *raw, *gb], rng)
+        assert [g.terms for g in buchberger(mixed, gb.order)] == ref
+        shapes.add(len(ref))
+    assert len(shapes) >= 3, shapes
 
 
 def test_order_domain_check_klein(gb):
