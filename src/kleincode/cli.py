@@ -51,6 +51,17 @@ from .poly import ExponentCapExceeded, format_monomial, parse_monomial
 MAX_SAMPLE_COUNT = 10 ** 8
 
 
+# SplitMix64 keeps 64 bits of its seed, so a seed outside this range would
+# alias another one.
+MAX_SEED = 2 ** 64 - 1
+
+
+def _check_seed(value: int, name: str) -> int:
+    if not 0 <= value <= MAX_SEED:
+        raise ValueError(f"{name} is {value}, outside 0..2^64 - 1")
+    return value
+
+
 @dataclass
 class RunConfig:
     seed: int = 42
@@ -61,8 +72,8 @@ class RunConfig:
 def load_config(args) -> RunConfig:
     """The defaults, then the config file, then the flags.  A config file
     is a JSON object whose only keys are seed and sample_count, each a JSON
-    integer, sample_count in 1..MAX_SAMPLE_COUNT; anything else is a usage
-    error before any work."""
+    integer, seed in 0..MAX_SEED and sample_count in 1..MAX_SAMPLE_COUNT;
+    anything else is a usage error before any work."""
     cfg = RunConfig()
     path = getattr(args, "config", None) or os.environ.get("KLEINCODE_CONFIG")
     if path:
@@ -76,6 +87,8 @@ def load_config(args) -> RunConfig:
             if type(value) is not int:  # bool is a subclass of int
                 raise ValueError(f"config key {key!r} is not a JSON integer: "
                                  f"{json.dumps(value)}")
+            if key == "seed":
+                _check_seed(value, "config key 'seed'")
             if key == "sample_count" and not 1 <= value <= MAX_SAMPLE_COUNT:
                 raise ValueError(f"config key 'sample_count' is {value}, outside "
                                  f"1..{MAX_SAMPLE_COUNT}")
@@ -326,15 +339,27 @@ def cmd_verify_all(args) -> int:
     return 0 if not failures else 1
 
 
-def _non_negative_int(text: str) -> int:
-    """An argparse type: an int no smaller than 0."""
+def _int_arg(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _non_negative_int(text: str) -> int:
+    """An argparse type: an int no smaller than 0."""
+    value = _int_arg(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{value} is below 0")
     return value
+
+
+def _seed_arg(text: str) -> int:
+    """An argparse type: an int seed in 0..MAX_SEED."""
+    try:
+        return _check_seed(_int_arg(text), "seed")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def main(argv=None) -> int:
@@ -344,7 +369,7 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"),
                         default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=_seed_arg, default=argparse.SUPPRESS)
     common.add_argument("--config", default=argparse.SUPPRESS,
                         help="JSON config path (or env KLEINCODE_CONFIG)")
     parser = argparse.ArgumentParser(

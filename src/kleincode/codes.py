@@ -13,11 +13,13 @@ np.bitwise_count(p0 | p1 | ...).  The exact scan (modes "exhaustive" and
 "gray" name the same scan) packs all combinations of the lowest
 coefficients into one table and XORs in the high-coefficient states a chunk
 at a time on the calling thread, refusing more than EXACT_LIMIT_COEFFS
-coefficients before any work.  The sampled scan splits the rows into
-groups of four, tabulates the packed span of each group once (8^4 words)
-and adds up one gathered table word per group for each seeded SplitMix64
-message, a few thousand messages per block so that every temporary stays
-in cache.
+coefficients before any work.  An exact distance scans one message per
+projective point: the messages whose first nonzero coefficient is 1,
+(8^k - 1)/7 of them.  The sampled scan splits the rows into groups of
+four, tabulates the packed span of each group once (8^4 words) and adds
+up one gathered table word per group for each seeded SplitMix64 message,
+a few thousand messages per block so that every temporary stays in
+cache; the gather indices of all groups come from one float32 product.
 """
 
 from __future__ import annotations
@@ -311,26 +313,31 @@ def _table_min(high: np.ndarray, low: np.ndarray, skip_zero: bool):
     return _least(mins)
 
 
-def exact_min_weight(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
-                     skip_zero: bool = False) -> int:
-    """Minimum weight of offset + span(rows) over all q^k coefficient choices.
-
-    The low coefficients form one packed table; the high ones are XORed in
-    chunk by chunk.  skip_zero ignores zero words (the zero codeword of a
-    code).  More than EXACT_LIMIT_COEFFS rows raise DimensionTooLarge before
-    any work.
-    """
-    k = rows.shape[0]
+def _refuse_above_limit(k: int, spec: FieldSpec):
     if k > EXACT_LIMIT_COEFFS:
         raise DimensionTooLarge(
             f"{k} coefficients ({spec.q}^{k} = {spec.q ** k} states) above the "
             f"exact-scan limit of {EXACT_LIMIT_COEFFS} coefficients")
-    mults = _packed_multiples(rows, spec)
-    split = max(0, k - _LOW_COEFFS)
-    base = pack_planes(offset)
+
+
+def _scan_min(base: np.ndarray, mults: np.ndarray, skip_zero: bool):
+    """Least weight of packed base + span of the rows with these multiples
+    (None if skip_zero left nothing); the low coefficients form one table."""
+    split = max(0, mults.shape[1] - _LOW_COEFFS)
     high = _span_table(mults[:, :split], base)
     low = _span_table(mults[:, split:], np.zeros_like(base))
-    best = _table_min(high, low, skip_zero)
+    return _table_min(high, low, skip_zero)
+
+
+def exact_min_weight(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
+                     skip_zero: bool = False) -> int:
+    """Minimum weight of offset + span(rows) over all q^k coefficient choices.
+
+    skip_zero ignores zero words (the zero codeword of a code).  More than
+    EXACT_LIMIT_COEFFS rows raise DimensionTooLarge before any work.
+    """
+    _refuse_above_limit(rows.shape[0], spec)
+    best = _scan_min(pack_planes(offset), _packed_multiples(rows, spec), skip_zero)
     if best is None:
         raise ValueError("the exact scan met only zero words")
     return best
@@ -344,7 +351,8 @@ def sample_weights(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
     The coefficients are the SplitMix64(seed).fill_below(q, (take, k))
     stream, so results do not depend on the block size.  Each group of
     _GROUP_ROWS consecutive rows has a packed span table (offset folded
-    into the first), so a word is one gather per group.
+    into the first), so a word is one gather per group.  All the groups'
+    table indices come from one product coeffs @ digits.
     """
     if count < 1:
         raise ValueError(f"sample count {count} must be at least 1")
@@ -356,23 +364,25 @@ def sample_weights(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
     tables = [np.ascontiguousarray(_span_table(
         mults[:, g:g + _GROUP_ROWS], base if g == 0 else np.zeros_like(base)).T)
         for g in starts]
-    idx = np.empty(_SAMPLE_CHUNK, dtype=np.intp)
+    # digits[c, j]: the place value of coefficient c in group j's table
+    # index, whose first coefficient is the top digit.  Every index is an
+    # integer below q^4 < 2^24, so the float32 product is exact.
+    digits = np.zeros((k, len(starts)), dtype=np.float32)
+    for j, g in enumerate(starts):
+        digits[g:g + _GROUP_ROWS, j] = spec.q ** np.arange(min(_GROUP_ROWS, k - g))[::-1]
     words = np.empty((_SAMPLE_CHUNK, len(base)), dtype=base.dtype)
     part = np.empty_like(words)
     rng = SplitMix64(seed)
     for done in range(0, count, _SAMPLE_CHUNK):
         take = min(_SAMPLE_CHUNK, count - done)
         coeffs = rng.fill_below(spec.q, (take, k))
-        i, w, p = idx[:take], words[:take], part[:take]
-        for g, table in zip(starts, tables):
-            # the group's table index: its first coefficient is the top digit
-            i.fill(0)
-            for c in range(g, min(g + _GROUP_ROWS, k)):
-                i <<= spec.m
-                i |= coeffs[:, c]
+        # (groups, take): each group's indices contiguous for its gather
+        index = (coeffs @ digits).T.astype(np.intp, order="C")
+        w, p = words[:take], part[:take]
+        for j, table in enumerate(tables):
             # mode "clip" (the indices are in range) writes out unbuffered
-            np.take(table, i, axis=0, out=p if g else w, mode="clip")
-            if g:
+            np.take(table, index[j], axis=0, out=p if j else w, mode="clip")
+            if j:
                 w ^= p
         # the planes' OR column by column: a reduce over the short axis is slower
         word = w[:, 0] | w[:, 1]
@@ -398,16 +408,25 @@ def min_distance(code: EvaluationCode, strategy: str = "exhaustive",
                  seed: int = 0, count: int = 100_000) -> tuple[int, bool]:
     """True minimum weight for small k, or a sampled upper bound.
 
-    strategy "exhaustive" scans all q^k - 1 nonzero messages (k at most
-    EXACT_LIMIT_COEFFS); "sample" draws seeded random messages (exact=False).
-    Zero words are ignored, so both quantify over nonzero codewords.
+    strategy "exhaustive" (k at most EXACT_LIMIT_COEFFS) scans one message
+    per projective point, (q^k - 1)/(q - 1) in all: a nonzero word and its
+    scalar multiples have one weight, so it takes the messages whose first
+    nonzero coefficient is 1, the coset G[p] + span(G[p+1:]) for each p.
+    "sample" draws seeded random messages (exact=False).  Zero words are
+    ignored, so both quantify over nonzero codewords.
     """
     if code.k < 1:
         raise ZeroPolynomial("zero code has no nonzero codeword")
     spec = code.variety.spec
-    zero = np.zeros(code.n, dtype=np.uint8)
     if strategy == "exhaustive":
-        return exact_min_weight(zero, code.G, spec, skip_zero=True), True
+        _refuse_above_limit(code.k, spec)
+        mults = _packed_multiples(code.G, spec)  # mults[:, p, 1] is G[p] itself
+        best = _least(_scan_min(mults[:, p, 1], mults[:, p + 1:], True)
+                      for p in range(code.k))
+        if best is None:
+            raise ValueError("the exact scan met only zero words")
+        return best, True
+    zero = np.zeros(code.n, dtype=np.uint8)
     if strategy == "sample":
         return sampled_min_weight(zero, code.G, spec, seed, count, skip_zero=True), False
     raise ValueError(f"unknown strategy {strategy!r}")

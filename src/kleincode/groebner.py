@@ -15,6 +15,7 @@ bounded by the pure-power heads.
 from __future__ import annotations
 
 import heapq
+from functools import lru_cache
 
 from .poly import (
     FULL,
@@ -195,7 +196,13 @@ class Footprint:
 
 
 def footprint(gb: GroebnerBasis) -> Footprint:
-    heads = gb.heads()
+    """The footprint of gb's ideal, memoised by order and heads (all it
+    depends on), so the Klein basis's footprint is walked once."""
+    return _footprint(gb.order, tuple(gb.heads()))
+
+
+@lru_cache(maxsize=256)
+def _footprint(order: MonomialOrder, heads: tuple) -> Footprint:
     if not heads:
         raise ZeroPolynomial("empty basis")
     arity = len(heads[0])
@@ -218,7 +225,7 @@ def footprint(gb: GroebnerBasis) -> Footprint:
         m = tuple(idx)
         if not any(mono_divides(h, m) for h in heads):
             monos.append(m)
-    return Footprint(gb.order, monos)
+    return Footprint(order, monos)
 
 
 def order_domain_check(gb: GroebnerBasis, weights) -> tuple[bool, bool, bool]:

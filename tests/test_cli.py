@@ -271,6 +271,24 @@ def test_global_flags_before_subcommand(tmp_path, monkeypatch):
     assert seen == [(9, 2000), (11, 100_000)]
 
 
+def test_seed_outside_64_bits_refused(monkeypatch, capsys):
+    from kleincode import cli
+
+    # SplitMix64 keeps 64 bits of its seed: -1, 2^64 - 1 and 2^65 - 1 would
+    # all draw the same messages
+    seen = []
+    monkeypatch.setattr(cli, "coset_min_weight",
+                        lambda *a, **kw: seen.append(kw["seed"]) or (18, False))
+    oracle = ["oracle", "--lm", "Y", "--mode", "sample"]
+    for seed in (-1, 2 ** 64, 2 ** 65 - 1):
+        assert run_cli([*oracle, "--seed", str(seed)]) == (2, "")
+        err = capsys.readouterr().err
+        assert f"argument --seed: seed is {seed}, outside 0..2^64 - 1" in err, err
+    for seed in (0, 2 ** 64 - 1):
+        assert run_cli([*oracle, "--seed", str(seed)])[0] == 0
+    assert seen == [0, 2 ** 64 - 1]
+
+
 @pytest.mark.parametrize("text, named", [
     ("[1, 2]", "is not a JSON object"),
     ('{"sample_cont": 5}', "'sample_cont'"),
@@ -278,6 +296,8 @@ def test_global_flags_before_subcommand(tmp_path, monkeypatch):
     ('{"weights": [3, 2], "seed": 1}', "'weights'"),
     ('{"seed": 1.7}', "'seed'"),
     ('{"seed": true}', "'seed'"),
+    ('{"seed": -1}', "'seed' is -1, outside 0..2^64 - 1"),
+    ('{"seed": 18446744073709551616}', "outside 0..2^64 - 1"),
     ('{"sample_count": "5"}', "'sample_count'"),
     ('{"sample_count": 0}', "'sample_count'"),
     ('{"sample_count": 100000001}', "'sample_count'"),

@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -197,10 +198,22 @@ def test_min_distance_k2(variety):
     assert d >= 19            # Table row [22, 2, 19]
 
 
-def test_min_distance_limit(variety, fp):
+def test_min_distance_limit(variety, fp, monkeypatch):
+    # the first part of a k = 11 scan has 10 rows, so min_distance refuses
+    # by itself, before the scanner is entered
+    from kleincode import cli
+
+    def entered(*args, **kwargs):
+        raise AssertionError("the scan was entered")
+
+    for name in ("_scan_min", "_table_min", "_packed_multiples", "pack_planes"):
+        monkeypatch.setattr(codes, name, entered)
     code = build_code(list(fp)[:11], variety)
-    with pytest.raises(DimensionTooLarge):
+    with pytest.raises(DimensionTooLarge) as exc:
         min_distance(code, "exhaustive")
+    assert str(exc.value) == ("11 coefficients (8^11 = 8589934592 states) above the "
+                              "exact-scan limit of 10 coefficients")
+    assert cli.main(["table", "--measure-upto", "11"]) == 2
 
 
 def test_min_distance_sample_is_upper_bound(variety, fp):
@@ -281,6 +294,75 @@ def test_exact_scan_limit_refuses_before_work(order, fp, variety):
     code = build_code(list(fp)[:11], variety)
     with pytest.raises(DimensionTooLarge):
         min_distance(code, "exhaustive")
+
+
+def _brute_distance(G, mul):
+    """Least nonzero weight over all nonzero messages (None if every word is
+    zero), by itertools.product."""
+    msgs = np.array([m for m in itertools.product(range(8), repeat=len(G)) if any(m)],
+                    dtype=np.uint8).reshape(-1, len(G))
+    words = np.zeros((len(msgs), G.shape[1]), dtype=np.uint8)
+    for i, row in enumerate(G):
+        words ^= mul[msgs[:, i][:, None], row[None, :]]
+    weights = np.count_nonzero(words, axis=1)
+    weights = weights[weights > 0]
+    return int(weights.min()) if weights.size else None
+
+
+def _distance_generators(variety, fp, mul):
+    """Generator matrices with k = 0..5 in shuffled row order: monomial rows,
+    sparse rows, dependent rows and zero rows; first the repetition code."""
+    rnd = random.Random(0xD157)
+    monomial_rows = [monomial_vector(m, variety) for m in fp]
+    yield build_code([(0, 0)], variety).G
+    for case in range(90):
+        k = case % 6
+        rows = [monomial_rows[i].copy() for i in rnd.sample(range(len(fp)), k)]
+        for row in rows:
+            if rnd.random() < 0.4:  # sparse: low weights, unique minima
+                row[:] = 0
+                for j in rnd.sample(range(22), rnd.randint(1, 5)):
+                    row[j] = rnd.randint(1, 7)
+        if k >= 2 and case % 3 == 0:
+            i, j = rnd.sample(range(k), 2)
+            rows[i] = mul[rnd.randint(1, 7), rows[j]] ^ mul[rnd.randint(0, 7), rows[i - 1]]
+        if k and case % 4 == 1:
+            rows[rnd.randrange(k)][:] = 0
+        if k and case % 15 == 7:
+            rows = [np.zeros(22, dtype=np.uint8) for _ in rows]
+        rnd.shuffle(rows)
+        yield np.array(rows, dtype=np.uint8).reshape(k, 22)
+
+
+def test_projective_distance_matches_brute_force(spec, variety, fp, monkeypatch):
+    mul = spec.mul_table()
+    scanned = []
+    table_min = codes._table_min
+
+    def counting(high, low, skip_zero):
+        scanned.append(high.shape[1] * low.shape[1])
+        return table_min(high, low, skip_zero)
+
+    monkeypatch.setattr(codes, "_table_min", counting)
+    seen = set()
+    for G in _distance_generators(variety, fp, mul):
+        k = len(G)
+        # G's rows are set directly; the monomials only give the code its k
+        code = codes.EvaluationCode(list(fp)[:k], variety, G)
+        scanned.clear()
+        expected = _brute_distance(G, mul) if k else None
+        if k == 0:
+            with pytest.raises(ZeroPolynomial):
+                min_distance(code, "exhaustive")
+        elif expected is None:
+            with pytest.raises(ValueError):
+                min_distance(code, "exhaustive")
+        else:
+            assert min_distance(code, "exhaustive") == (expected, True)
+        # one message per projective point: (8^k - 1)/7 words in all
+        assert sum(scanned) == (8 ** k - 1) // 7
+        seen.add((k, expected is None))
+    assert seen >= {(k, False) for k in range(1, 6)} | {(0, True), (1, True), (4, True)}
 
 
 # ---------------------------------------------------------------------------
