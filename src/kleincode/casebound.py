@@ -153,6 +153,10 @@ def parse_trace(text: str):
     return steps
 
 
+# The number of tokens on each one-line step, the step name included.
+_STEP_TOKENS = {"mul": 2, "red": 3, "claim": 2, "restart": 1}
+
+
 def _parse_block(lines, i, top=False):
     steps = []
     while i < len(lines):
@@ -162,11 +166,13 @@ def _parse_block(lines, i, top=False):
                 raise ParseError("unmatched '}'")
             return tuple(steps), i
         parts = line.split()
+        if len(parts) != _STEP_TOKENS.get(parts[0], len(parts)):
+            raise ParseError(f"bad {parts[0]} step: {line!r}")
         if parts[0] == "mul":
             steps.append(Mul(parse_monomial(parts[1])))
             i += 1
         elif parts[0] == "red":
-            if len(parts) != 3 or parts[1] not in DIVISOR_IDS or parts[2] not in (HEAD, FULL):
+            if parts[1] not in DIVISOR_IDS or parts[2] not in (HEAD, FULL):
                 raise ParseError(f"bad red step: {line!r}")
             steps.append(Red(parts[1], parts[2]))
             i += 1

@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import klein
 from .casebound import (
@@ -46,58 +44,9 @@ from .codes import (
 from .poly import ExponentCapExceeded, format_monomial, parse_monomial
 
 
-# 10^8 samples of the largest coset take about half a minute; a larger
-# count in a config file is a typo, not a request for a days-long scan.
-MAX_SAMPLE_COUNT = 10 ** 8
-
-
-# SplitMix64 keeps 64 bits of its seed, so a seed outside this range would
-# alias another one.
-MAX_SEED = 2 ** 64 - 1
-
-
-def _check_seed(value: int, name: str) -> int:
-    if not 0 <= value <= MAX_SEED:
-        raise ValueError(f"{name} is {value}, outside 0..2^64 - 1")
-    return value
-
-
-@dataclass
-class RunConfig:
-    seed: int = 42
-    sample_count: int = 100_000
-    fmt: str = "text"
-
-
-def load_config(args) -> RunConfig:
-    """The defaults, then the config file, then the flags.  A config file
-    is a JSON object whose only keys are seed and sample_count, each a JSON
-    integer, seed in 0..MAX_SEED and sample_count in 1..MAX_SAMPLE_COUNT;
-    anything else is a usage error before any work."""
-    cfg = RunConfig()
-    path = getattr(args, "config", None) or os.environ.get("KLEINCODE_CONFIG")
-    if path:
-        with open(path) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError(f"config {path} is not a JSON object")
-        for key, value in data.items():
-            if key not in ("seed", "sample_count"):
-                raise ValueError(f"config key {key!r} is not seed or sample_count")
-            if type(value) is not int:  # bool is a subclass of int
-                raise ValueError(f"config key {key!r} is not a JSON integer: "
-                                 f"{json.dumps(value)}")
-            if key == "seed":
-                _check_seed(value, "config key 'seed'")
-            if key == "sample_count" and not 1 <= value <= MAX_SAMPLE_COUNT:
-                raise ValueError(f"config key 'sample_count' is {value}, outside "
-                                 f"1..{MAX_SAMPLE_COUNT}")
-            setattr(cfg, key, value)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "format", None):
-        cfg.fmt = args.format
-    return cfg
+# oracle --mode sample draws this many messages, so a sampled report is a
+# function of --seed alone.
+SAMPLE_COUNT = 100_000
 
 
 def _emit_json(obj) -> str:
@@ -108,13 +57,12 @@ def _emit_json(obj) -> str:
 # subcommands
 
 def cmd_footprint(args) -> int:
-    cfg = load_config(args)
     order = klein.klein_order()
     rows = [{"monomial": format_monomial(m), "exponents": list(m),
              "weight": order.weight(m)} for m in klein.klein_footprint()]
-    if cfg.fmt == "json":
+    if args.format == "json":
         sys.stdout.write(_emit_json({"size": len(rows), "monomials": rows}))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         sys.stdout.write("monomial,x_exp,y_exp,weight\n")
         for r in rows:
             sys.stdout.write(f"{r['monomial']},{r['exponents'][0]},"
@@ -132,11 +80,10 @@ def cmd_footprint(args) -> int:
 
 
 def cmd_variety(args) -> int:
-    cfg = load_config(args)
     pts = [list(p) for p in klein.klein_variety()]
-    if cfg.fmt == "json":
+    if args.format == "json":
         sys.stdout.write(_emit_json({"size": len(pts), "points": pts}))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         sys.stdout.write("x,y\n")
         for x, y in pts:
             sys.stdout.write(f"{x},{y}\n")
@@ -153,17 +100,17 @@ def _bound_reports(args):
     outside the footprint is refused before any work; one without a trace
     is reported by the replay of the empty trace, its divisibility count."""
     M = None
-    if getattr(args, "lm", None):
+    if args.lm:
         M = parse_monomial(args.lm)
         if M not in klein.klein_footprint():
             raise NotInFootprint(f"{format_monomial(M)} outside the footprint")
-    if getattr(args, "auto", False):
+    if args.auto:
         from .autosearch import SearchBudget, auto_search
 
         budget = SearchBudget()
         classes = [M] if M is not None else sorted(TRACED_CLASSES)
         return {c: auto_search(c, budget) for c in classes}, None
-    reports = verify_all_traces(getattr(args, "traces", None))
+    reports = verify_all_traces(args.traces)
     delta = bound_map_from_reports(reports)
     if M is not None:
         reports = {M: reports[M] if M in reports else verify_trace(M, ())}
@@ -188,17 +135,16 @@ def _write_class_csv(entries) -> None:
 
 
 def cmd_bound(args) -> int:
-    cfg = load_config(args)
     reports, delta = _bound_reports(args)
     source = "auto" if delta is None else "traces"
     fp = klein.klein_footprint()
     out = [_class_entry(M, reports[M]) for M in sorted(reports, key=klein.klein_order().key)]
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = {"source": source, "classes": out}
         if delta is not None:
             payload["delta_map"] = {format_monomial(m): delta[m] for m in fp}
         sys.stdout.write(_emit_json(payload))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         _write_class_csv(out)
     else:
         for e in out:
@@ -214,13 +160,12 @@ def cmd_bound(args) -> int:
 
 
 def cmd_table(args) -> int:
-    cfg = load_config(args)
     measure_upto = args.measure_upto
     if measure_upto > EXACT_LIMIT_COEFFS:
         raise DimensionTooLarge(
             f"--measure-upto {measure_upto} is above the exact-scan limit of "
             f"{EXACT_LIMIT_COEFFS} coefficients; no row was measured")
-    delta = full_bound_map(getattr(args, "traces", None))
+    delta = full_bound_map(args.traces)
     v = klein.klein_variety()
     fp = klein.klein_footprint()
     rows = construct_table(delta, v)
@@ -237,9 +182,9 @@ def cmd_table(args) -> int:
             row["best_known"] = best
             row["comparison"] = "matches" if best == r["d"] else "one-less"
         enriched.append(row)
-    if cfg.fmt == "json":
+    if args.format == "json":
         sys.stdout.write(_emit_json({"rows": enriched}))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         sys.stdout.write("s,n,k,d,exact\n")
         for r in enriched:
             sys.stdout.write(f"{r['s']},{r['n']},{r['k']},{r['d']},"
@@ -257,27 +202,26 @@ def cmd_table(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cfg = load_config(args)
     M = parse_monomial(args.lm)
     support = klein.class_support(M)
     mode = args.mode
     w, exact = coset_min_weight(M, support, klein.klein_variety(), mode,
                                 order=klein.klein_order(), fp=klein.klein_footprint(),
-                                seed=cfg.seed, count=cfg.sample_count)
+                                seed=args.seed, count=SAMPLE_COUNT)
     delta = full_bound_map()[M]
     result = {
         "monomial": format_monomial(M),
         "mode": mode,
         "coefficients": len(support),
-        "states": (8 ** len(support) if mode != "sample" else cfg.sample_count),
+        "states": (8 ** len(support) if mode != "sample" else SAMPLE_COUNT),
         "min_weight": w,
         "exact": exact,
         "delta": delta,
         "sound": w >= delta,
     }
-    if cfg.fmt == "json":
+    if args.format == "json":
         sys.stdout.write(_emit_json(result))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         sys.stdout.write("monomial,mode,coefficients,min_weight,exact,delta\n")
         sys.stdout.write(f"{result['monomial']},{mode},{len(support)},{w},"
                          f"{str(exact).lower()},{delta}\n")
@@ -290,15 +234,14 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_trace_verify(args) -> int:
-    cfg = load_config(args)
     with open(args.file) as fh:
         steps = parse_trace(fh.read())
     M = parse_monomial(args.lm)
     rep = verify_trace(M, steps)
     payload = _class_entry(M, rep)
-    if cfg.fmt == "json":
+    if args.format == "json":
         sys.stdout.write(_emit_json(payload))
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         _write_class_csv([payload])
     else:
         sys.stdout.write(f"{payload['monomial']}: verified bound {rep.bound} "
@@ -312,9 +255,8 @@ def cmd_trace_verify(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    cfg = load_config(args)
-    if cfg.fmt != "text":
-        raise ValueError(f"verify-all prints text only, not --format {cfg.fmt}")
+    if args.format != "text":
+        raise ValueError(f"verify-all prints text only, not --format {args.format}")
     failures = []
 
     def report(name, ok, detail=""):
@@ -329,7 +271,7 @@ def cmd_verify_all(args) -> int:
 
     # Each suite's time goes to stderr, so stdout stays reproducible.
     start = time.perf_counter()
-    for name, ok, detail in run_suites(seed=cfg.seed, quick=args.quick):
+    for name, ok, detail in run_suites(seed=args.seed, quick=args.quick):
         report(name, ok, detail)
         now = time.perf_counter()
         sys.stderr.write(f"{name}: {now - start:.3f} s\n")
@@ -355,23 +297,24 @@ def _non_negative_int(text: str) -> int:
 
 
 def _seed_arg(text: str) -> int:
-    """An argparse type: an int seed in 0..MAX_SEED."""
-    try:
-        return _check_seed(_int_arg(text), "seed")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    """An argparse type: an int seed in 0..2^64 - 1.  SplitMix64 keeps 64
+    bits of its seed, so a seed outside this range would alias another."""
+    value = _int_arg(text)
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(f"seed is {value}, outside 0..2^64 - 1")
+    return value
 
 
 def main(argv=None) -> int:
     # The global flags go before or after the subcommand.  They default to
     # SUPPRESS, so a flag given before it is not overwritten by the
-    # subcommand's absent copy; load_config reads them with getattr.
+    # subcommand's absent copy.  Their defaults are filled in after parsing:
+    # parser.set_defaults would also reset the actions every subparser
+    # shares with the parent, so a flag before the subcommand would be lost.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"),
                         default=argparse.SUPPRESS)
     common.add_argument("--seed", type=_seed_arg, default=argparse.SUPPRESS)
-    common.add_argument("--config", default=argparse.SUPPRESS,
-                        help="JSON config path (or env KLEINCODE_CONFIG)")
     parser = argparse.ArgumentParser(
         prog="kleincode",
         description="Affine variety codes from the Klein quartic over GF(8)",
@@ -411,6 +354,8 @@ def main(argv=None) -> int:
     p.add_argument("--quick", action="store_true")
 
     args = parser.parse_args(argv)
+    vars(args).setdefault("format", "text")
+    vars(args).setdefault("seed", 42)
     handlers = {
         "footprint": cmd_footprint,
         "variety": cmd_variety,

@@ -197,6 +197,14 @@ def test_parse_trace_errors():
         parse_trace("red K sideways")
 
 
+@pytest.mark.parametrize("line", ["mul", "mul X^2 extra", "claim", "claim Y extra",
+                                  "restart extra", "red K"])
+def test_parse_trace_refuses_missing_or_extra_operand(line):
+    with pytest.raises(ParseError) as exc:
+        parse_trace(line)
+    assert str(exc.value) == f"bad {line.split()[0]} step: {line!r}"
+
+
 # ---------------------------------------------------------------------------
 # instantiation
 

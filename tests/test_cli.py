@@ -138,15 +138,6 @@ def test_oracle_sample_seeded():
     assert json.loads(out1)["exact"] is False
 
 
-def test_oracle_empty_sample_refused(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"sample_count": 0}))
-    code, out = run_cli(["oracle", "--lm", "Y", "--mode", "sample",
-                         "--config", str(cfg), "--format", "json"])
-    assert code == 2
-    assert out == ""
-
-
 @pytest.mark.parametrize("extra", [["--mode", "exhaustive"], []])
 def test_oracle_exact_scan_refused(extra, capsys):
     code, out = run_cli(["oracle", "--lm", "X^6*Y^2", *extra])
@@ -180,6 +171,9 @@ BAD_TRACES = {
     "parameter": ("branch a9 {\n  claim Y\n} else {\n  claim Y\n}\n",
                   "error: parameter a9 outside a1..a2\n"),
     "exponent": ("mul X^2000000\n", "error: exponent cap 1048576 exceeded\n"),
+    "missing operand": ("mul\n", "error: bad mul step: 'mul'\n"),
+    "extra operand": ("claim Y extra\n", "error: bad claim step: 'claim Y extra'\n"),
+    "extra restart operand": ("restart extra\n", "error: bad restart step: 'restart extra'\n"),
 }
 
 
@@ -253,7 +247,7 @@ def test_verify_all_quick_deterministic():
     assert out1 == out2
 
 
-def test_global_flags_before_subcommand(tmp_path, monkeypatch):
+def test_global_flags_before_subcommand(monkeypatch):
     code, out = run_cli(["--format", "json", "table"])
     assert code == 0
     assert out == GOLDEN.joinpath("table.json").read_text()
@@ -262,13 +256,32 @@ def test_global_flags_before_subcommand(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "coset_min_weight",
                         lambda *a, **kw: seen.append((kw["seed"], kw["count"])) or (18, False))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"sample_count": 2000}))
     oracle = ["oracle", "--lm", "Y", "--mode", "sample"]
-    assert run_cli(["--seed", "9", "--config", str(cfg), *oracle])[0] == 0
+    assert run_cli(["--seed", "9", *oracle])[0] == 0
     # a flag after the subcommand wins over the same flag before it
     assert run_cli(["--seed", "9", *oracle, "--seed", "11"])[0] == 0
-    assert seen == [(9, 2000), (11, 100_000)]
+    assert seen == [(9, cli.SAMPLE_COUNT), (11, cli.SAMPLE_COUNT)]
+
+
+def test_no_second_input_path(tmp_path, monkeypatch, capsys):
+    """The flags are the only inputs: --config is not an option, and the
+    environment sets nothing."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": -1, "sample_count": 0}')
+    runs = (["variety"], ["oracle", "--lm", "Y", "--mode", "sample", "--seed", "9",
+                          "--format", "json"])
+    plain = [run_cli(argv) for argv in runs]
+    monkeypatch.setenv("KLEINCODE_CONFIG", str(cfg))
+    assert [run_cli(argv) for argv in runs] == plain
+    assert all(code == 0 for code, _ in plain)
+    capsys.readouterr()
+
+    from kleincode import cli
+
+    monkeypatch.setattr(cli, "coset_min_weight", lambda *a, **kw: pytest.fail("a scan ran"))
+    for argv in runs:
+        assert run_cli([*argv, "--config", str(cfg)]) == (2, "")
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_seed_outside_64_bits_refused(monkeypatch, capsys):
@@ -287,32 +300,6 @@ def test_seed_outside_64_bits_refused(monkeypatch, capsys):
     for seed in (0, 2 ** 64 - 1):
         assert run_cli([*oracle, "--seed", str(seed)])[0] == 0
     assert seen == [0, 2 ** 64 - 1]
-
-
-@pytest.mark.parametrize("text, named", [
-    ("[1, 2]", "is not a JSON object"),
-    ('{"sample_cont": 5}', "'sample_cont'"),
-    ('{"modulus_bits": 19}', "'modulus_bits'"),
-    ('{"weights": [3, 2], "seed": 1}', "'weights'"),
-    ('{"seed": 1.7}', "'seed'"),
-    ('{"seed": true}', "'seed'"),
-    ('{"seed": -1}', "'seed' is -1, outside 0..2^64 - 1"),
-    ('{"seed": 18446744073709551616}', "outside 0..2^64 - 1"),
-    ('{"sample_count": "5"}', "'sample_count'"),
-    ('{"sample_count": 0}', "'sample_count'"),
-    ('{"sample_count": 100000001}', "'sample_count'"),
-])
-def test_config_read_strictly(text, named, tmp_path, monkeypatch, capsys):
-    from kleincode import cli
-
-    monkeypatch.setattr(cli, "coset_min_weight", lambda *a, **kw: pytest.fail("a scan ran"))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(text)
-    for argv in (["variety"], ["oracle", "--lm", "Y", "--mode", "sample"]):
-        code, out = run_cli([*argv, "--config", str(cfg)])
-        assert (code, out) == (2, "")
-        err = capsys.readouterr().err
-        assert err.startswith("error: config") and named in err, err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -10,7 +10,9 @@ No linter ships with the project, so these tests walk syntax trees:
 * a ``from m import`` inside a function, when the module already imports
   from m at top level, re-runs an import for nothing.  Lazy imports of a
   module the top level does not import (to defer a cost or break a cycle)
-  stay allowed.
+  stay allowed;
+* a read of ``os.environ`` or ``os.getenv`` is a hidden input: the
+  command-line flags are the package's only inputs.
 """
 
 import ast
@@ -152,3 +154,32 @@ def test_redundant_local_import_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_redundant_local_imports(path):
     assert redundant_local_imports(path.read_text()) == []
+
+
+def environment_reads(source: str) -> list:
+    """(line, name) of each use of os.environ or os.getenv, whether as an
+    attribute or imported by name."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            out.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            out += [(node.lineno, alias.name) for alias in node.names
+                    if alias.name in ("environ", "getenv")]
+    return sorted(out)
+
+
+def test_environment_read_detector():
+    src = ("import os\n"
+           "from os import getenv, sep\n"
+           "def f():\n"
+           "    return os.environ.get('X'), os.path.join(sep, 'a')\n"
+           "def g():\n"
+           "    return os.getenv('Y')\n")
+    assert environment_reads(src) == [(2, "getenv"), (4, "environ"), (6, "getenv")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    assert environment_reads(path.read_text()) == []
