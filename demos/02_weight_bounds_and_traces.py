@@ -28,18 +28,18 @@ fp = klein_footprint()
 # Class Y: the reduced codeword polynomial is F = Y + a1*X + a2 with two
 # free coefficients.  14 footprint monomials are divisible by Y.
 ctx = KleinParametric((0, 1))
-print("root polynomial:", format_poly(ctx.root, ctx.order))
+print("root polynomial:", format_poly(ctx.root))
 print("divisibility baseline:", divisibility_bound((0, 1), fp))
 
 # Multiply by Y^2 and push the result down: first one head-reduction by
 # the curve, then a full reduction by F itself.
 cs = ctx.fresh_store()
 W = ctx.root.mul_mono((0, 2))
-print("\nY^2 * F           =", format_poly(W, ctx.order))
+print("\nY^2 * F           =", format_poly(W))
 _, W = param_reduce_step(W, ctx.divisor("K", cs), HEAD, cs)
-print("after red K head  =", format_poly(W, ctx.order))
+print("after red K head  =", format_poly(W))
 _, W = param_reduce_step(W, ctx.divisor("F", cs), FULL, cs)
-print("after red F full  =", format_poly(W, ctx.order))
+print("after red F full  =", format_poly(W))
 
 # The remainder is univariate in X.  If a1 != 0 its head X^4 is a new
 # established monomial, and X^4..X^7 all join the count: 14 + 4 = 18.

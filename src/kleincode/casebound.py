@@ -48,6 +48,7 @@ from .klein import (
     klein_domain,
     klein_footprint,
     klein_order,
+    parse_monomial,
 )
 from .params import ConstraintStore, ParamPoly, ParamRing, evaluate_grid, format_param
 from .poly import (
@@ -58,7 +59,6 @@ from .poly import (
     divide,
     format_monomial,
     mono_divides,
-    parse_monomial,
     parse_poly,
 )
 

@@ -41,7 +41,7 @@ from .codes import (
     coset_min_weight,
     min_distance,
 )
-from .poly import ExponentCapExceeded, format_monomial, parse_monomial
+from .poly import ExponentCapExceeded, format_monomial
 
 
 # oracle --mode sample draws this many messages, so a sampled report is a
@@ -101,7 +101,7 @@ def _bound_reports(args):
     is reported by the replay of the empty trace, its divisibility count."""
     M = None
     if args.lm:
-        M = parse_monomial(args.lm)
+        M = klein.parse_monomial(args.lm)
         if M not in klein.klein_footprint():
             raise NotInFootprint(f"{format_monomial(M)} outside the footprint")
     if args.auto:
@@ -202,7 +202,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    M = parse_monomial(args.lm)
+    M = klein.parse_monomial(args.lm)
     support = klein.class_support(M)
     mode = args.mode
     w, exact = coset_min_weight(M, support, klein.klein_variety(), mode,
@@ -236,7 +236,7 @@ def cmd_oracle(args) -> int:
 def cmd_trace_verify(args) -> int:
     with open(args.file) as fh:
         steps = parse_trace(fh.read())
-    M = parse_monomial(args.lm)
+    M = klein.parse_monomial(args.lm)
     rep = verify_trace(M, steps)
     payload = _class_entry(M, rep)
     if args.format == "json":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 from functools import lru_cache
+from itertools import product
 
 from .poly import (
     FULL,
@@ -175,11 +176,10 @@ def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
 class Footprint:
     """The finite set of monomials divisible by no basis head."""
 
-    __slots__ = ("order", "monomials", "_set")
+    __slots__ = ("monomials", "_set")
 
-    def __init__(self, order: MonomialOrder, monomials):
-        self.order = order
-        self.monomials = tuple(sorted(monomials, key=order.key))
+    def __init__(self, monomials):
+        self.monomials = tuple(sorted(monomials, key=MonomialOrder.key))
         self._set = frozenset(self.monomials)
 
     def __contains__(self, mono):
@@ -196,36 +196,23 @@ class Footprint:
 
 
 def footprint(gb: GroebnerBasis) -> Footprint:
-    """The footprint of gb's ideal, memoised by order and heads (all it
-    depends on), so the Klein basis's footprint is walked once."""
-    return _footprint(gb.order, tuple(gb.heads()))
+    """The footprint of gb's ideal, memoised by heads (all it depends on),
+    so the Klein basis's footprint is walked once."""
+    return _footprint(tuple(gb.heads()))
 
 
 @lru_cache(maxsize=256)
-def _footprint(order: MonomialOrder, heads: tuple) -> Footprint:
+def _footprint(heads: tuple) -> Footprint:
     if not heads:
         raise ZeroPolynomial("empty basis")
-    arity = len(heads[0])
     bounds = []
-    for i in range(arity):
-        pure = [h[i] for h in heads if all(e == 0 for j, e in enumerate(h) if j != i)]
+    for i in (0, 1):
+        pure = [h[i] for h in heads if not h[1 - i]]
         if not pure:
             raise InfiniteFootprint(f"no pure power of variable {i} among heads")
         bounds.append(min(pure))
-    monos = []
-    idx = [0] * arity
-    total = 1
-    for b in bounds:
-        total *= b
-    for n in range(total):
-        v = n
-        for i, b in enumerate(bounds):
-            idx[i] = v % b
-            v //= b
-        m = tuple(idx)
-        if not any(mono_divides(h, m) for h in heads):
-            monos.append(m)
-    return Footprint(order, monos)
+    return Footprint(m for m in product(*map(range, bounds))
+                     if not any(mono_divides(h, m) for h in heads))
 
 
 def order_domain_check(gb: GroebnerBasis, weights) -> tuple[bool, bool, bool]:
@@ -237,8 +224,7 @@ def order_domain_check(gb: GroebnerBasis, weights) -> tuple[bool, bool, bool]:
            most two of them attain the top weight.
     cond3: no two distinct footprint monomials share a weight.
     """
-    order = gb.order
-    cond1 = tuple(order.weights) == tuple(weights)
+    cond1 = gb.order.weights == tuple(weights)
 
     def wt(m):
         return sum(w * e for w, e in zip(weights, m))

@@ -1,11 +1,11 @@
 """Canonical Klein-quartic setup shared by the whole package.
 
-GF(8) is fixed with modulus x^3 + x + 1; the order is weighted-degree-lex
-with weights (2, 3) and ties won by the larger Y exponent; the curve is
-Y^3 + X^3*Y + X with the two field equations adjoined.  Any irreducible
-cubic modulus gives an isomorphic field, so footprint sizes, weights and
-code parameters do not depend on the choice; fixing one keeps output
-byte-stable.
+GF(8) is fixed with modulus x^3 + x + 1 (gf.FieldSpec); the order is the
+one poly.MonomialOrder, weighted-degree-lex with weights (2, 3) and ties
+won by the larger Y exponent; the curve is Y^3 + X^3*Y + X with the two
+field equations adjoined.  Any irreducible cubic modulus gives an
+isomorphic field, so footprint sizes, weights and code parameters do not
+depend on the choice; fixing one keeps output byte-stable.
 
 The setting is a constant, not a parameter: all Klein-only code takes its
 field, order, footprint, variety and class supports from here.
@@ -18,10 +18,7 @@ from functools import lru_cache
 from .codes import Variety, enumerate_variety
 from .gf import FieldSpec, gf8
 from .groebner import Footprint, GroebnerBasis, buchberger, footprint
-from .poly import MonomialOrder, Polynomial, parse_poly
-
-ORDER_WEIGHTS = (2, 3)
-ORDER_TIEBREAK = 1
+from .poly import MonomialOrder, ParseError, Polynomial, parse_poly
 
 # the curve, then the field equations of X and Y
 GENERATOR_TEXTS = ("Y^3+X^3*Y+X", "X^8+X", "Y^8+Y")
@@ -44,7 +41,18 @@ def klein_domain() -> FieldSpec:
 
 @lru_cache(maxsize=None)
 def klein_order() -> MonomialOrder:
-    return MonomialOrder(ORDER_WEIGHTS, ORDER_TIEBREAK)
+    return MonomialOrder()
+
+
+def parse_monomial(text: str) -> tuple:
+    """A monic X, Y monomial written in the polynomial grammar."""
+    p = parse_poly(text, klein_domain())
+    if len(p.terms) != 1:
+        raise ParseError(f"{text!r} is not a monomial")
+    ((m, c),) = p.terms.items()
+    if c != 1:
+        raise ParseError(f"{text!r} is not a monic monomial")
+    return m
 
 
 @lru_cache(maxsize=None)

@@ -115,11 +115,8 @@ class ParamPoly:
         row = self.ring.table[c][1]
         return ParamPoly(self.ring, {m: row[v] for m, v in self.terms.items()})
 
-    def substitute(self, subs: dict) -> "ParamPoly":
-        """Replace parameters by ParamPoly values; one pass."""
-        return self._substitute(subs, self.ring.nibbles(subs))
-
     def _substitute(self, subs: dict, mask: int) -> "ParamPoly":
+        """Replace parameters by ParamPoly values; one pass."""
         # mask covers the nibbles of the substituted parameters, so a term
         # that mentions none of them is skipped with one &.
         for m in self.terms:

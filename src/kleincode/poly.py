@@ -12,10 +12,11 @@ and ``parametric``, and a parametric one also ``t``, ``var_pow(i, e)`` and
 ``format_coef(c)``.
 Both domains have characteristic 2, so subtraction is addition throughout.
 
-The order is two-variable weighted-degree-lex, and its key is one packed
-int.  One reduction loop, ``reduce_packed``, serves every division: it
-runs on dicts keyed by that int, for both coefficient domains, and both
-``divide`` and ``groebner.buchberger`` call it.  It has two modes:
+There is one order, the Klein order: weighted-degree-lex with weights
+(2, 3), ties to Y.  Its key is one packed int.  One reduction loop,
+``reduce_packed``, serves every division: it runs on dicts keyed by that
+int, for both coefficient domains, and both ``divide`` and
+``groebner.buchberger`` call it.  It has two modes:
 
 * ``full``  -- the textbook multivariate division: every monomial of the
   remainder is irreducible by every divisor head.
@@ -26,6 +27,8 @@ Both modes return quotients such that s = sum(q_i d_i) + r exactly.
 """
 
 from __future__ import annotations
+
+import re
 
 EXPONENT_CAP = 1 << 20
 
@@ -77,21 +80,15 @@ def mono_mul(u: tuple, v: tuple) -> tuple:
 
 
 def mono_divides(u: tuple, v: tuple) -> bool:
-    if len(u) == 2:
-        return u[0] <= v[0] and u[1] <= v[1]
-    return all(a <= b for a, b in zip(u, v))
+    return u[0] <= v[0] and u[1] <= v[1]
 
 
 def mono_div(v: tuple, u: tuple) -> tuple:
-    if len(u) == 2:
-        return (v[0] - u[0], v[1] - u[1])
-    return tuple(b - a for a, b in zip(u, v))
+    return (v[0] - u[0], v[1] - u[1])
 
 
 def mono_lcm(u: tuple, v: tuple) -> tuple:
-    if len(u) == 2:
-        return (u[0] if u[0] > v[0] else v[0], u[1] if u[1] > v[1] else v[1])
-    return tuple(max(a, b) for a, b in zip(u, v))
+    return (u[0] if u[0] > v[0] else v[0], u[1] if u[1] > v[1] else v[1])
 
 
 # ---------------------------------------------------------------------------
@@ -102,45 +99,31 @@ _PM = (1 << _PB) - 1
 
 
 class MonomialOrder:
-    """Weighted-degree-lex order on two-variable monomials.
+    """The Klein order: weighted-degree-lex on two-variable monomials with
+    weights (2, 3), ties won by the larger Y exponent.
 
-    The weighted degree is compared first; ties go to the monomial with the
-    larger exponent of ``tiebreak_var``.  ``key`` packs both into one int,
-    ``(weight << 24) | tiebreak exponent``, so that int comparison is the
-    order; exponents stay below EXPONENT_CAP = 2^20, inside the 24 bits.
-    The key is linear in the exponents, so monomial multiplication is key
-    addition, and with positive weights it determines the monomial, which
+    ``key`` packs both into one int, ``((2a + 3b) << 24) | b``, so that int
+    comparison is the order; exponents stay below EXPONENT_CAP = 2^20,
+    inside the 24 bits.  The key is linear in the exponents, so monomial
+    multiplication is key addition, and it determines the monomial, which
     ``decode`` recovers.
     """
 
-    __slots__ = ("weights", "tiebreak_var", "_w0", "_w1", "_wt_tb", "_wt_other")
+    __slots__ = ()
+    weights = (2, 3)
 
-    def __init__(self, weights, tiebreak_var: int):
-        weights = tuple(weights)
-        if len(weights) != 2:
-            raise ArityMismatch(f"the monomial order is bivariate: {len(weights)} "
-                                f"weights {weights} given, 2 needed")
-        if any(w <= 0 for w in weights):
-            raise ValueError("weighted order needs positive weights")
-        if tiebreak_var not in (0, 1):
-            raise ValueError("tiebreak_var out of range")
-        self.weights = weights
-        self.tiebreak_var = tiebreak_var
-        self._w0, self._w1 = weights
-        self._wt_tb = weights[tiebreak_var]
-        self._wt_other = weights[1 - tiebreak_var]
-
-    def key(self, mono: tuple) -> int:
+    @staticmethod
+    def key(mono: tuple) -> int:
         try:
             a, b = mono
         except ValueError:
             raise ArityMismatch(f"monomial {mono} is not bivariate") from None
-        return ((self._w0 * a + self._w1 * b) << _PB) | (b if self.tiebreak_var else a)
+        return ((2 * a + 3 * b) << _PB) | b
 
-    def decode(self, k: int) -> tuple:
-        e = k & _PM
-        other = ((k >> _PB) - self._wt_tb * e) // self._wt_other
-        return (other, e) if self.tiebreak_var else (e, other)
+    @staticmethod
+    def decode(k: int) -> tuple:
+        b = k & _PM
+        return (((k >> _PB) - 3 * b) // 2, b)
 
     def weight(self, mono: tuple) -> int:
         return self.key(mono) >> _PB
@@ -150,7 +133,7 @@ class MonomialOrder:
         return (ku > kv) - (ku < kv)
 
     def __repr__(self):
-        return f"MonomialOrder(weighted {self.weights}, tiebreak {self.tiebreak_var})"
+        return "MonomialOrder()"
 
 
 class Polynomial:
@@ -363,8 +346,7 @@ def _is_one(dom, c) -> bool:
 # a1..at, with parentheses around sums: "(a1^3+a2)*X^3".  A parenthesised
 # coefficient is parsed by the same sum and term loop and must not mention
 # X or Y.  Whitespace is insignificant.  Printing round-trips parsing bit-exactly.
-
-import re
+# An X or Y exponent above EXPONENT_CAP is refused, as mono_mul refuses one.
 
 _TOKEN = re.compile(r"\(|\)|\+|\*|\^|[0-9]+|a[0-9]+|[XY]")
 
@@ -457,9 +439,10 @@ class _Parser:
             idx = _VAR_INDEX[tok]
             if idx >= self.arity:
                 raise ArityMismatch(f"variable {tok} outside arity {self.arity}")
-            e = self.maybe_exponent()
             exps = list(exps)
-            exps[idx] += e
+            exps[idx] += self.maybe_exponent()
+            if exps[idx] > EXPONENT_CAP:
+                raise ExponentCapExceeded(f"exponent cap {EXPONENT_CAP} exceeded")
             return coef, exps
         if tok.startswith("a") and len(tok) > 1:
             if not dom.parametric:
@@ -491,18 +474,6 @@ def parse_poly(text: str, domain, arity: int = 2) -> Polynomial:
     return _Parser(_tokenize(text), domain, arity).parse_poly()
 
 
-def parse_monomial(text: str, arity: int = 2) -> tuple:
-    from .klein import klein_domain
-
-    p = parse_poly(text, klein_domain(), arity)
-    if len(p.terms) != 1:
-        raise ParseError(f"{text!r} is not a monomial")
-    ((m, c),) = p.terms.items()
-    if c != 1:
-        raise ParseError(f"{text!r} is not a monic monomial")
-    return m
-
-
 _VAR_NAMES = ("X", "Y")
 
 
@@ -511,21 +482,17 @@ def format_monomial(mono: tuple) -> str:
     for i, e in enumerate(mono):
         if e == 0:
             continue
-        name = _VAR_NAMES[i] if i < 2 else f"X{i}"
+        name = _VAR_NAMES[i]
         parts.append(name if e == 1 else f"{name}^{e}")
     return "*".join(parts) if parts else "1"
 
 
-def format_poly(p: Polynomial, order: MonomialOrder = None) -> str:
-    """Terms in descending order, by default the canonical Klein order."""
+def format_poly(p: Polynomial) -> str:
+    """Terms in descending order."""
     if p.is_zero():
         return "0"
-    if order is None:
-        from .klein import klein_order
-
-        order = klein_order()
     parts = []
-    for m in sorted(p.terms, key=order.key, reverse=True):
+    for m in sorted(p.terms, key=MonomialOrder.key, reverse=True):
         c = p.terms[m]
         mono_s = format_monomial(m)
         coef_s = _format_coef(p.domain, c)

@@ -178,7 +178,7 @@ def suite_footprint(seed, quick):
     if len(fp) != 22:
         return False, f"size {len(fp)}"
     weights = sorted(order.weight(m) for m in fp)
-    conds = order_domain_check(klein.klein_basis(), klein.ORDER_WEIGHTS)
+    conds = order_domain_check(klein.klein_basis(), order.weights)
     if conds != (True, True, False):
         return False, f"order-domain conditions {conds}"
     return True, f"22 monomials, weights 0..{max(weights)}"

@@ -6,7 +6,7 @@ import pytest
 from kleincode import autosearch
 from kleincode.autosearch import SearchBudget, auto_search, coset_ceiling
 from kleincode.casebound import Branch, TraceError, UnjustifiedClaim, verify_trace
-from kleincode.poly import parse_monomial
+from kleincode.klein import parse_monomial
 
 GOLDEN_DELTA = json.loads((Path(__file__).parent / "golden" / "bound.json")
                           .read_text())["delta_map"]

@@ -171,6 +171,7 @@ BAD_TRACES = {
     "parameter": ("branch a9 {\n  claim Y\n} else {\n  claim Y\n}\n",
                   "error: parameter a9 outside a1..a2\n"),
     "exponent": ("mul X^2000000\n", "error: exponent cap 1048576 exceeded\n"),
+    "claim exponent": ("claim Y^2000000\n", "error: exponent cap 1048576 exceeded\n"),
     "missing operand": ("mul\n", "error: bad mul step: 'mul'\n"),
     "extra operand": ("claim Y extra\n", "error: bad claim step: 'claim Y extra'\n"),
     "extra restart operand": ("restart extra\n", "error: bad restart step: 'restart extra'\n"),

@@ -4,9 +4,12 @@ No linter ships with the project, so these tests walk syntax trees:
 
 * an ``import x`` or ``from ... import`` that no expression, annotation
   or ``__all__`` entry of its module reads is dead weight;
-* a top-level function, class or constant of the package that nothing in
-  the package, the demos or the benchmark harness names, other than its
-  own definition, is dead code.  Tests do not count as users;
+* a top-level function, class or constant of the package, or a public
+  method of one of its classes, that nothing in the package, the demos or
+  the benchmark harness names, other than its own definition, is dead
+  code.  Tests do not count as users;
+* the package's modules import one another without a cycle, lazy
+  imports inside functions included;
 * a ``from m import`` inside a function, when the module already imports
   from m at top level, re-runs an import for nothing.  Lazy imports of a
   module the top level does not import (to defer a cost or break a cycle)
@@ -119,6 +122,100 @@ def test_no_dead_top_level_names():
     dead = [f"{path.name}:{line} {name}" for path in MODULES
             for line, name in top_level_names(path.read_text()) if name not in used]
     assert dead == []
+
+
+def public_methods(source: str) -> list:
+    """(line, "Class.method") of each method without a leading underscore
+    that a top-level class of the module defines."""
+    return [(fn.lineno, f"{cls.name}.{fn.name}")
+            for cls in ast.parse(source).body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not fn.name.startswith("_")]
+
+
+def test_dead_method_detector():
+    src = ("class Ring:\n"
+           "    def used(self): return self._helper()\n"
+           "    def _helper(self): return 1\n"
+           "    def __len__(self): return 0\n"
+           "    @property\n"
+           "    def size(self): return 2\n"
+           "    def dead(self): return 3\n"
+           "def f(r): return r.used(), r.size\n")
+    used = referenced_names(src)
+    assert [m for m in public_methods(src) if m[1].split(".")[1] not in used] == [
+        (7, "Ring.dead")]
+
+
+def test_no_dead_public_methods():
+    used = set().union(*(referenced_names(p.read_text()) for p in USERS))
+    dead = [f"{path.name}:{line} {name}" for path in MODULES
+            for line, name in public_methods(path.read_text())
+            if name.split(".")[1] not in used]
+    assert dead == []
+
+
+def package_imports(source: str, package: str = "kleincode") -> set:
+    """The package modules that the source imports, anywhere in the file:
+    relative imports and absolute ones of the package alike."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[1] for alias in node.names
+                    if alias.name.startswith(package + ".")}
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 1 or node.module == package:
+                base = node.module if node.level else None
+            elif node.module and node.module.startswith(package + "."):
+                base = node.module.split(".")[1]
+            else:
+                continue
+            # "from . import m" names modules; "from .m import x" names one
+            out |= {base} if base else {alias.name for alias in node.names}
+    return out
+
+
+def import_cycle(graph: dict) -> list:
+    """One cycle of the module graph as a path [m, ..., m], or [] if none."""
+    state = {}  # 1 while on the depth-first path, 2 once finished
+
+    def visit(m, path):
+        state[m] = 1
+        for n in sorted(graph.get(m, ())):
+            if state.get(n) == 1:
+                return path[path.index(n):] + [n]
+            if n not in state:
+                found = visit(n, path + [n])
+                if found:
+                    return found
+        state[m] = 2
+        return []
+
+    for m in sorted(graph):
+        if m not in state:
+            found = visit(m, [m])
+            if found:
+                return found
+    return []
+
+
+def test_import_cycle_detector():
+    src = ("from . import klein\n"
+           "from .poly import divide\n"
+           "import kleincode.gf\n"
+           "from kleincode.codes import Variety\n"
+           "import numpy\n"
+           "def lazy():\n"
+           "    from .verify import run_suites\n")
+    assert package_imports(src) == {"klein", "poly", "gf", "codes", "verify"}
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) == []
+    assert import_cycle({"a": {"b"}, "b": {"c"}, "c": {"b"}}) == ["b", "c", "b"]
+
+
+def test_no_import_cycles():
+    graph = {p.stem: package_imports(p.read_text()) - {p.stem} for p in MODULES}
+    assert import_cycle(graph) == []
 
 
 def redundant_local_imports(source: str) -> list:

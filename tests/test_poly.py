@@ -3,6 +3,7 @@ import pytest
 from kleincode.klein import class_support
 from kleincode.params import ParamRing
 from kleincode.poly import (
+    EXPONENT_CAP,
     FULL,
     HEAD,
     ArityMismatch,
@@ -52,25 +53,35 @@ def test_arity_mismatch(order):
         order.compare((1, 0), (1, 0, 0))
 
 
-@pytest.mark.parametrize("weights, tiebreak", [((2, 3), 1), ((3, 2), 0), ((1, 1), 0), ((1, 1), 1)])
-def test_order_key_packs_weight_then_tiebreak(weights, tiebreak):
-    # the int key orders like (weighted degree, tiebreak exponent), adds
-    # under monomial multiplication and decodes back to the monomial
-    order = MonomialOrder(weights, tiebreak)
+def test_order_key_packs_weight_then_tiebreak():
+    # the int key orders like (weighted degree, Y exponent), adds under
+    # monomial multiplication and decodes back to the monomial; the Klein
+    # order is the only one
+    with pytest.raises(TypeError):
+        MonomialOrder((3, 2), 0)
+    order = MonomialOrder()
     monos = [(a, b) for a in range(12) for b in range(12)]
     assert sorted(monos, key=order.key) == sorted(
-        monos, key=lambda m: (weights[0] * m[0] + weights[1] * m[1], m[tiebreak]))
+        monos, key=lambda m: (2 * m[0] + 3 * m[1], m[1]))
     for u in monos:
         assert order.decode(order.key(u)) == u
-        assert order.weight(u) == weights[0] * u[0] + weights[1] * u[1]
+        assert order.weight(u) == 2 * u[0] + 3 * u[1]
         v = (u[1], u[0])
         assert order.key((u[0] + v[0], u[1] + v[1])) == order.key(u) + order.key(v)
 
 
+def test_order_key_round_trip_at_exponent_cap():
+    order = MonomialOrder()
+    cap = EXPONENT_CAP
+    corners = [(a, b) for a in (0, 1, cap - 1, cap) for b in (0, 1, cap - 1, cap)]
+    for u in corners:
+        assert order.decode(order.key(u)) == u
+        assert order.weight(u) == 2 * u[0] + 3 * u[1]
+    assert sorted(corners, key=order.key) == sorted(
+        corners, key=lambda m: (2 * m[0] + 3 * m[1], m[1]))
+
+
 def test_non_bivariate_input_refused(dom, order):
-    for weights in ((2, 3, 1), (1,)):
-        with pytest.raises(ArityMismatch):
-            MonomialOrder(weights, 0)
     uni = parse_poly("X^8+X", dom, arity=1)
     with pytest.raises(ArityMismatch):
         divide(uni, [P("X", dom)], order, FULL)
@@ -100,6 +111,13 @@ def test_exponent_cap(dom):
     big = Polynomial(dom, 2, {(1 << 20, 0): 1})
     with pytest.raises(ExponentCapExceeded):
         big.mul(big)
+
+
+def test_parse_refuses_exponent_above_cap(dom):
+    assert parse_poly("X^1048576", dom).terms == {(EXPONENT_CAP, 0): 1}
+    for text in ("Y^1048577", "X^1048576*X", "Y*X^99999999"):
+        with pytest.raises(ExponentCapExceeded, match="^exponent cap 1048576 exceeded$"):
+            parse_poly(text, dom)
 
 
 # ---------------------------------------------------------------------------
