@@ -34,8 +34,10 @@ from .poly import HEAD, packed, prepare_divisor, reduce_packed
 
 DEFAULT_MOVES = ((1, 0), (0, 1), (0, 2), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0))
 # Classes with at most this many parameters get the exact coset minimum as
-# their ceiling: on a 2-vCPU x86 host an 8^8-word scan takes about 50 ms,
-# an 8^9-word one 0.3 s.
+# their ceiling.  The exact scan visits one word per orbit of the curve's
+# order-7 symmetry, so on a 2-CPU x86 host the 8^8-state X^4 coset takes
+# about 4 ms and the 8^9-state X*Y^2 coset about 25 ms.  A higher value
+# would change which ceilings, and so which auto-search results, are exact.
 CEILING_SCAN_COEFFS = 8
 
 

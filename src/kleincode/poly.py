@@ -346,7 +346,8 @@ def _is_one(dom, c) -> bool:
 # a1..at, with parentheses around sums: "(a1^3+a2)*X^3".  A parenthesised
 # coefficient is parsed by the same sum and term loop and must not mention
 # X or Y.  Whitespace is insignificant.  Printing round-trips parsing bit-exactly.
-# An X or Y exponent above EXPONENT_CAP is refused, as mono_mul refuses one.
+# An X or Y exponent above EXPONENT_CAP is refused, as mono_mul refuses one,
+# and so is any exponent, of a parameter too, with more digits than the cap.
 
 _TOKEN = re.compile(r"\(|\)|\+|\*|\^|[0-9]+|a[0-9]+|[XY]")
 
@@ -459,6 +460,9 @@ class _Parser:
             t = self.take()
             if not t.isdigit():
                 raise ParseError(f"exponent expected, got {t!r}")
+            # refused before int(), which rejects more than 4300 digits itself
+            if len(t.lstrip("0")) > len(str(EXPONENT_CAP)):
+                raise ExponentCapExceeded(f"exponent cap {EXPONENT_CAP} exceeded")
             return int(t)
         return 1
 

@@ -172,6 +172,10 @@ BAD_TRACES = {
                   "error: parameter a9 outside a1..a2\n"),
     "exponent": ("mul X^2000000\n", "error: exponent cap 1048576 exceeded\n"),
     "claim exponent": ("claim Y^2000000\n", "error: exponent cap 1048576 exceeded\n"),
+    # past int()'s 4300-digit limit: refused by the cap, not by int()
+    "exponent digits": ("mul Y^" + "9" * 5000 + "\n", "error: exponent cap 1048576 exceeded\n"),
+    "parameter exponent digits": ("branch a1^" + "9" * 5000 + " {\n  claim Y\n} else {\n"
+                                  "  claim Y\n}\n", "error: exponent cap 1048576 exceeded\n"),
     "missing operand": ("mul\n", "error: bad mul step: 'mul'\n"),
     "extra operand": ("claim Y extra\n", "error: bad claim step: 'claim Y extra'\n"),
     "extra restart operand": ("restart extra\n", "error: bad restart step: 'restart extra'\n"),
@@ -205,6 +209,13 @@ def test_trace_verify_failed_replay_exit_one(capsys):
     code, out = run_cli(["trace-verify", str(TRACES / "s31.trace"), "--lm", "X"])
     assert (code, out) == (1, "")
     assert capsys.readouterr().err == "verification failed: X: red K head changed nothing\n"
+
+
+@pytest.mark.parametrize("var", ["X", "Y"])
+def test_bound_exponent_with_too_many_digits_refused(var, capsys):
+    code, out = run_cli(["bound", "--lm", f"{var}^" + "9" * 5000])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: exponent cap 1048576 exceeded\n"
 
 
 @pytest.mark.parametrize("extra", [[], ["--auto"]])

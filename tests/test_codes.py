@@ -276,13 +276,34 @@ def test_gray_matches_exhaustive(order, fp, variety):
     assert minima == {(0, 1): 18, (1, 1): 15, (0, 2): 13, (2, 1): 12}
 
 
-def test_x3y_coset_is_tight(order, fp, variety):
+def _count_scanned(monkeypatch) -> list:
+    """Wrap codes._table_min so that each call appends the number of words
+    it was handed to the returned list."""
+    scanned = []
+    table_min = codes._table_min
+
+    def counting(high, low, skip_zero):
+        scanned.append(high.shape[1] * low.shape[1])
+        return table_min(high, low, skip_zero)
+
+    monkeypatch.setattr(codes, "_table_min", counting)
+    return scanned
+
+
+def _assert_orbit_scan(scanned, t):
+    """The scan of 8^t states visited about one word per orbit of order 7."""
+    assert sum(scanned) <= 8 ** t / 6, f"{sum(scanned)} words for 8^{t} states"
+
+
+def test_x3y_coset_is_tight(order, fp, variety, monkeypatch):
+    scanned = _count_scanned(monkeypatch)
     M = (3, 1)
     support = [m for m in fp.descending() if order.compare(m, M) < 0]
     assert len(support) == 10  # 8^10 states, the largest exact scan allowed
     w, exact = coset_min_weight(M, support, variety, "exhaustive", order=order, fp=fp)
     assert exact and w >= full_bound_map()[M]
     assert w == 9  # frozen: the proved bound is the true coset minimum
+    _assert_orbit_scan(scanned, 10)
 
 
 def test_exact_scan_limit_refuses_before_work(order, fp, variety):
@@ -336,14 +357,7 @@ def _distance_generators(variety, fp, mul):
 
 def test_projective_distance_matches_brute_force(spec, variety, fp, monkeypatch):
     mul = spec.mul_table()
-    scanned = []
-    table_min = codes._table_min
-
-    def counting(high, low, skip_zero):
-        scanned.append(high.shape[1] * low.shape[1])
-        return table_min(high, low, skip_zero)
-
-    monkeypatch.setattr(codes, "_table_min", counting)
+    scanned = _count_scanned(monkeypatch)
     seen = set()
     for G in _distance_generators(variety, fp, mul):
         k = len(G)
@@ -432,6 +446,117 @@ def test_exact_scan_matches_brute_force(spec, monkeypatch, low_coeffs, chunk_wor
             continue
         expected = _brute_min(offset, rows, mul, skip_zero)
         assert exact_min_weight(offset, rows, spec, skip_zero=skip_zero) == expected
+
+
+# ---------------------------------------------------------------------------
+# the exact scan's orbit reduction
+
+def _klein_phase(m):
+    """e with ev(m)[pi] = g^e * ev(m) for sigma(x, y) = (g*x, g^5*y)."""
+    return (m[0] + 5 * m[1]) % 7
+
+
+def test_klein_symmetry(spec, variety, fp):
+    pi = variety.symmetry()
+    assert variety.symmetry() is pi  # looked for once, then kept
+    g, g5 = 2, spec.pow(2, 5)
+    image = [(spec.mul(g, x), spec.mul(g5, y)) for x, y in variety.points]
+    assert [variety.points[j] for j in pi] == image
+    # phases relative to ev(1), whose phase is 0
+    rows = np.stack([monomial_vector(m, variety) for m in ((0, 0), *fp)])
+    assert codes._orbit_phases(rows, pi, spec).tolist() == [_klein_phase(m) for m in fp]
+    assert codes._orbit_phases(rows, None, spec) is None
+
+
+def test_orbit_scan_matches_full_scan(fp, variety, monkeypatch):
+    # every class with t <= 9 and every table row with k <= 10, scanned with
+    # the symmetry and again with Variety.symmetry() returning None
+    delta = full_bound_map()
+    cosets = [M for M in fp if len(klein.class_support(M)) <= 9]
+    table_codes = [code_for_threshold(delta, r["s"], fp, variety)
+                   for r in construct_table(delta, variety) if r["k"] <= 10]
+    assert len(cosets) == 10 and [c.k for c in table_codes] == [1, 2, 3, 4, 5, 7, 8, 10]
+
+    def scan_all():
+        return ([coset_min_weight(M, klein.class_support(M), variety)[0] for M in cosets],
+                [min_distance(code)[0] for code in table_codes])
+
+    scanned = _count_scanned(monkeypatch)
+    reduced = scan_all()
+    orbit_words = sum(scanned)
+    scanned.clear()
+    monkeypatch.setattr(codes.Variety, "symmetry", lambda self: None)
+    assert scan_all() == reduced
+    full_words = (sum(8 ** len(klein.class_support(M)) for M in cosets)
+                  + sum((8 ** code.k - 1) // 7 for code in table_codes))
+    assert sum(scanned) == full_words
+    assert orbit_words < full_words / 6
+
+
+def _without_symmetry(variety):
+    """The Klein points less one point that sigma moves: no diagonal map
+    permutes what is left."""
+    pi = variety.symmetry()
+    drop = next(j for j in range(len(pi)) if pi[j] != j)
+    return Variety(variety.spec, [p for j, p in enumerate(variety.points) if j != drop])
+
+
+@pytest.mark.parametrize("low_coeffs", [None, 1])
+def test_orbit_scan_off_without_eigenvectors(spec, variety, fp, monkeypatch, low_coeffs):
+    if low_coeffs is not None:
+        # a one-row low table puts k <= 4 through the high table
+        monkeypatch.setattr(codes, "_LOW_COEFFS", low_coeffs)
+    scanned = _count_scanned(monkeypatch)
+    mul = spec.mul_table()
+    plain = _without_symmetry(variety)
+    assert plain.symmetry() is None
+    monos = list(fp)
+    rnd = random.Random(0x5167)
+    reduced = 0
+    for case in range(48):
+        k = 1 + case % 4
+        picked = rnd.sample(monos, k + 1)
+        phase = {m: _klein_phase(m) for m in picked}
+        v = plain if case % 3 == 2 else variety
+        words = np.stack([monomial_vector(m, v) for m in picked])
+        if case % 3 == 1:
+            # a sum of two monomials of different phases is no eigenvector
+            i = rnd.randrange(k + 1)
+            other = next(m for m in rnd.sample(monos, len(monos))
+                         if _klein_phase(m) != phase[picked[i]])
+            words[i] ^= monomial_vector(other, v)
+        offset, rows = words[0], words[1:]
+        scanned.clear()
+        got = exact_min_weight(offset, rows, spec, symmetry=v.symmetry())
+        assert got == _brute_min(offset, rows, mul, False)
+        split = max(0, k - codes._LOW_COEFFS)
+        moved = any(phase[m] != phase[picked[0]] for m in picked[1:1 + split])
+        if case % 3 == 0 and moved:
+            assert sum(scanned) < 8 ** k
+            reduced += 1
+        else:
+            assert sum(scanned) == 8 ** k
+        if case % 3:
+            code = codes.EvaluationCode(picked, v, words)
+            scanned.clear()
+            assert min_distance(code, "exhaustive") == (_brute_distance(words, mul), True)
+            if v is plain:
+                assert sum(scanned) == (8 ** (k + 1) - 1) // 7
+    assert reduced >= (8 if low_coeffs else 0)
+
+
+def test_forged_symmetry_is_caught(fp, variety, monkeypatch):
+    # A wrong permutation gives the rows no phase, so the scan falls back to
+    # all 8^t words: the minimum stays right and the orbit guard fails.
+    pi = variety.symmetry().copy()
+    pi[[1, 2]] = pi[[2, 1]]
+    monkeypatch.setattr(codes.Variety, "symmetry", lambda self: pi)
+    scanned = _count_scanned(monkeypatch)
+    M = (4, 0)
+    assert coset_min_weight(M, klein.class_support(M), variety) == (10, True)
+    assert sum(scanned) == 8 ** 8
+    with pytest.raises(AssertionError):
+        _assert_orbit_scan(scanned, 8)
 
 
 def _scalar_coeffs(seed, count, k):
