@@ -30,7 +30,7 @@ from .casebound import (
 from .codes import coset_min_weight
 from .klein import class_support, klein_variety
 from .params import format_param
-from .poly import HEAD, packed, prepare_divisor, reduce_packed
+from .poly import HEAD, MonomialOrder, packed, prepare_divisor, reduce_packed
 
 DEFAULT_MOVES = ((1, 0), (0, 1), (0, 2), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0))
 # Classes with at most this many parameters get the exact coset minimum as
@@ -79,16 +79,16 @@ def auto_search(M: tuple, budget: SearchBudget = None) -> BoundReport:
     would be unsound and raises TraceError."""
     budget = budget or SearchBudget()
     ctx = KleinParametric(M)
-    order, ring = ctx.order, ctx.ring
-    decode = order.decode
+    ring = ctx.ring
+    decode = MonomialOrder.decode
 
     def prepare(d):
-        return prepare_divisor(packed(d, order), order, ring)
+        return prepare_divisor(packed(d), ring)
 
     # Working polynomials are packed dicts (see poly.MonomialOrder), so the
     # head is max(W) and a Mul move is a key shift.
     basis = [(name, prepare(ctx.divisors[name])) for name in ("K", "FX", "FXY")]
-    moves = [(u, order.key(u)) for u in budget.move_set]
+    moves = [(u, MonomialOrder.key(u)) for u in budget.move_set]
     work = [0]
     memo: dict = {}
     # Stores live for the whole call, across passes, so each store's scans,
@@ -142,7 +142,7 @@ def auto_search(M: tuple, budget: SearchBudget = None) -> BoundReport:
                 if work[0] > budget.max_work:
                     break
                 if d[0] <= lm[0] and d[1] <= lm[1]:
-                    r = reduce_packed(dict(W), [d], order, ring, HEAD)
+                    r = reduce_packed(dict(W), [d], ring, HEAD)
                     value, steps = explore(r, node, established, depth, branches)
                     consider(value, (Red(name, HEAD),) + steps)
             # branch on an undetermined leading coefficient (skip monsters:
@@ -180,7 +180,7 @@ def auto_search(M: tuple, budget: SearchBudget = None) -> BoundReport:
         if work[0] > budget.max_work or bound >= ceiling:
             break
         memo.clear()
-        value, steps = explore(packed(ctx.root, order), intern(ctx.fresh_store()),
+        value, steps = explore(packed(ctx.root), intern(ctx.fresh_store()),
                                frozenset(), depth, budget.max_branches)
         if value > bound:
             bound, best_steps = value, steps

@@ -10,7 +10,7 @@ all its footprint multiples in the established set of that branch.
 
 A trace encodes one such derivation as a tree of steps:
 
-    mul <monomial>           multiply the working polynomial
+    mul <monomial>           multiply the working polynomial (exponents <= 7)
     red <F|K|FX|FXY> <head|full>   reduce by the root F or a basis element
                              (K = Y^3+X^3*Y+X, FX = X^8+X, FXY = X^7*Y+Y)
     branch <expr> { ... } else { ... }
@@ -47,13 +47,13 @@ from .klein import (
     klein_basis,
     klein_domain,
     klein_footprint,
-    klein_order,
     parse_monomial,
 )
 from .params import ConstraintStore, ParamPoly, ParamRing, evaluate_grid, format_param
 from .poly import (
     FULL,
     HEAD,
+    MonomialOrder,
     ParseError,
     Polynomial,
     divide,
@@ -169,7 +169,12 @@ def _parse_block(lines, i, top=False):
         if len(parts) != _STEP_TOKENS.get(parts[0], len(parts)):
             raise ParseError(f"bad {parts[0]} step: {line!r}")
         if parts[0] == "mul":
-            steps.append(Mul(parse_monomial(parts[1])))
+            # X^8 = X and Y^8 = Y on the curve, so no derivation needs a
+            # higher power, and a huge one would keep the replay busy for minutes
+            mono = parse_monomial(parts[1])
+            if max(mono) > 7:
+                raise ParseError(f"bad mul step: {line!r} has an exponent above 7")
+            steps.append(Mul(mono))
             i += 1
         elif parts[0] == "red":
             if parts[1] not in DIVISOR_IDS or parts[2] not in (HEAD, FULL):
@@ -247,7 +252,6 @@ class KleinParametric:
     """Root polynomial and lifted divisors for one leading-monomial class."""
 
     def __init__(self, M: tuple):
-        self.order = klein_order()
         self.fp = klein_footprint()
         self.M = M = tuple(M)
         self.upset = frozenset(upset_in_footprint(M, self.fp))
@@ -297,13 +301,12 @@ def param_reduce_step(s: Polynomial, divisor: Polynomial, mode: str,
     The divisor's leading coefficient must reduce to a nonzero constant
     under the store (all four trace divisors are monic).
     """
-    order = klein_order()
-    lm, lc = divisor.leading_term(order)
+    lm, lc = divisor.leading_term()
     lc_const = cs.reduce(lc).as_const()
     if lc_const is None or lc_const == 0:
         raise UncertifiedLeadingCoefficient(
             f"divisor head {format_monomial(lm)} has coefficient {format_param(lc)}")
-    quots, r = divide(s, [divisor], order, mode)
+    quots, r = divide(s, [divisor], mode)
     if quots[0].mul(divisor).add(r) != s:
         raise InvalidStep("division identity failed")
     return quots[0], r
@@ -329,15 +332,15 @@ def verify_trace(M: tuple, steps) -> BoundReport:
                     raise InvalidStep(f"{label}: bad red step {step!r}")
                 if W.is_zero():
                     raise InvalidStep(f"{label}: reduce on the zero polynomial")
-                before = W.leading_term(ctx.order)[0]
+                before = W.leading_term()[0]
                 _, r = param_reduce_step(W, ctx.divisor(step.divisor, cs),
                                          step.mode, cs)
                 if r == W:
                     raise InvalidStep(
                         f"{label}: red {step.divisor} {step.mode} changed nothing")
                 if not r.is_zero():
-                    after = r.leading_term(ctx.order)[0]
-                    if ctx.order.compare(after, before) > 0:
+                    after = r.leading_term()[0]
+                    if MonomialOrder.key(after) > MonomialOrder.key(before):
                         raise InvalidStep(f"{label}: head increased")
                 W = r
             elif isinstance(step, Claim):
@@ -375,7 +378,8 @@ def verify_trace(M: tuple, steps) -> BoundReport:
 def _check_claim(ctx, W, mono, cs, label):
     if W.is_zero():
         raise UnjustifiedClaim(f"{label}: claim on the zero polynomial")
-    above = [m for m in W.terms if ctx.order.compare(m, mono) > 0]
+    key = MonomialOrder.key(mono)
+    above = [m for m in W.terms if MonomialOrder.key(m) > key]
     for m in above:
         if not cs.proves_zero(W.terms[m]):
             raise UnjustifiedClaim(
@@ -407,15 +411,14 @@ def instantiate_and_check(M: tuple, leaf: Leaf, nsamples: int, seed: int):
     if not assignments:
         raise UnsatisfiableLeaf(leaf.label)
     dom = klein_domain()
-    gens = klein_basis().gens
-    order = klein_order()
+    gens = klein_basis()
     F_leaf = ctx.root.map_coeffs(leaf.constraints.reduce)
     grid = np.array(assignments, dtype=np.uint8).T
     values = evaluate_grid(list(F_leaf.terms.values()), grid).T.tolist()
     for assignment, column in zip(assignments, values):
         terms = {m: v for m, v in zip(F_leaf.terms, column) if v}
         F = Polynomial(dom, 2, terms, _normalized=True)
-        gb = buchberger([F, *gens], order)
+        gb = buchberger([F, *gens])
         fp2 = footprint(gb)
         for e in leaf.established:
             if e in fp2:

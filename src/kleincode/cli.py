@@ -206,8 +206,8 @@ def cmd_oracle(args) -> int:
     support = klein.class_support(M)
     mode = args.mode
     w, exact = coset_min_weight(M, support, klein.klein_variety(), mode,
-                                order=klein.klein_order(), fp=klein.klein_footprint(),
-                                seed=args.seed, count=SAMPLE_COUNT)
+                                fp=klein.klein_footprint(), seed=args.seed,
+                                count=SAMPLE_COUNT)
     delta = full_bound_map()[M]
     result = {
         "monomial": format_monomial(M),

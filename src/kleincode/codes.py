@@ -43,7 +43,7 @@ from itertools import product
 import numpy as np
 
 from .gf import FieldSpec
-from .groebner import GroebnerBasis, buchberger, footprint
+from .groebner import buchberger, footprint
 from .poly import (
     ArityMismatch,
     MonomialOrder,
@@ -127,8 +127,11 @@ class Variety:
 
 
 def enumerate_variety(gens, spec: FieldSpec, arity: int = 2) -> Variety:
-    """Brute-force scan of all q^arity points for common zeros."""
-    grid = Variety(spec, product(range(spec.q), repeat=arity))
+    """Brute-force scan of all q^2 points of the plane for common zeros;
+    the arity argument is 2 or refused."""
+    if arity != 2:
+        raise ArityMismatch(f"arity {arity}: the variety lies in the plane")
+    grid = Variety(spec, product(range(spec.q), repeat=2))
     common = np.ones(len(grid), dtype=bool)
     for g in gens:
         common &= evaluation_vector(g, grid) == 0
@@ -185,9 +188,6 @@ def evaluation_vector(F: Polynomial, v: Variety) -> np.ndarray:
     """(F(P_1), ..., F(P_n)) as a uint8 enc vector in variety order."""
     if F.domain.parametric:
         raise ParametricCoefficients("evaluation needs concrete coefficients")
-    if v.points and F.arity != len(v.powers):
-        raise ArityMismatch(f"arity {F.arity} polynomial on a variety of "
-                            f"arity {len(v.powers)}")
     return evaluate_terms(F.terms, v)
 
 
@@ -270,13 +270,13 @@ def gf_kernel(M: np.ndarray, spec: FieldSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # weights via the footprint identity
 
-def weight_via_footprint(F: Polynomial, gb: GroebnerBasis) -> int:
+def weight_via_footprint(F: Polynomial, gb) -> int:
     """n minus the footprint size of <F> + ideal(gb); must equal the direct
     Hamming weight of the evaluation vector."""
     if F.is_zero():
         raise ZeroPolynomial("weight of the zero codeword")
     n = len(footprint(gb))
-    bigger = buchberger([F, *gb.gens], gb.order)
+    bigger = buchberger([F, *gb])
     return n - len(footprint(bigger))
 
 
@@ -534,15 +534,16 @@ def coset_min_weight(M: tuple, support, v: Variety, mode: str = "exhaustive",
     support must consist of footprint monomials strictly below M.  Modes:
     exhaustive and gray (one and the same exact bit-plane scan; "gray" is
     kept as an alias for callers that name it) and sample (seeded,
-    exact=False).
+    exact=False).  An order, if given, must be the one MonomialOrder.
     """
+    if order is not None and not isinstance(order, MonomialOrder):
+        raise TypeError(f"the order is MonomialOrder(), not {order!r}")
     M = tuple(M)
     support = [tuple(m) for m in support]
-    if order is not None:
-        for m in support:
-            if order.compare(m, M) >= 0:
-                raise SupportNotBelowM(
-                    f"{format_monomial(m)} not below {format_monomial(M)}")
+    key = MonomialOrder.key(M)
+    for m in support:
+        if MonomialOrder.key(m) >= key:
+            raise SupportNotBelowM(f"{format_monomial(m)} not below {format_monomial(M)}")
     if fp is not None:
         for m in (M, *support):
             if m not in fp:

@@ -6,8 +6,10 @@ poly.reduce_packed twice over: in the pair loop it top-reduces each input
 and S-pair (head mode: only the head is cancelled, tails stay as they
 are), and once the basis is complete it reduces each element's tail fully
 against the rest.  The Gebauer-Moeller criteria decide which S-pairs are
-reduced at all.  Bases are reduced and monic with a deterministic ordering
-(ascending heads), so repeated runs produce identical output.  The
+reduced at all.  A basis is a tuple of polynomials, reduced and monic, in
+ascending order of heads, so repeated runs produce identical output.  The
+order is the one poly.MonomialOrder; buchberger still accepts it as an
+optional second argument, and nothing else here takes one.  The
 footprint of a zero-dimensional ideal is enumerated by walking the grid
 bounded by the pure-power heads.
 """
@@ -39,29 +41,12 @@ class InfiniteFootprint(ValueError):
     """Some variable has no pure power among the basis heads."""
 
 
-class GroebnerBasis:
-    __slots__ = ("order", "gens")
-
-    def __init__(self, order: MonomialOrder, gens):
-        self.order = order
-        self.gens = list(gens)
-
-    def heads(self):
-        return [g.leading_term(self.order)[0] for g in self.gens]
-
-    def __iter__(self):
-        return iter(self.gens)
-
-    def __len__(self):
-        return len(self.gens)
-
-
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """Cancel the lcm of the two heads (standard S-polynomial)."""
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("S-polynomial of 0")
-    fm, fc = f.leading_term(order)
-    gm, gc = g.leading_term(order)
+    fm, fc = f.leading_term()
+    gm, gc = g.leading_term()
     lcm = mono_lcm(fm, gm)
     dom = f.domain
     left = f.mul_mono(mono_div(lcm, fm), dom.inv(fc))
@@ -69,8 +54,9 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     return left.add(right)
 
 
-def buchberger(gens, order: MonomialOrder) -> GroebnerBasis:
-    """Reduced monic Groebner basis with the normal selection strategy.
+def buchberger(gens, order: MonomialOrder = None) -> tuple:
+    """Reduced monic Groebner basis, as a tuple, with the normal selection
+    strategy.  An order, if given, must be the one MonomialOrder.
 
     Pairs are processed smallest head-lcm first.  Each input, and each
     S-pair, is top-reduced by the active basis: reduction stops at the
@@ -95,11 +81,13 @@ def buchberger(gens, order: MonomialOrder) -> GroebnerBasis:
     generators' order, or on whether their tails were reduced.
     Elements stay monic, so an S-pair is the sum of two shifted elements.
     """
+    if order is not None and not isinstance(order, MonomialOrder):
+        raise TypeError(f"the order is MonomialOrder(), not {order!r}")
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ZeroPolynomial("no nonzero generators")
     dom = gens[0].domain
-    add, is_zero, zero = dom.add, dom.is_zero, dom.zero
+    add, is_zero, zero, key = dom.add, dom.is_zero, dom.zero, MonomialOrder.key
     # every element so far, packed, monic and prepared as a divisor for
     # reduce_packed: (head exponents, head key, None, terms)
     basis = []
@@ -109,13 +97,13 @@ def buchberger(gens, order: MonomialOrder) -> GroebnerBasis:
     live = {}      # queued pair (i, j) -> its head lcm
 
     def insert(d):
-        r = reduce_packed(d, reducers, order, dom, HEAD)
+        r = reduce_packed(d, reducers, dom, HEAD)
         if not r:
             return
-        dv = prepare_divisor(r, order, dom)
+        dv = prepare_divisor(r, dom)
         if dv[3] is not None:
             scale = dom.scaler(dv[3])
-            dv = prepare_divisor({k: scale(c) for k, c in r.items()}, order, dom)
+            dv = prepare_divisor({k: scale(c) for k, c in r.items()}, dom)
         k = len(basis)
         basis.append(dv)
         h = dv[:2]
@@ -136,13 +124,13 @@ def buchberger(gens, order: MonomialOrder) -> GroebnerBasis:
         for lcm, coprime, t in kept:
             if not coprime:
                 live[k, t] = lcm
-                heapq.heappush(heap, (order.key(lcm), k, t))
+                heapq.heappush(heap, (key(lcm), k, t))
         # reducers whose heads h divides retire; their queued pairs stay
         active[:] = [t for t in active if not mono_divides(h, basis[t][:2])] + [k]
         reducers[:] = [basis[t] for t in active]
 
     for g in gens:
-        insert(packed(g, order))
+        insert(packed(g))
     while heap:
         lk, i, j = heapq.heappop(heap)
         if live.pop((i, j), None) is None:
@@ -161,15 +149,15 @@ def buchberger(gens, order: MonomialOrder) -> GroebnerBasis:
 
     # reduce every tail fully, once, to the unique reduced basis; heads stay put
     for i in range(len(reducers)):
-        r = reduce_packed(dict(reducers[i][4]), reducers[:i] + reducers[i + 1:], order, dom)
-        reducers[i] = prepare_divisor(r, order, dom)
+        r = reduce_packed(dict(reducers[i][4]), reducers[:i] + reducers[i + 1:], dom)
+        reducers[i] = prepare_divisor(r, dom)
     reducers.sort(key=lambda dv: dv[2])
-    return GroebnerBasis(order, [from_packed(dict(dv[4]), order, dom) for dv in reducers])
+    return tuple(from_packed(dict(dv[4]), dom) for dv in reducers)
 
 
-def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
+def normal_form(p: Polynomial, gb) -> Polynomial:
     """Unique full-mode remainder modulo the basis; support in the footprint."""
-    _, r = divide(p, gb.gens, gb.order, FULL)
+    _, r = divide(p, gb, FULL)
     return r
 
 
@@ -195,10 +183,10 @@ class Footprint:
         return tuple(reversed(self.monomials))
 
 
-def footprint(gb: GroebnerBasis) -> Footprint:
+def footprint(gb) -> Footprint:
     """The footprint of gb's ideal, memoised by heads (all it depends on),
     so the Klein basis's footprint is walked once."""
-    return _footprint(tuple(gb.heads()))
+    return _footprint(tuple(g.leading_term()[0] for g in gb))
 
 
 @lru_cache(maxsize=256)
@@ -215,7 +203,7 @@ def _footprint(heads: tuple) -> Footprint:
                      if not any(mono_divides(h, m) for h in heads))
 
 
-def order_domain_check(gb: GroebnerBasis, weights) -> tuple[bool, bool, bool]:
+def order_domain_check(gb, weights) -> tuple[bool, bool, bool]:
     """The three structural conditions under which divisibility-style bounds
     detect the most (satisfied 1 and 2 but not 3 in the Klein setting).
 
@@ -224,13 +212,13 @@ def order_domain_check(gb: GroebnerBasis, weights) -> tuple[bool, bool, bool]:
            most two of them attain the top weight.
     cond3: no two distinct footprint monomials share a weight.
     """
-    cond1 = gb.order.weights == tuple(weights)
+    cond1 = MonomialOrder.weights == tuple(weights)
 
     def wt(m):
         return sum(w * e for w, e in zip(weights, m))
 
     cond2 = True
-    for g in gb.gens:
+    for g in gb:
         supp = list(g.terms)
         if len(supp) < 2:
             cond2 = False

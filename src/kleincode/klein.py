@@ -8,7 +8,8 @@ isomorphic field, so footprint sizes, weights and code parameters do not
 depend on the choice; fixing one keeps output byte-stable.
 
 The setting is a constant, not a parameter: all Klein-only code takes its
-field, order, footprint, variety and class supports from here.
+field, footprint, variety and class supports from here, and its order
+from poly.MonomialOrder directly.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 
 from .codes import Variety, enumerate_variety
 from .gf import FieldSpec, gf8
-from .groebner import Footprint, GroebnerBasis, buchberger, footprint
+from .groebner import Footprint, buchberger, footprint
 from .poly import MonomialOrder, ParseError, Polynomial, parse_poly
 
 # the curve, then the field equations of X and Y
@@ -62,8 +63,8 @@ def ideal_generators() -> tuple[Polynomial, ...]:
 
 
 @lru_cache(maxsize=None)
-def klein_basis() -> GroebnerBasis:
-    return buchberger(list(ideal_generators()), klein_order())
+def klein_basis() -> tuple[Polynomial, ...]:
+    return buchberger(ideal_generators())
 
 
 @lru_cache(maxsize=None)
@@ -81,5 +82,5 @@ def klein_variety() -> Variety:
 def class_support(M: tuple) -> tuple:
     """Footprint monomials below M, largest first: the monomials m1 > m2 > ...
     of a reduced codeword polynomial M + a1*m1 + a2*m2 + ..."""
-    order = klein_order()
-    return tuple(m for m in klein_footprint().descending() if order.compare(m, M) < 0)
+    key = MonomialOrder.key(M)
+    return tuple(m for m in klein_footprint().descending() if MonomialOrder.key(m) < key)

@@ -1,22 +1,23 @@
-"""Sparse polynomials, the monomial order, and division.
+"""Sparse polynomials in X and Y, the monomial order, and division.
 
-Monomials are plain tuples of non-negative exponents (index 0 = X,
-index 1 = Y).  Polynomials are term maps from monomial to a nonzero
-coefficient.  There are two coefficient domains: ``gf.FieldSpec``, the
-concrete GF(8) with enc integer coefficients, and ``params.ParamRing``,
-the parametric ring GF(8)[a1..at] of the case-split engine.  A domain
-provides ``zero``, ``one``, ``is_zero(c)``, ``add(a, b)``, ``mul(a, b)``,
-``scaler(c)`` (the map b -> c * b, with which reduce_packed scales a
-divisor once per step), ``inv(a)``, ``from_enc(n)``, ``compatible(other)``
-and ``parametric``, and a parametric one also ``t``, ``var_pow(i, e)`` and
-``format_coef(c)``.
+Monomials are pairs (a, b) of non-negative exponents, for X^a*Y^b.
+Polynomials are term maps from monomial to a nonzero coefficient; the
+plane is fixed, so Polynomial(dom, 2, terms) refuses any arity but 2.
+There are two coefficient domains: ``gf.FieldSpec``, the concrete GF(8)
+with enc integer coefficients, and ``params.ParamRing``, the parametric
+ring GF(8)[a1..at] of the case-split engine.  A domain provides ``zero``,
+``one``, ``is_zero(c)``, ``add(a, b)``, ``mul(a, b)``, ``scaler(c)`` (the
+map b -> c * b, with which reduce_packed scales a divisor once per step),
+``inv(a)``, ``from_enc(n)``, ``compatible(other)`` and ``parametric``, and
+a parametric one also ``t``, ``var_pow(i, e)`` and ``format_coef(c)``.
 Both domains have characteristic 2, so subtraction is addition throughout.
 
 There is one order, the Klein order: weighted-degree-lex with weights
-(2, 3), ties to Y.  Its key is one packed int.  One reduction loop,
-``reduce_packed``, serves every division: it runs on dicts keyed by that
-int, for both coefficient domains, and both ``divide`` and
-``groebner.buchberger`` call it.  It has two modes:
+(2, 3), ties to Y.  Its key is one packed int.  Leading terms, packing and
+division read MonomialOrder.key and decode directly; none takes an order.
+One reduction loop, ``reduce_packed``, serves every division: it runs on
+dicts keyed by that int, for both coefficient domains, and both
+``divide`` and ``groebner.buchberger`` call it.  It has two modes:
 
 * ``full``  -- the textbook multivariate division: every monomial of the
   remainder is irreducible by every divisor head.
@@ -68,15 +69,10 @@ class ParseError(ValueError):
 # monomial helpers
 
 def mono_mul(u: tuple, v: tuple) -> tuple:
-    if len(u) == 2:
-        a, b = u[0] + v[0], u[1] + v[1]
-        if a > EXPONENT_CAP or b > EXPONENT_CAP:
-            raise ExponentCapExceeded(f"exponent cap {EXPONENT_CAP} exceeded")
-        return (a, b)
-    w = tuple(a + b for a, b in zip(u, v))
-    if any(e > EXPONENT_CAP for e in w):
-        raise ExponentCapExceeded(f"exponent cap {EXPONENT_CAP} exceeded: {w}")
-    return w
+    a, b = u[0] + v[0], u[1] + v[1]
+    if a > EXPONENT_CAP or b > EXPONENT_CAP:
+        raise ExponentCapExceeded(f"exponent cap {EXPONENT_CAP} exceeded")
+    return (a, b)
 
 
 def mono_divides(u: tuple, v: tuple) -> bool:
@@ -137,11 +133,14 @@ class MonomialOrder:
 
 
 class Polynomial:
-    __slots__ = ("domain", "arity", "terms")
+    """A polynomial in X and Y; the arity argument is 2 or refused."""
+
+    __slots__ = ("domain", "terms")
 
     def __init__(self, domain, arity: int, terms=None, _normalized=False):
+        if arity != 2:
+            raise ArityMismatch(f"arity {arity}: polynomials are in X and Y")
         self.domain = domain
-        self.arity = arity
         if terms is None:
             self.terms = {}
         elif _normalized:
@@ -159,8 +158,6 @@ class Polynomial:
         return self.terms.get(tuple(mono), self.domain.zero)
 
     def _check_other(self, other: "Polynomial"):
-        if self.arity != other.arity:
-            raise ArityMismatch(f"arity {self.arity} vs {other.arity}")
         if self.domain is not other.domain and not self.domain.compatible(other.domain):
             raise DomainMismatch("mixed coefficient domains")
 
@@ -174,7 +171,7 @@ class Polynomial:
                 out.pop(m, None)
             else:
                 out[m] = v
-        return Polynomial(dom, self.arity, out, _normalized=True)
+        return Polynomial(dom, 2, out, _normalized=True)
 
     def mul(self, other: "Polynomial") -> "Polynomial":
         self._check_other(other)
@@ -188,7 +185,7 @@ class Polynomial:
                     out.pop(m, None)
                 else:
                     out[m] = v
-        return Polynomial(dom, self.arity, out, _normalized=True)
+        return Polynomial(dom, 2, out, _normalized=True)
 
     def mul_mono(self, mono: tuple, c=None) -> "Polynomial":
         dom = self.domain
@@ -199,12 +196,12 @@ class Polynomial:
             cv = dom.mul(c, v)
             if not dom.is_zero(cv):
                 out[mono_mul(m, mono)] = cv
-        return Polynomial(dom, self.arity, out, _normalized=True)
+        return Polynomial(dom, 2, out, _normalized=True)
 
-    def leading_term(self, order: MonomialOrder):
+    def leading_term(self):
         if not self.terms:
             raise ZeroPolynomial("leading term of 0")
-        m = max(self.terms, key=order.key)
+        m = max(self.terms, key=MonomialOrder.key)
         return m, self.terms[m]
 
     def eval(self, point: tuple):
@@ -212,8 +209,8 @@ class Polynomial:
         spec = self.domain
         if spec.parametric:
             raise ParametricCoefficients("eval needs concrete coefficients")
-        if len(point) != self.arity:
-            raise ArityMismatch(f"point {point} in arity {self.arity}")
+        if len(point) != 2:
+            raise ArityMismatch(f"point {point} is not in the plane")
         acc = 0
         for m, c in self.terms.items():
             v = c
@@ -225,21 +222,20 @@ class Polynomial:
             acc ^= v
         return acc
 
-    def map_coeffs(self, fn, domain=None) -> "Polynomial":
-        dom = domain or self.domain
+    def map_coeffs(self, fn) -> "Polynomial":
+        dom = self.domain
         out = {}
         for m, c in self.terms.items():
             v = fn(c)
             if not dom.is_zero(v):
                 out[m] = v
-        return Polynomial(dom, self.arity, out, _normalized=True)
+        return Polynomial(dom, 2, out, _normalized=True)
 
     def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.arity == other.arity \
-            and self.terms == other.terms
+        return isinstance(other, Polynomial) and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.arity, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         return f"Polynomial({format_poly(self)})"
@@ -252,35 +248,32 @@ class Polynomial:
 # key to coefficient (see MonomialOrder), so the next reduction target is a
 # raw int max over the keys and a multiple of a divisor is a key shift.
 
-def packed(p: Polynomial, order: MonomialOrder) -> dict:
-    if p.arity != 2:
-        raise ArityMismatch(f"arity {p.arity}: division is bivariate")
-    key = order.key
+def packed(p: Polynomial) -> dict:
+    key = MonomialOrder.key
     return {key(m): c for m, c in p.terms.items()}
 
 
-def from_packed(d: dict, order: MonomialOrder, domain) -> Polynomial:
-    decode = order.decode
+def from_packed(d: dict, domain) -> Polynomial:
+    decode = MonomialOrder.decode
     return Polynomial(domain, 2, {decode(k): c for k, c in d.items()}, _normalized=True)
 
 
-def prepare_divisor(d: dict, order: MonomialOrder, domain) -> tuple:
+def prepare_divisor(d: dict, domain) -> tuple:
     """(head exponents, head key, inverse head coefficient or None for 1,
     terms) of a nonzero packed divisor, the form reduce_packed takes."""
     hk = max(d)
     lc = d[hk]
-    ha, hb = order.decode(hk)
+    ha, hb = MonomialOrder.decode(hk)
     return ha, hb, hk, None if _is_one(domain, lc) else domain.inv(lc), list(d.items())
 
 
-def reduce_packed(p: dict, divisors, order: MonomialOrder, domain,
-                  mode: str = FULL, quots=None) -> dict:
+def reduce_packed(p: dict, divisors, domain, mode: str = FULL, quots=None) -> dict:
     """Reduce the packed polynomial p, in place, by prepared divisors; returns
     the remainder.  The first divisor whose head divides the current head
     cancels it.  FULL moves an irreducible head to the remainder and goes on;
     HEAD stops there.  When given, quots[i] accumulates divisor i's quotient."""
     add, mul, is_zero, zero = domain.add, domain.mul, domain.is_zero, domain.zero
-    scaler, decode = domain.scaler, order.decode
+    scaler, decode = domain.scaler, MonomialOrder.decode
     rem: dict = {}
     while p:
         mk = max(p)
@@ -314,7 +307,7 @@ def reduce_packed(p: dict, divisors, order: MonomialOrder, domain,
     return rem
 
 
-def divide(s: Polynomial, divisors, order: MonomialOrder, mode: str = FULL):
+def divide(s: Polynomial, divisors, mode: str = FULL):
     """Divide s by an ordered divisor list; returns (quotients, remainder).
 
     Divisors are tried in list order at each step.  The identity
@@ -327,10 +320,10 @@ def divide(s: Polynomial, divisors, order: MonomialOrder, mode: str = FULL):
     for d in divisors:
         if d.is_zero():
             raise ZeroPolynomial("zero divisor")
-        prepared.append(prepare_divisor(packed(d, order), order, dom))
+        prepared.append(prepare_divisor(packed(d), dom))
     quots = [{} for _ in divisors]
-    rem = reduce_packed(packed(s, order), prepared, order, dom, mode, quots)
-    return [from_packed(q, order, dom) for q in quots], from_packed(rem, order, dom)
+    rem = reduce_packed(packed(s), prepared, dom, mode, quots)
+    return [from_packed(q, dom) for q in quots], from_packed(rem, dom)
 
 
 def _is_one(dom, c) -> bool:
@@ -348,6 +341,9 @@ def _is_one(dom, c) -> bool:
 # X or Y.  Whitespace is insignificant.  Printing round-trips parsing bit-exactly.
 # An X or Y exponent above EXPONENT_CAP is refused, as mono_mul refuses one,
 # and so is any exponent, of a parameter too, with more digits than the cap.
+# Every digit string is measured before int() reads it, since int() refuses
+# more than 4300 digits with a message of its own: a coefficient has one
+# digit, an enc of GF(8), and a parameter index at most as many as t.
 
 _TOKEN = re.compile(r"\(|\)|\+|\*|\^|[0-9]+|a[0-9]+|[XY]")
 
@@ -369,11 +365,10 @@ _VAR_INDEX = {"X": 0, "Y": 1}
 
 
 class _Parser:
-    def __init__(self, tokens, domain, arity):
+    def __init__(self, tokens, domain):
         self.toks = tokens
         self.i = 0
         self.domain = domain
-        self.arity = arity
         self.depth = 0  # open parentheses: inside them X and Y are refused
 
     def peek(self):
@@ -407,7 +402,7 @@ class _Parser:
     def parse_term(self) -> Polynomial:
         dom = self.domain
         coef = dom.one
-        exps = [0] * self.arity
+        exps = [0, 0]
         first = True
         while True:
             tok = self.peek()
@@ -420,8 +415,7 @@ class _Parser:
                 tok = self.peek()
             first = False
             coef, exps = self.parse_factor(coef, exps)
-        mono = tuple(exps)
-        return Polynomial(dom, self.arity, {mono: coef})
+        return Polynomial(dom, 2, {tuple(exps): coef})
 
     def parse_factor(self, coef, exps):
         dom = self.domain
@@ -433,14 +427,11 @@ class _Parser:
             val = self.parse_sum()
             self.expect(")")
             self.depth -= 1
-            return dom.mul(coef, val.coef((0,) * self.arity)), exps
+            return dom.mul(coef, val.coef((0, 0))), exps
         if tok in _VAR_INDEX:
             if self.depth:
                 raise ParseError(f"{tok} inside a parenthesized coefficient")
             idx = _VAR_INDEX[tok]
-            if idx >= self.arity:
-                raise ArityMismatch(f"variable {tok} outside arity {self.arity}")
-            exps = list(exps)
             exps[idx] += self.maybe_exponent()
             if exps[idx] > EXPONENT_CAP:
                 raise ExponentCapExceeded(f"exponent cap {EXPONENT_CAP} exceeded")
@@ -450,8 +441,9 @@ class _Parser:
                 raise ParseError(f"parameter {tok} in a concrete polynomial")
             return dom.mul(coef, self.parse_param(tok)), exps
         if tok.isdigit():
-            coef = dom.mul(coef, dom.from_enc(int(tok)))
-            return coef, exps
+            if len(tok.lstrip("0")) > 1:
+                raise ParseError(f"coefficient {_short(tok)} outside GF(8)")
+            return dom.mul(coef, dom.from_enc(int(tok))), exps
         raise ParseError(f"unexpected token {tok!r}")
 
     def maybe_exponent(self) -> int:
@@ -460,7 +452,6 @@ class _Parser:
             t = self.take()
             if not t.isdigit():
                 raise ParseError(f"exponent expected, got {t!r}")
-            # refused before int(), which rejects more than 4300 digits itself
             if len(t.lstrip("0")) > len(str(EXPONENT_CAP)):
                 raise ExponentCapExceeded(f"exponent cap {EXPONENT_CAP} exceeded")
             return int(t)
@@ -468,14 +459,19 @@ class _Parser:
 
     def parse_param(self, tok):
         """a<i>[^e] as a power of a parameter of the ring."""
-        idx = int(tok[1:]) - 1
-        if not 0 <= idx < self.domain.t:
-            raise ParseError(f"parameter {tok} outside a1..a{self.domain.t}")
-        return self.domain.var_pow(idx, self.maybe_exponent())
+        t = self.domain.t
+        if len(tok[1:].lstrip("0")) > len(str(t)) or not 0 < int(tok[1:]) <= t:
+            raise ParseError(f"parameter {_short(tok)} outside a1..a{t}")
+        return self.domain.var_pow(int(tok[1:]) - 1, self.maybe_exponent())
 
 
-def parse_poly(text: str, domain, arity: int = 2) -> Polynomial:
-    return _Parser(_tokenize(text), domain, arity).parse_poly()
+def _short(tok: str) -> str:
+    """A token as an error message quotes it: a long one is cut at 12 characters."""
+    return tok if len(tok) <= 12 else tok[:12] + "..."
+
+
+def parse_poly(text: str, domain) -> Polynomial:
+    return _Parser(_tokenize(text), domain).parse_poly()
 
 
 _VAR_NAMES = ("X", "Y")

@@ -105,7 +105,6 @@ def suite_orders(seed, quick):
 
 def suite_division(seed, quick):
     dom = klein.klein_domain()
-    order = klein.klein_order()
     rng = SplitMix64(seed ^ 0xD1)
     n = 500 if quick else 10_000
     for i in range(n):
@@ -115,14 +114,14 @@ def suite_division(seed, quick):
         if not divisors:
             continue
         for mode in (FULL, HEAD):
-            quots, r = divide(s, divisors, order, mode)
+            quots, r = divide(s, divisors, mode)
             acc = r
             for q, d in zip(quots, divisors):
                 acc = acc.add(q.mul(d))
             if acc != s:
                 return False, f"identity failed at instance {i} ({mode})"
             if mode == FULL and not r.is_zero():
-                heads = [d.leading_term(order)[0] for d in divisors]
+                heads = [d.leading_term()[0] for d in divisors]
                 for m in r.terms:
                     if any(all(h[j] <= m[j] for j in (0, 1)) for h in heads):
                         return False, f"reducible full remainder at {i}"
@@ -147,15 +146,14 @@ def suite_eval_hom(seed, quick):
 
 
 def suite_groebner(seed, quick):
-    order = klein.klein_order()
     gb = klein.klein_basis()
     if len(gb) != 3:
         return False, f"basis size {len(gb)}"
     for i, f in enumerate(gb):
-        for g in list(gb)[:i]:
-            s = s_polynomial(f, g, order)
+        for g in gb[:i]:
+            s = s_polynomial(f, g)
             if not s.is_zero():
-                _, r = divide(s, list(gb), order, FULL)
+                _, r = divide(s, gb, FULL)
                 if not r.is_zero():
                     return False, "S-pair does not reduce to zero"
     dom = klein.klein_domain()
@@ -189,14 +187,13 @@ def suite_cor1(seed, quick):
     ideals containing both field equations."""
     dom = klein.klein_domain()
     spec = gf8()
-    order = klein.klein_order()
     feq = [parse_poly("X^8+X", dom), parse_poly("Y^8+Y", dom)]
     rng = SplitMix64(seed ^ 0xC1)
     n = 10 if quick else 100
     for i in range(n):
         extras = [_random_poly(rng, dom) for _ in range(1 + rng.below(2))]
         gens = feq + [p for p in extras if not p.is_zero()]
-        gb = buchberger(gens, order)
+        gb = buchberger(gens)
         fp = footprint(gb)
         v = enumerate_variety(gens, spec, 2)
         if len(fp) != len(v):

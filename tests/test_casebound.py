@@ -215,13 +215,13 @@ def test_instantiate_s31_leaf():
     assert out["samples"] == 25
 
 
-def test_instantiate_specific_assignment(dom, order):
+def test_instantiate_specific_assignment(dom):
     # a1 = alpha (enc 2), a2 = 0: X^4..X^7 must leave the footprint
     from kleincode.groebner import buchberger, footprint
     from kleincode.klein import ideal_generators
 
     F = parse_poly("Y+2*X", dom)
-    gb2 = buchberger([F, *ideal_generators()], order)
+    gb2 = buchberger([F, *ideal_generators()])
     fp2 = footprint(gb2)
     for a in range(4, 8):
         assert (a, 0) not in fp2
@@ -236,8 +236,8 @@ def test_instantiate_footprint_matches_raw_generators(monkeypatch):
 
     seen = []
 
-    def recording(gens, order):
-        gb = buchberger(gens, order)
+    def recording(gens):
+        gb = buchberger(gens)
         seen.append((gens[0], gb))
         return gb
 
@@ -249,7 +249,7 @@ def test_instantiate_footprint_matches_raw_generators(monkeypatch):
                 instantiate_and_check(M, leaf, nsamples=3, seed=17)
     assert len(seen) >= 20
     for F, gb in seen:
-        raw = buchberger([F, *ideal_generators()], gb.order)
+        raw = buchberger([F, *ideal_generators()])
         assert [g.terms for g in gb] == [g.terms for g in raw]
         assert footprint(gb).monomials == footprint(raw).monomials
 

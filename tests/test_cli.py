@@ -176,6 +176,15 @@ BAD_TRACES = {
     "exponent digits": ("mul Y^" + "9" * 5000 + "\n", "error: exponent cap 1048576 exceeded\n"),
     "parameter exponent digits": ("branch a1^" + "9" * 5000 + " {\n  claim Y\n} else {\n"
                                   "  claim Y\n}\n", "error: exponent cap 1048576 exceeded\n"),
+    # X^8 = X on the curve, so no derivation needs the power; a huge one
+    # would keep the replay busy for minutes
+    "mul exponent": ("mul X^8\n", "error: bad mul step: 'mul X^8' has an exponent above 7\n"),
+    # past int()'s 4300-digit limit: refused by the parser, not by int()
+    "coefficient digits": ("branch " + "9" * 5000 + "*a1 {\n  claim Y\n} else {\n"
+                           "  claim Y\n}\n",
+                           "error: coefficient 999999999999... outside GF(8)\n"),
+    "parameter digits": ("branch a" + "1" * 5000 + " {\n  claim Y\n} else {\n  claim Y\n}\n",
+                         "error: parameter a11111111111... outside a1..a2\n"),
     "missing operand": ("mul\n", "error: bad mul step: 'mul'\n"),
     "extra operand": ("claim Y extra\n", "error: bad claim step: 'claim Y extra'\n"),
     "extra restart operand": ("restart extra\n", "error: bad restart step: 'restart extra'\n"),
@@ -216,6 +225,12 @@ def test_bound_exponent_with_too_many_digits_refused(var, capsys):
     code, out = run_cli(["bound", "--lm", f"{var}^" + "9" * 5000])
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == "error: exponent cap 1048576 exceeded\n"
+
+
+def test_bound_coefficient_with_too_many_digits_refused(capsys):
+    code, out = run_cli(["bound", "--lm", "9" * 5000 + "*X"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: coefficient 999999999999... outside GF(8)\n"
 
 
 @pytest.mark.parametrize("extra", [[], ["--auto"]])

@@ -29,7 +29,7 @@ from kleincode.codes import (
     verify_fano,
     weight_via_footprint,
 )
-from kleincode.poly import EXPONENT_CAP, Polynomial, ZeroPolynomial, parse_poly
+from kleincode.poly import EXPONENT_CAP, ArityMismatch, Polynomial, ZeroPolynomial, parse_poly
 from kleincode.rng import SplitMix64
 
 EXPECTED_TABLE = [(1, 22), (2, 19), (3, 18), (4, 16), (5, 15), (7, 13), (8, 12),
@@ -54,6 +54,12 @@ def test_variety_origin_only(dom, spec):
 def test_variety_empty(dom, spec):
     v = enumerate_variety([parse_poly("1", dom)], spec, 2)
     assert len(v) == 0
+
+
+def test_variety_lies_in_the_plane(dom, spec):
+    for arity in (1, 3):
+        with pytest.raises(ArityMismatch):
+            enumerate_variety([parse_poly("X", dom)], spec, arity)
 
 
 def test_fano(variety, dom, spec):
@@ -261,6 +267,11 @@ def test_coset_support_validation(order, fp, variety):
                          order=order, fp=fp)
     with pytest.raises(SupportNotBelowM):
         coset_min_weight((8, 0), [], variety, "exhaustive", order=order, fp=fp)
+    # the below-M check needs no order argument, and takes no other order
+    with pytest.raises(SupportNotBelowM):
+        coset_min_weight((0, 1), [(0, 2)], variety)
+    with pytest.raises(TypeError):
+        coset_min_weight((0, 1), [], variety, order="lex")
 
 
 def test_gray_matches_exhaustive(order, fp, variety):

@@ -13,6 +13,7 @@ from kleincode.codes import enumerate_variety
 from kleincode.poly import (
     FULL,
     ArityMismatch,
+    MonomialOrder,
     Polynomial,
     divide,
     mono_divides,
@@ -30,20 +31,20 @@ EXPECTED_WEIGHTS = {
 }
 
 
-def test_s_polynomial_self_cancel(dom, order):
+def test_s_polynomial_self_cancel(dom):
     k = parse_poly("Y^3+X^3*Y+X", dom)
-    assert s_polynomial(k, k, order).is_zero()
+    assert s_polynomial(k, k).is_zero()
 
 
-def test_s_polynomial_of_monomials(dom, order):
+def test_s_polynomial_of_monomials(dom):
     u = parse_poly("X^2*Y", dom)
     v = parse_poly("X*Y^2", dom)
-    assert s_polynomial(u, v, order).is_zero()
+    assert s_polynomial(u, v).is_zero()
 
 
-def test_s_polynomial_reduces_to_zero(dom, order, gb):
-    s = s_polynomial(parse_poly("Y^3+X^3*Y+X", dom), parse_poly("X^8+X", dom), order)
-    _, r = divide(s, list(gb), order, FULL)
+def test_s_polynomial_reduces_to_zero(dom, gb):
+    s = s_polynomial(parse_poly("Y^3+X^3*Y+X", dom), parse_poly("X^8+X", dom))
+    _, r = divide(s, list(gb), FULL)
     assert r.is_zero()
 
 
@@ -54,18 +55,18 @@ def test_buchberger_reproduces_basis(dom, order):
     assert list(gb) == expected
 
 
-def test_buchberger_monomial_ideal(dom, order):
-    gb = buchberger([parse_poly("X", dom), parse_poly("Y", dom)], order)
-    assert sorted(g.leading_term(order)[0] for g in gb) == [(0, 1), (1, 0)]
+def test_buchberger_monomial_ideal(dom):
+    gb = buchberger([parse_poly("X", dom), parse_poly("Y", dom)])
+    assert sorted(g.leading_term()[0] for g in gb) == [(0, 1), (1, 0)]
 
 
-def test_buchberger_single_generator(dom, order):
+def test_buchberger_single_generator(dom):
     g = parse_poly("X^2+X", dom)
-    gb = buchberger([g], order)
+    gb = buchberger([g])
     assert list(gb) == [g]
 
 
-def test_normal_form_examples(dom, order, gb):
+def test_normal_form_examples(dom, gb):
     assert normal_form(parse_poly("Y^3+X^3*Y+X", dom), gb).is_zero()
     assert normal_form(parse_poly("Y^3", dom), gb) == parse_poly("X^3*Y+X", dom)
     assert normal_form(parse_poly("X^8", dom), gb) == parse_poly("X", dom)
@@ -98,29 +99,29 @@ def test_footprint_closed_downward(fp):
                 assert (da, db) in fp
 
 
-def test_footprint_origin_ideal(dom, order):
-    gb = buchberger([parse_poly("X", dom), parse_poly("Y", dom)], order)
+def test_footprint_origin_ideal(dom):
+    gb = buchberger([parse_poly("X", dom), parse_poly("Y", dom)])
     assert list(footprint(gb)) == [(0, 0)]
 
 
-def test_footprint_infinite(dom, order):
-    gb = buchberger([parse_poly("X^2+X", dom)], order)
+def test_footprint_infinite(dom):
+    gb = buchberger([parse_poly("X^2+X", dom)])
     with pytest.raises(InfiniteFootprint):
         footprint(gb)
 
 
-def test_basis_certificate_reverified(gb, order):
+def test_basis_certificate_reverified(gb):
     gens = list(gb)
     for i, f in enumerate(gens):
         for g in gens[:i]:
-            s = s_polynomial(f, g, order)
+            s = s_polynomial(f, g)
             if s.is_zero():
                 continue
-            _, r = divide(s, gens, order, FULL)
+            _, r = divide(s, gens, FULL)
             assert r.is_zero()
 
 
-def test_footprint_counts_variety_points(dom, order, spec):
+def test_footprint_counts_variety_points(dom, spec):
     # 100 random zero-dimensional ideals containing both field equations
     feq = [parse_poly("X^8+X", dom), parse_poly("Y^8+Y", dom)]
     rng = SplitMix64(0xC02)
@@ -132,7 +133,7 @@ def test_footprint_counts_variety_points(dom, order, spec):
             if not p.is_zero():
                 extras.append(p)
         gens = feq + extras
-        gbi = buchberger(gens, order)
+        gbi = buchberger(gens)
         assert len(footprint(gbi)) == len(enumerate_variety(gens, spec, 2))
 
 
@@ -147,36 +148,36 @@ def _random_extras(rng, dom):
     return extras
 
 
-def _assert_reduced_basis_of(gb, gens, order, spec, zero_dim):
+def _assert_reduced_basis_of(gb, gens, spec, zero_dim):
     """Certificate through paths that use no pair criterion: the basis is
     reduced and monic, every S-pair of it reduces to 0 by full division,
     every generator has normal form 0, and a zero-dimensional radical ideal
     has as many footprint monomials as variety points."""
     basis = list(gb)
-    heads = [g.leading_term(order) for g in basis]
+    heads = [g.leading_term() for g in basis]
     for g in gens:
-        assert divide(g, basis, order, FULL)[1].is_zero()
+        assert divide(g, basis, FULL)[1].is_zero()
     for i, g in enumerate(basis):
         assert heads[i][1] == 1
         assert not any(mono_divides(h, m) for j, (h, _) in enumerate(heads) if j != i
                        for m in g.terms)
         for f in basis[:i]:
-            assert divide(s_polynomial(g, f, order), basis, order, FULL)[1].is_zero()
+            assert divide(s_polynomial(g, f), basis, FULL)[1].is_zero()
     if zero_dim:
         assert len(footprint(gb)) == len(enumerate_variety(gens, spec, 2))
 
 
-def test_buchberger_under_klein_order(dom, spec, order):
+def test_buchberger_under_klein_order(dom, spec):
     # the one Buchberger under the Klein order, on random zero-dimensional
     # ideals
     feq = [parse_poly("X^8+X", dom), parse_poly("Y^8+Y", dom)]
     rng = SplitMix64(0xB0C4 + 4 * 2 + 1)
     for _ in range(25):
         gens = feq + _random_extras(rng, dom)
-        _assert_reduced_basis_of(buchberger(gens, order), gens, order, spec, True)
+        _assert_reduced_basis_of(buchberger(gens), gens, spec, True)
 
 
-def test_buchberger_pair_criteria_certificate(dom, spec, order):
+def test_buchberger_pair_criteria_certificate(dom, spec):
     # the pair criteria drop S-pairs without reducing them; the certificate
     # reduces every S-pair of the output, on 60 random ideals, half of them
     # without the field equations (mostly positive-dimensional, some the
@@ -191,8 +192,8 @@ def test_buchberger_pair_criteria_certificate(dom, spec, order):
             gens = [*gens, *feq] if rng.below(2) else [*feq, *gens]
         else:
             gens += _random_extras(rng, dom)
-        gb = buchberger(gens, order)
-        _assert_reduced_basis_of(gb, gens, order, spec, bool(i % 2))
+        gb = buchberger(gens)
+        _assert_reduced_basis_of(gb, gens, spec, bool(i % 2))
         shapes.add((bool(i % 2), len(gb)))
     assert len(shapes) >= 8, shapes
 
@@ -213,7 +214,7 @@ def test_buchberger_work_on_a_dense_codeword(dom, gb, fp, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(groebner, "reduce_packed", counting)
-    bigger = buchberger([F, *gb], gb.order)
+    bigger = buchberger([F, *gb])
     assert len(calls) <= 188 // 4
     assert len(fp) - len(footprint(bigger)) == 21
 
@@ -240,10 +241,10 @@ def test_reduced_basis_is_unique(dom, gb, fp):
         keep = 2 + (i % 5) * 6
         F = Polynomial(dom, 2, {monos[rng.below(len(monos))]: 1 + rng.below(7)
                                 for _ in range(keep)})
-        ref = [g.terms for g in buchberger([F, *raw], gb.order)]
-        assert [g.terms for g in buchberger([*gb, F], gb.order)] == ref
+        ref = [g.terms for g in buchberger([F, *raw])]
+        assert [g.terms for g in buchberger([*gb, F])] == ref
         mixed = _shuffled([F, *raw, *gb], rng)
-        assert [g.terms for g in buchberger(mixed, gb.order)] == ref
+        assert [g.terms for g in buchberger(mixed)] == ref
         shapes.add(len(ref))
     assert len(shapes) >= 3, shapes
 
@@ -252,18 +253,26 @@ def test_order_domain_check_klein(gb):
     assert order_domain_check(gb, (2, 3)) == (True, True, False)
 
 
-def test_order_domain_check_univariate(dom, order):
+def test_order_domain_check_univariate(dom):
     # the ideal of the line Y = 1: footprint X^0..X^7, weights all distinct
-    gb1 = buchberger([parse_poly("X^8+X", dom), parse_poly("Y+1", dom)], order)
+    gb1 = buchberger([parse_poly("X^8+X", dom), parse_poly("Y+1", dom)])
     assert order_domain_check(gb1, (2, 3)) == (True, True, True)
 
 
-def test_buchberger_refuses_non_bivariate(dom, order):
+def test_buchberger_refuses_non_bivariate(dom):
+    # constructing a non-bivariate Polynomial is refused, so none reaches it
     with pytest.raises(ArityMismatch):
-        buchberger([parse_poly("X^8+X", dom, arity=1)], order)
+        buchberger([Polynomial(dom, 1, {(8,): 1, (1,): 1})])
 
 
-def test_order_domain_check_single_monomial(dom, order):
-    gb2 = buchberger([parse_poly("X^2", dom), parse_poly("Y", dom)], order)
+def test_buchberger_takes_only_the_klein_order(dom):
+    gens = [parse_poly(t, dom) for t in ("Y^3+X^3*Y+X", "X^8+X", "Y^8+Y")]
+    assert buchberger(gens, MonomialOrder()) == buchberger(gens)
+    with pytest.raises(TypeError):
+        buchberger(gens, "grevlex")
+
+
+def test_order_domain_check_single_monomial(dom):
+    gb2 = buchberger([parse_poly("X^2", dom), parse_poly("Y", dom)])
     cond1, cond2, cond3 = order_domain_check(gb2, (2, 3))
     assert cond2 is False

@@ -15,7 +15,10 @@ No linter ships with the project, so these tests walk syntax trees:
   module the top level does not import (to defer a cost or break a cycle)
   stay allowed;
 * a read of ``os.environ`` or ``os.getenv`` is a hidden input: the
-  command-line flags are the package's only inputs.
+  command-line flags are the package's only inputs;
+* a parameter named ``order`` or ``arity`` threads a fact of poly.py, the
+  one monomial order and the plane, through calls.  Only the call forms
+  that the acceptance gate and the benchmark use keep one.
 """
 
 import ast
@@ -280,3 +283,51 @@ def test_environment_read_detector():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_environment_reads(path):
     assert environment_reads(path.read_text()) == []
+
+
+# call forms of tests/test_acceptance.py and kbench: buchberger(gens, order),
+# coset_min_weight(..., order=, fp=), Polynomial(dom, 2, terms) and
+# enumerate_variety(gens, spec, 2)
+PINNED_ORDER_ARITY = {"groebner.buchberger", "codes.coset_min_weight",
+                      "poly.Polynomial.__init__", "codes.enumerate_variety"}
+
+
+def order_arity_parameters(source: str, module: str) -> list:
+    """(qualified name, parameter) of each function or method, nested ones
+    included, with a parameter named order or arity."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    a = child.args
+                    out.extend((name, p.arg)
+                               for p in a.posonlyargs + a.args + a.kwonlyargs
+                               if p.arg in ("order", "arity"))
+                visit(child, name)
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), module)
+    return sorted(out)
+
+
+def test_order_arity_parameter_detector():
+    src = ("def f(gens, order=None): pass\n"
+           "def g(x, *, arity=2):\n"
+           "    def inner(order): pass\n"
+           "class C:\n"
+           "    def m(self, orders, key=order): pass\n"
+           "    def n(self, arity): pass\n")
+    assert order_arity_parameters(src, "mod") == [
+        ("mod.C.n", "arity"), ("mod.f", "order"), ("mod.g", "arity"),
+        ("mod.g.inner", "order")]
+
+
+def test_no_order_or_arity_parameters():
+    found = [f"{name}({param})" for path in MODULES
+             for name, param in order_arity_parameters(path.read_text(), path.stem)
+             if name not in PINNED_ORDER_ARITY]
+    assert found == []

@@ -81,12 +81,11 @@ def test_order_key_round_trip_at_exponent_cap():
         corners, key=lambda m: (2 * m[0] + 3 * m[1], m[1]))
 
 
-def test_non_bivariate_input_refused(dom, order):
-    uni = parse_poly("X^8+X", dom, arity=1)
-    with pytest.raises(ArityMismatch):
-        divide(uni, [P("X", dom)], order, FULL)
-    with pytest.raises(ArityMismatch):
-        divide(P("X", dom), [uni], order, HEAD)
+def test_non_bivariate_input_refused(dom):
+    # constructing a non-bivariate Polynomial is refused
+    for arity in (1, 3):
+        with pytest.raises(ArityMismatch):
+            Polynomial(dom, arity, {(1,) * arity: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +97,13 @@ def test_poly_arith_examples(dom):
     assert P("Y", dom).mul(P("Y^2", dom)) == P("Y^3", dom)
 
 
-def test_leading_terms(dom, order):
+def test_leading_terms(dom):
     k = P("Y^3+X^3*Y+X", dom)
-    assert k.leading_term(order) == ((0, 3), 1)
-    assert P("X^7*Y+Y", dom).leading_term(order) == ((7, 1), 1)
-    assert P("5", dom).leading_term(order) == ((0, 0), 5)
+    assert k.leading_term() == ((0, 3), 1)
+    assert P("X^7*Y+Y", dom).leading_term() == ((7, 1), 1)
+    assert P("5", dom).leading_term() == ((0, 0), 5)
     with pytest.raises(ZeroPolynomial):
-        Polynomial(dom, 2).leading_term(order)
+        Polynomial(dom, 2).leading_term()
 
 
 def test_exponent_cap(dom):
@@ -123,29 +122,29 @@ def test_parse_refuses_exponent_above_cap(dom):
 # ---------------------------------------------------------------------------
 # division
 
-def test_divide_single_step(dom, order):
+def test_divide_single_step(dom):
     k = P("Y^3+X^3*Y+X", dom)
-    quots, r = divide(P("Y^3", dom), [k], order, FULL)
+    quots, r = divide(P("Y^3", dom), [k], FULL)
     assert r == P("X^3*Y+X", dom)
     assert quots[0].mul(k).add(r) == P("Y^3", dom)
 
 
-def test_divide_empty_divisors(dom, order):
+def test_divide_empty_divisors(dom):
     s = P("Y^2+X", dom)
-    quots, r = divide(s, [], order, HEAD)
+    quots, r = divide(s, [], HEAD)
     assert quots == [] and r == s
 
 
-def test_divide_parametric_chain(order):
+def test_divide_parametric_chain():
     # Y^2 * (Y + a1*X + a2) reduced by the curve (head) then by F (full)
     # terminates with the displayed quartic remainder.
     ring = ParamRing(2)
     F = parse_poly("Y+a1*X+a2", ring)
     K = parse_poly("Y^3+X^3*Y+X", ring)
     s = F.mul_mono((0, 2))
-    _, r1 = divide(s, [K], order, HEAD)
+    _, r1 = divide(s, [K], HEAD)
     assert r1 == parse_poly("X^3*Y+a1*X*Y^2+a2*Y^2+X", ring)
-    quots, r2 = divide(r1, [F], order, FULL)
+    quots, r2 = divide(r1, [F], FULL)
     expected = parse_poly(
         "a1*X^4+(a1^3+a2)*X^3+a1^2*a2*X^2+(a1*a2^2+1)*X+a2^3", ring)
     assert r2 == expected
@@ -161,7 +160,7 @@ def _random_poly(rng, dom, max_exp=6, max_terms=6):
     return Polynomial(dom, 2, terms)
 
 
-def test_division_identity_random(dom, order):
+def test_division_identity_random(dom):
     rng = SplitMix64(0xD1D1)
     for i in range(10_000):
         s = _random_poly(rng, dom)
@@ -170,23 +169,23 @@ def test_division_identity_random(dom, order):
         if not divisors:
             continue
         for mode in (FULL, HEAD):
-            quots, r = divide(s, divisors, order, mode)
+            quots, r = divide(s, divisors, mode)
             acc = r
             for q, d in zip(quots, divisors):
                 acc = acc.add(q.mul(d))
             assert acc == s
             if r.is_zero():
                 continue
-            heads = [d.leading_term(order)[0] for d in divisors]
+            heads = [d.leading_term()[0] for d in divisors]
             if mode == FULL:
                 for m in r.terms:
                     assert not any(h[0] <= m[0] and h[1] <= m[1] for h in heads)
             else:
-                lm = r.leading_term(order)[0]
+                lm = r.leading_term()[0]
                 assert not any(h[0] <= lm[0] and h[1] <= lm[1] for h in heads)
 
 
-def test_head_full_consistency_spot(dom, order):
+def test_head_full_consistency_spot(dom):
     # when the head-mode remainder is already fully irreducible the two
     # modes must agree
     rng = SplitMix64(0xC0)
@@ -196,22 +195,22 @@ def test_head_full_consistency_spot(dom, order):
         d = _random_poly(rng, dom, max_exp=3, max_terms=3)
         if d.is_zero():
             continue
-        _, rh = divide(s, [d], order, HEAD)
-        h = d.leading_term(order)[0]
+        _, rh = divide(s, [d], HEAD)
+        h = d.leading_term()[0]
         if all(not (h[0] <= m[0] and h[1] <= m[1]) for m in rh.terms):
-            _, rf = divide(s, [d], order, FULL)
+            _, rf = divide(s, [d], FULL)
             assert rf == rh
             hits += 1
     assert hits > 100
 
 
-def test_divisor_list_order_preference(dom, order):
+def test_divisor_list_order_preference(dom):
     # the first divisor whose head divides wins each step
     d1 = P("Y+X", dom)
     d2 = P("Y", dom)
     s = P("Y", dom)
-    q12, _ = divide(s, [d1, d2], order, FULL)
-    q21, _ = divide(s, [d2, d1], order, FULL)
+    q12, _ = divide(s, [d1, d2], FULL)
+    q21, _ = divide(s, [d2, d1], FULL)
     assert not q12[0].is_zero() and q12[1].is_zero()
     assert not q21[0].is_zero() and q21[1].is_zero()
 
@@ -301,7 +300,7 @@ def test_random_print_parse_round_trip(dom):
 
 def test_parse_errors(dom):
     for bad in ["X^", "++", "a1*X", "5*", "(a1+1)*X", "Z"]:
-        with pytest.raises((ParseError, ArityMismatch)):
+        with pytest.raises(ParseError):
             parse_poly(bad, dom)
 
 
@@ -317,3 +316,14 @@ def test_parse_parameters_run_to_a21():
     assert parse_poly("a21*X", ring) == Polynomial(ring, 2, {(1, 0): ring.var(20)})
     with pytest.raises(ParseError, match="a1..a21"):
         parse_poly("a22*X", ring)
+
+
+def test_parse_long_digit_strings_refused_before_int(dom):
+    # int() refuses more than 4300 digits with a message of its own
+    with pytest.raises(ParseError, match=r"coefficient 999999999999\.\.\. outside GF\(8\)"):
+        parse_poly("9" * 5000 + "*X", dom)
+    ring = ParamRing(21)
+    with pytest.raises(ParseError, match=r"parameter a11111111111\.\.\. outside a1\.\.a21"):
+        parse_poly("a" + "1" * 5000, ring)
+    assert parse_poly("0005*X", dom) == parse_poly("5*X", dom)
+    assert parse_poly("a021", ring) == parse_poly("a21", ring)
