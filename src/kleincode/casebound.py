@@ -64,6 +64,13 @@ from .poly import (
 
 DIVISOR_IDS = ("F", "K", "FX", "FXY")
 
+# The replay refuses a step that lifts an X or Y exponent of the working
+# polynomial above this, so a long trace cannot make each step costlier than
+# the last.  The nine shipped traces reach X^12 and Y^4, and the auto-search's
+# replays at the default budget X^7 and Y^4; a footprint polynomial (X^7 at
+# most) times one mul (X^7 at most) reaches X^14.
+REPLAY_EXPONENT_CAP = 15
+
 
 class TraceError(Exception):
     pass
@@ -83,6 +90,10 @@ class VacuousEverywhere(TraceError):
 
 class UnsatisfiableLeaf(TraceError):
     pass
+
+
+class ReplayTooLarge(ValueError):
+    """A trace step lifts the working polynomial past REPLAY_EXPONENT_CAP."""
 
 
 class NotInFootprint(ValueError):
@@ -324,7 +335,8 @@ def verify_trace(M: tuple, steps) -> BoundReport:
     def run(steps, W, cs, established, label):
         for idx, step in enumerate(steps):
             if isinstance(step, Mul):
-                W = W.mul_mono(step.mono)
+                W = _capped(W.mul_mono(step.mono), label,
+                            f"mul {format_monomial(step.mono)}")
             elif isinstance(step, Restart):
                 W = ctx.divisor("F", cs)
             elif isinstance(step, Red):
@@ -342,7 +354,7 @@ def verify_trace(M: tuple, steps) -> BoundReport:
                     after = r.leading_term()[0]
                     if MonomialOrder.key(after) > MonomialOrder.key(before):
                         raise InvalidStep(f"{label}: head increased")
-                W = r
+                W = _capped(r, label, f"red {step.divisor} {step.mode}")
             elif isinstance(step, Claim):
                 _check_claim(ctx, W, step.mono, cs, label)
                 if step.mono not in established:
@@ -373,6 +385,18 @@ def verify_trace(M: tuple, steps) -> BoundReport:
     if not live:
         raise VacuousEverywhere(f"every branch of {format_monomial(ctx.M)} is vacuous")
     return BoundReport(ctx.M, ctx.t, len(ctx.upset), tuple(leaves), min(live), steps)
+
+
+def _capped(W: Polynomial, label: str, step: str) -> Polynomial:
+    """W, unless an exponent of it passes REPLAY_EXPONENT_CAP."""
+    if W.terms:
+        top = (max(a for a, _ in W.terms), max(b for _, b in W.terms))
+        if max(top) > REPLAY_EXPONENT_CAP:
+            raise ReplayTooLarge(
+                f"{label}: {step} lifts the working polynomial to exponent "
+                f"{top[0]} in X and {top[1]} in Y, above the replay cap "
+                f"{REPLAY_EXPONENT_CAP}")
+    return W
 
 
 def _check_claim(ctx, W, mono, cs, label):

@@ -1,17 +1,25 @@
 """Buchberger's algorithm, normal forms, and footprint enumeration.
 
-There is one Buchberger.  It keeps its basis packed (poly.packed: dicts
-keyed by the order's int key) and runs the one reduction loop
-poly.reduce_packed twice over: in the pair loop it top-reduces each input
-and S-pair (head mode: only the head is cancelled, tails stay as they
-are), and once the basis is complete it reduces each element's tail fully
-against the rest.  The Gebauer-Moeller criteria decide which S-pairs are
-reduced at all.  A basis is a tuple of polynomials, reduced and monic, in
-ascending order of heads, so repeated runs produce identical output.  The
-order is the one poly.MonomialOrder; buchberger still accepts it as an
-optional second argument, and nothing else here takes one.  The
-footprint of a zero-dimensional ideal is enumerated by walking the grid
-bounded by the pure-power heads.
+There is one Buchberger, and it runs on GF(8) bit planes, as the weight
+scanner in codes.py does on words.  A polynomial is three ints: bit i of
+plane j is the alpha^j bit of the coefficient of the monomial whose index
+is i, and X^a*Y^b has index (2a + 3b)*S + b, where the width S is a power
+of two above every Y exponent in play.  The index is additive and follows
+the Klein order, so a monomial multiple is a left shift, the head is the
+top set bit of p0|p1|p2, and addition is XOR.  Each basis element is kept
+monic with its eight scalar multiples, built from (p, alpha*p, alpha^2*p)
+with alpha^3 read off FieldSpec.modulus_bits, so cancelling a head is
+three shifted XORs.  Heads are decoded to exponent pairs for the pair
+criteria and the divisibility tests, and the reduced basis is decoded to
+polynomials at the end.  poly.reduce_packed, the one generic reduction
+loop, serves divide and normal_form, over both coefficient domains.
+
+A basis is a tuple of polynomials, reduced and monic, in ascending order
+of heads, so repeated runs produce identical output.  The order is the one
+poly.MonomialOrder; buchberger still accepts it as an optional second
+argument, and nothing else here takes one.  The footprint of a
+zero-dimensional ideal is enumerated by walking the grid bounded by the
+pure-power heads.
 """
 
 from __future__ import annotations
@@ -20,25 +28,25 @@ import heapq
 from functools import lru_cache
 from itertools import product
 
+from .gf import FieldSpec
 from .poly import (
     FULL,
-    HEAD,
     MonomialOrder,
     Polynomial,
     ZeroPolynomial,
     divide,
-    from_packed,
     mono_div,
     mono_divides,
     mono_lcm,
-    packed,
-    prepare_divisor,
-    reduce_packed,
 )
 
 
 class InfiniteFootprint(ValueError):
     """Some variable has no pure power among the basis heads."""
+
+
+class PlaneTooWide(ValueError):
+    """buchberger's bit planes would pass _PLANE_BITS bits."""
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -55,16 +63,17 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
 
 
 def buchberger(gens, order: MonomialOrder = None) -> tuple:
-    """Reduced monic Groebner basis, as a tuple, with the normal selection
-    strategy.  An order, if given, must be the one MonomialOrder.
+    """Reduced monic Groebner basis over GF(8), as a tuple, with the normal
+    selection strategy.  An order, if given, must be the one MonomialOrder;
+    coefficients from any other domain than gf.FieldSpec raise TypeError.
 
     Pairs are processed smallest head-lcm first.  Each input, and each
     S-pair, is top-reduced by the active basis: reduction stops at the
     first head no active head divides, since only whether the remainder is
     zero, and its head, matter to the pair loop.  A nonzero remainder h
-    enters, tail unreduced, through the update step of Gebauer and Moeller
-    ("On an installation of Buchberger's algorithm", J. Symbolic Comput. 6,
-    1988):
+    enters, made monic, tail unreduced, through the update step of Gebauer
+    and Moeller ("On an installation of Buchberger's algorithm", J. Symbolic
+    Comput. 6, 1988):
 
     * chain criterion on the new pairs: a pair (h, g) goes when another new
       pair's head-lcm divides its lcm (of equal lcms at most one stays);
@@ -79,80 +88,217 @@ def buchberger(gens, order: MonomialOrder = None) -> tuple:
     a minimal basis; reducing each tail fully by the others, once, gives
     the reduced one, which is unique: the output does not depend on the
     generators' order, or on whether their tails were reduced.
-    Elements stay monic, so an S-pair is the sum of two shifted elements.
+    Elements stay monic, so an S-pair is the XOR of two shifted elements.
+
+    All of it runs on bit planes (see the module docstring).  Every
+    monomial in play has weight at most that of an input term or of a
+    reduced S-pair's lcm, and one of weight at most 3(S - 1) has a Y
+    exponent below S.  So the width starts as the least power of two that
+    covers the inputs; an S-pair whose lcm weight passes 3(S - 1) doubles
+    S, and the run starts again.  A width whose planes would pass
+    _PLANE_BITS bits raises PlaneTooWide before any plane is built.
     """
     if order is not None and not isinstance(order, MonomialOrder):
         raise TypeError(f"the order is MonomialOrder(), not {order!r}")
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ZeroPolynomial("no nonzero generators")
+    for g in gens:
+        if not isinstance(g.domain, FieldSpec):
+            raise TypeError(f"buchberger needs GF(8) coefficients, not {g.domain!r}")
     dom = gens[0].domain
-    add, is_zero, zero, key = dom.add, dom.is_zero, dom.zero, MonomialOrder.key
-    # every element so far, packed, monic and prepared as a divisor for
-    # reduce_packed: (head exponents, head key, None, terms)
+    s = _plane_shift(max(2 * a + 3 * b for g in gens for a, b in g.terms))
+    while True:
+        try:
+            basis = _buchberger_planes([_to_planes(g, s) for g in gens], s, dom)
+        except _TooNarrow as exc:
+            s = _widen(s, exc.args[0])
+        else:
+            return tuple(_from_planes(p, s, dom) for p in basis)
+
+
+# ---------------------------------------------------------------------------
+# the bit-plane kernel
+
+# The most bits a plane may span: width 512 (weights up to 1533) fits, 1024
+# does not.
+_PLANE_BITS = 1 << 20
+
+
+class _TooNarrow(Exception):
+    """An S-pair's lcm weight, args[0], passes 3(S - 1), so S must grow."""
+
+
+def _plane_shift(weight: int, s: int = 1) -> int:
+    """The least s, from the given one up, whose width S = 2^s reaches the
+    weight, 3(S - 1) >= weight; PlaneTooWide if its planes would pass
+    _PLANE_BITS bits (indices run up to 3(S - 1)*S + S - 1)."""
+    while 3 * ((1 << s) - 1) < weight:
+        s += 1
+    bits = (3 * ((1 << s) - 1) + 1) << s
+    if bits > _PLANE_BITS:
+        raise PlaneTooWide(f"weight {weight} needs bit planes of {bits} bits, "
+                           f"more than {_PLANE_BITS}")
+    return s
+
+
+def _widen(s: int, weight: int) -> int:
+    """The widening step: double S until 3(S - 1) reaches the weight."""
+    return _plane_shift(weight, s + 1)
+
+
+def _to_planes(p: Polynomial, s: int) -> tuple:
+    p0 = p1 = p2 = 0
+    for (a, b), c in p.terms.items():
+        bit = 1 << (((2 * a + 3 * b) << s) | b)
+        if c & 1:
+            p0 |= bit
+        if c & 2:
+            p1 |= bit
+        if c & 4:
+            p2 |= bit
+    return p0, p1, p2
+
+
+def _from_planes(planes: tuple, s: int, dom) -> Polynomial:
+    """The polynomial of three planes, terms in descending order."""
+    p0, p1, p2 = planes
+    mask = (1 << s) - 1
+    terms = {}
+    m = p0 | p1 | p2
+    while m:
+        i = m.bit_length() - 1
+        m ^= 1 << i
+        b = i & mask
+        terms[((i >> s) - 3 * b) >> 1, b] = (
+            (p0 >> i & 1) | (p1 >> i & 1) << 1 | (p2 >> i & 1) << 2)
+    return Polynomial(dom, 2, terms, _normalized=True)
+
+
+def _multiples(p: tuple, cube: int) -> tuple:
+    """(c*p for c = 0..7), c as an enc; cube is alpha^3 as an enc.  Times
+    alpha, the alpha^2 plane carries into the planes of cube's bits."""
+    p0, p1, p2 = p
+    a0, a1, a2 = (p2 if cube & 1 else 0, p0 ^ (p2 if cube & 2 else 0),
+                  p1 ^ (p2 if cube & 4 else 0))
+    b0, b1, b2 = (a2 if cube & 1 else 0, a0 ^ (a2 if cube & 2 else 0),
+                  a1 ^ (a2 if cube & 4 else 0))
+    return ((0, 0, 0), p, (a0, a1, a2), (p0 ^ a0, p1 ^ a1, p2 ^ a2), (b0, b1, b2),
+            (p0 ^ b0, p1 ^ b1, p2 ^ b2), (a0 ^ b0, a1 ^ b1, a2 ^ b2),
+            (p0 ^ a0 ^ b0, p1 ^ a1 ^ b1, p2 ^ a2 ^ b2))
+
+
+def _reduce(h: tuple, reducers, s: int, full: bool) -> tuple:
+    """h reduced by monic reducers (a, b, head index, multiples): the head
+    is cancelled by the first reducer whose head divides it.  At a head no
+    reducer divides, top-reduction (full false) stops and full reduction
+    moves that term to the remainder and goes on."""
+    h0, h1, h2 = h
+    r0 = r1 = r2 = 0
+    mask = (1 << s) - 1
+    while True:
+        m = h0 | h1 | h2
+        if not m:
+            break
+        i = m.bit_length() - 1
+        b = i & mask
+        a = ((i >> s) - 3 * b) >> 1
+        for ra, rb, ri, mults in reducers:
+            if ra <= a and rb <= b:
+                m0, m1, m2 = mults[(h0 >> i & 1) | (h1 >> i & 1) << 1 | (h2 >> i & 1) << 2]
+                k = i - ri
+                h0 ^= m0 << k
+                h1 ^= m1 << k
+                h2 ^= m2 << k
+                break
+        else:
+            if not full:
+                break
+            bit = 1 << i
+            t0, t1, t2 = h0 & bit, h1 & bit, h2 & bit
+            r0, r1, r2 = r0 | t0, r1 | t1, r2 | t2
+            h0, h1, h2 = h0 ^ t0, h1 ^ t1, h2 ^ t2
+    return r0 | h0, r1 | h1, r2 | h2
+
+
+def _buchberger_planes(polys, s: int, dom) -> list:
+    """The reduced basis of the planes polys, as planes, heads ascending;
+    _TooNarrow when an S-pair's lcm is past the width's reach."""
+    cube = dom.modulus_bits ^ (1 << dom.m)
+    mask = (1 << s) - 1
+    reach = 3 * mask  # the largest weight whose Y exponents all stay below S
+    # every element so far, monic: (a, b, head index, multiples by enc)
     basis = []
     active = []    # indices of the reducers, oldest first
     reducers = []  # basis[t] for t in active
-    heap: list = []  # (lcm key, i, j), popped lazily
-    live = {}      # queued pair (i, j) -> its head lcm
+    heap: list = []  # (lcm index, i, j), popped lazily
+    live = {}      # queued pair (i, j) -> its head lcm (a, b)
 
-    def insert(d):
-        r = reduce_packed(d, reducers, dom, HEAD)
-        if not r:
+    def insert(h):
+        h0, h1, h2 = h = _reduce(h, reducers, s, False)
+        m = h0 | h1 | h2
+        if not m:
             return
-        dv = prepare_divisor(r, dom)
-        if dv[3] is not None:
-            scale = dom.scaler(dv[3])
-            dv = prepare_divisor({k: scale(c) for k, c in r.items()}, dom)
+        i = m.bit_length() - 1
+        c = (h0 >> i & 1) | (h1 >> i & 1) << 1 | (h2 >> i & 1) << 2
+        if c != 1:
+            h = _multiples(h, cube)[dom.inv(c)]
+        mults = _multiples(h, cube)
+        b = i & mask
+        a = ((i >> s) - 3 * b) >> 1
         k = len(basis)
-        basis.append(dv)
-        h = dv[:2]
+        basis.append((a, b, i, mults))
         # new pairs (k, t) as (lcm, heads coprime, t); drop by the chain criterion
         new = []
         for t in active:
-            g = basis[t][:2]
-            new.append((mono_lcm(h, g), not (h[0] and g[0] or h[1] and g[1]), t))
+            ga, gb = basis[t][0], basis[t][1]
+            new.append(((a if a > ga else ga, b if b > gb else gb),
+                        not (a and ga or b and gb), t))
         kept = []
-        for n, (lcm, coprime, t) in enumerate(new):
-            if coprime or not any(mono_divides(m, lcm) for m, _, _ in new[n + 1:] + kept):
-                kept.append((lcm, coprime, t))
+        for n, pair in enumerate(new):
+            if not pair[1]:
+                la, lb = pair[0]
+                for (ma, mb), _, _ in new[n + 1:] + kept:
+                    if ma <= la and mb <= lb:
+                        break
+                else:
+                    kept.append(pair)
+            else:
+                kept.append(pair)
         # criterion B_k on the queued pairs
-        for (i, j), lcm in list(live.items()):
-            if (mono_divides(h, lcm) and mono_lcm(basis[i][:2], h) != lcm
-                    and mono_lcm(basis[j][:2], h) != lcm):
-                del live[i, j]
+        for (ti, tj), (la, lb) in list(live.items()):
+            if a <= la and b <= lb:
+                ia, ib = basis[ti][0], basis[ti][1]
+                ja, jb = basis[tj][0], basis[tj][1]
+                if ((ia if ia > a else a, ib if ib > b else b) != (la, lb)
+                        != (ja if ja > a else a, jb if jb > b else b)):
+                    del live[ti, tj]
         for lcm, coprime, t in kept:
             if not coprime:
                 live[k, t] = lcm
-                heapq.heappush(heap, (key(lcm), k, t))
+                heapq.heappush(heap, (((2 * lcm[0] + 3 * lcm[1]) << s) | lcm[1], k, t))
         # reducers whose heads h divides retire; their queued pairs stay
-        active[:] = [t for t in active if not mono_divides(h, basis[t][:2])] + [k]
+        active[:] = [t for t in active if not (a <= basis[t][0] and b <= basis[t][1])] + [k]
         reducers[:] = [basis[t] for t in active]
 
-    for g in gens:
-        insert(packed(g))
+    for p in polys:
+        insert(p)
     while heap:
-        lk, i, j = heapq.heappop(heap)
-        if live.pop((i, j), None) is None:
+        li, i, j = heapq.heappop(heap)
+        lcm = live.pop((i, j), None)
+        if lcm is None:
             continue
-        s: dict = {}
-        for src in (i, j):
-            tk = lk - basis[src][2]
-            for k, c in basis[src][4]:
-                nk = tk + k
-                v = add(s.get(nk, zero), c)
-                if is_zero(v):
-                    s.pop(nk, None)
-                else:
-                    s[nk] = v
-        insert(s)
+        # pairs within reach pop first: their indices are below (reach + 1)*S
+        if 2 * lcm[0] + 3 * lcm[1] > reach:
+            raise _TooNarrow(2 * lcm[0] + 3 * lcm[1])
+        (f0, f1, f2), (g0, g1, g2) = basis[i][3][1], basis[j][3][1]
+        ki, kj = li - basis[i][2], li - basis[j][2]
+        insert((f0 << ki ^ g0 << kj, f1 << ki ^ g1 << kj, f2 << ki ^ g2 << kj))
 
     # reduce every tail fully, once, to the unique reduced basis; heads stay put
-    for i in range(len(reducers)):
-        r = reduce_packed(dict(reducers[i][4]), reducers[:i] + reducers[i + 1:], dom)
-        reducers[i] = prepare_divisor(r, dom)
-    reducers.sort(key=lambda dv: dv[2])
-    return tuple(from_packed(dict(dv[4]), dom) for dv in reducers)
+    reducers.sort(key=lambda r: r[2])
+    return [_reduce(r[3][1], reducers[:n] + reducers[n + 1:], s, True)
+            for n, r in enumerate(reducers)]
 
 
 def normal_form(p: Polynomial, gb) -> Polynomial:

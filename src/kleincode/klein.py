@@ -45,8 +45,10 @@ def klein_order() -> MonomialOrder:
     return MonomialOrder()
 
 
+@lru_cache(maxsize=256)
 def parse_monomial(text: str) -> tuple:
-    """A monic X, Y monomial written in the polynomial grammar."""
+    """A monic X, Y monomial written in the polynomial grammar; memoised, as
+    a trace spells the same few monomials on many lines."""
     p = parse_poly(text, klein_domain())
     if len(p.terms) != 1:
         raise ParseError(f"{text!r} is not a monomial")

@@ -16,8 +16,9 @@ There is one order, the Klein order: weighted-degree-lex with weights
 (2, 3), ties to Y.  Its key is one packed int.  Leading terms, packing and
 division read MonomialOrder.key and decode directly; none takes an order.
 One reduction loop, ``reduce_packed``, serves every division: it runs on
-dicts keyed by that int, for both coefficient domains, and both
-``divide`` and ``groebner.buchberger`` call it.  It has two modes:
+dicts keyed by that int, for both coefficient domains, and ``divide``,
+``groebner.normal_form`` and the auto-search call it (``groebner.buchberger``
+runs on GF(8) bit planes of its own).  It has two modes:
 
 * ``full``  -- the textbook multivariate division: every monomial of the
   remainder is irreducible by every divisor head.
@@ -244,9 +245,9 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 # division: the one reduction loop
 #
-# Division and Buchberger both work on packed polynomials, dicts from order
-# key to coefficient (see MonomialOrder), so the next reduction target is a
-# raw int max over the keys and a multiple of a divisor is a key shift.
+# Division works on packed polynomials, dicts from order key to coefficient
+# (see MonomialOrder), so the next reduction target is a raw int max over
+# the keys and a multiple of a divisor is a key shift.
 
 def packed(p: Polynomial) -> dict:
     key = MonomialOrder.key

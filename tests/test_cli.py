@@ -1,11 +1,14 @@
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
 
 from conftest import run_cli
+from kleincode.casebound import TRACED_CLASSES
+from kleincode.poly import format_monomial
 
 GOLDEN = Path(__file__).parent / "golden"
 TRACES = Path(__file__).parent.parent / "src" / "kleincode" / "traces"
@@ -185,6 +188,10 @@ BAD_TRACES = {
                            "error: coefficient 999999999999... outside GF(8)\n"),
     "parameter digits": ("branch a" + "1" * 5000 + " {\n  claim Y\n} else {\n  claim Y\n}\n",
                          "error: parameter a11111111111... outside a1..a2\n"),
+    # each mul is within bounds, but together they lift X past the replay cap
+    "working exponent": ("mul X^7\n" * 3 + "red FX full\n",
+                         "error: Y: mul X^7 lifts the working polynomial to exponent 22 "
+                         "in X and 1 in Y, above the replay cap 15\n"),
     "missing operand": ("mul\n", "error: bad mul step: 'mul'\n"),
     "extra operand": ("claim Y extra\n", "error: bad claim step: 'claim Y extra'\n"),
     "extra restart operand": ("restart extra\n", "error: bad restart step: 'restart extra'\n"),
@@ -210,6 +217,31 @@ def test_bound_malformed_trace_dir_exit_two(kind, tmp_path, capsys):
     code, out = run_cli(["bound", "--traces", str(tmp_path)])
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == message
+
+
+def test_long_trace_past_the_replay_cap_refused_at_once(tmp_path, capsys):
+    # 100 000 lines of mul X^7: without a cap on the working polynomial the
+    # replay runs for about a minute and exits 0
+    path = tmp_path / "long.trace"
+    path.write_text("mul X^7\n" * 100_000 + "red FX full\n")
+    start = time.perf_counter()
+    code, out = run_cli(["trace-verify", str(path), "--lm", "X^6*Y^2"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: X^6*Y^2: mul X^7 lifts the working polynomial to exponent 21 in X "
+        "and 2 in Y, above the replay cap 15\n")
+
+
+def test_shipped_traces_replay_unchanged():
+    golden = {entry["monomial"]: entry for entry in
+              json.loads(GOLDEN.joinpath("bound.json").read_text())["classes"]}
+    for M, name in TRACED_CLASSES.items():
+        lm = format_monomial(M)
+        code, out = run_cli(["trace-verify", str(TRACES / f"{name}.trace"), "--lm", lm,
+                             "--format", "json"])
+        assert code == 0
+        assert json.loads(out) == golden[lm]
 
 
 def test_trace_verify_failed_replay_exit_one(capsys):

@@ -1,8 +1,12 @@
+import time
+
 import pytest
 
-from kleincode import groebner, klein
+from kleincode import casebound, groebner, klein
+from kleincode.codes import weight_via_footprint
 from kleincode.groebner import (
     InfiniteFootprint,
+    PlaneTooWide,
     buchberger,
     footprint,
     normal_form,
@@ -19,6 +23,7 @@ from kleincode.poly import (
     mono_divides,
     parse_poly,
 )
+from kleincode.params import ParamRing
 from kleincode.rng import SplitMix64
 
 EXPECTED_FOOTPRINT = {(a, b) for a in range(7) for b in range(3)} | {(7, 0)}
@@ -198,22 +203,22 @@ def test_buchberger_pair_criteria_certificate(dom, spec):
     assert len(shapes) >= 8, shapes
 
 
-def test_buchberger_work_on_a_dense_codeword(dom, gb, fp, monkeypatch):
+def test_buchberger_planes_work_on_a_dense_codeword(dom, gb, fp, monkeypatch):
     # The basis of one weight identity, for an F on all 22 footprint
-    # monomials.  reduce_packed calls, inputs and inter-reduction included:
+    # monomials.  Kernel reductions, inputs and inter-reduction included:
     # 188 with the coprime-head criterion alone, 30 with the Gebauer-Moeller
     # criteria (28 top-reductions in the pair loop, then one full reduction
     # per element of the 2-element basis); with neither the chain criterion
     # nor B_k it is 59.
     F = Polynomial(dom, 2, {(a, b): 1 + (a + 2 * b) % 7 for a, b in fp})
     calls = []
-    real = groebner.reduce_packed
+    real = groebner._reduce
 
     def counting(*args, **kwargs):
         calls.append(None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(groebner, "reduce_packed", counting)
+    monkeypatch.setattr(groebner, "_reduce", counting)
     bigger = buchberger([F, *gb])
     assert len(calls) <= 188 // 4
     assert len(fp) - len(footprint(bigger)) == 21
@@ -276,3 +281,134 @@ def test_order_domain_check_single_monomial(dom):
     gb2 = buchberger([parse_poly("X^2", dom), parse_poly("Y", dom)])
     cond1, cond2, cond3 = order_domain_check(gb2, (2, 3))
     assert cond2 is False
+
+
+# ---------------------------------------------------------------------------
+# the bit-plane kernel
+
+def _poly_within(rng, dom, s, draws):
+    """A random polynomial whose monomials all lie within the reach of width
+    2^s: weight at most 3(2^s - 1)."""
+    reach = 3 * ((1 << s) - 1)
+    terms = {}
+    for _ in range(draws):
+        b = rng.below(1 << s)
+        terms[rng.below((reach - 3 * b) // 2 + 1), b] = rng.below(8)
+    return Polynomial(dom, 2, terms)
+
+
+def test_plane_index_follows_the_klein_order(dom):
+    for s in (2, 3, 4):
+        reach = 3 * ((1 << s) - 1)
+        monos = [(a, b) for b in range(1 << s) for a in range((reach - 3 * b) // 2 + 1)]
+        index = {m: groebner._to_planes(Polynomial(dom, 2, {m: 1}), s)[0].bit_length() - 1
+                 for m in monos}
+        assert sorted(monos, key=index.get) == sorted(monos, key=MonomialOrder.key)
+        for u in monos[::5]:
+            for v in monos[::7]:
+                if 2 * (u[0] + v[0]) + 3 * (u[1] + v[1]) <= reach:
+                    assert index[u] + index[v] == index[u[0] + v[0], u[1] + v[1]]
+
+
+def test_planes_round_trip(dom):
+    rng = SplitMix64(0x9A7E)
+    for s in (1, 3, 4, 6):
+        for _ in range(40):
+            p = _poly_within(rng, dom, s, 12)
+            planes = groebner._to_planes(p, s)
+            back = groebner._from_planes(planes, s, dom)
+            assert back == p
+            assert list(back.terms) == sorted(p.terms, key=MonomialOrder.key, reverse=True)
+            if p.terms:
+                (a, b), _ = p.leading_term()
+                head = (planes[0] | planes[1] | planes[2]).bit_length() - 1
+                assert head == ((2 * a + 3 * b) << s) | b
+
+
+def test_plane_multiples_match_field_mul(dom, spec):
+    rng = SplitMix64(0x3C1A)
+    cube = spec.modulus_bits ^ (1 << spec.m)
+    for _ in range(20):
+        p = _poly_within(rng, dom, 4, 15)
+        mults = groebner._multiples(groebner._to_planes(p, 4), cube)
+        assert len(mults) == 8
+        for c in range(8):
+            expected = {m: spec.mul(c, v) for m, v in p.terms.items() if spec.mul(c, v)}
+            assert groebner._from_planes(mults[c], 4, dom).terms == expected
+
+
+def test_high_y_exponents_widen_the_planes(dom, spec, monkeypatch):
+    # Heads with Y^9 or more and weight at most 45 start at width 16; their
+    # S-pair's lcm weighs more than 45, so the width doubles and the run
+    # starts again.  The certificate does not use the kernel.
+    widened = []
+    real = groebner._widen
+
+    def recording(s, weight):
+        widened.append(weight)
+        return real(s, weight)
+
+    monkeypatch.setattr(groebner, "_widen", recording)
+    rng = SplitMix64(0x51DE)
+    cases = [[parse_poly("X*Y^10+X", dom), parse_poly("X^12*Y+Y", dom)]]
+    for _ in range(12):
+        b1 = 9 + rng.below(4)
+        p = 1 + rng.below((45 - 3 * b1) // 2)
+        q, r = 10 + rng.below(6), 1 + rng.below(3)
+        gens = []
+        for head in ((p, b1), (q, r)):
+            terms = {(rng.below(5), rng.below(4)): rng.below(8) for _ in range(2)}
+            terms[head] = 1 + rng.below(7)
+            gens.append(Polynomial(dom, 2, terms))
+        cases.append(gens)
+    for gens in cases:
+        del widened[:]
+        gb = buchberger(gens)
+        assert widened and all(w > 45 for w in widened)
+        _assert_reduced_basis_of(gb, gens, spec, False)
+    assert buchberger(cases[0]) == (parse_poly("X^13+X", dom), parse_poly("X^12*Y+Y", dom),
+                                    parse_poly("Y^10+X^12", dom))
+
+
+def test_too_wide_planes_refused_at_once(dom):
+    # Y^(2^20) would need planes of about 3 * 2^40 bits
+    start = time.perf_counter()
+    with pytest.raises(PlaneTooWide):
+        buchberger([parse_poly("Y^1048576+1", dom)])
+    assert time.perf_counter() - start < 1.0
+    assert issubclass(PlaneTooWide, ValueError)
+    # width 512 reaches weight 1533; the next weight needs width 1024
+    assert buchberger([parse_poly("Y^511+X", dom)]) == (parse_poly("Y^511+X", dom),)
+    with pytest.raises(PlaneTooWide):
+        buchberger([parse_poly("X*Y^511+X", dom)])
+
+
+def test_buchberger_refuses_coefficients_outside_gf8(dom):
+    ring = ParamRing(2)
+    p = Polynomial(ring, 2, {(1, 0): ring.one, (0, 0): ring.var(0)})
+    with pytest.raises(TypeError):
+        buchberger([p])
+    with pytest.raises(TypeError):
+        buchberger([parse_poly("X^8+X", dom), p])
+
+
+def test_klein_shaped_inputs_never_widen(dom, gb, fp, monkeypatch):
+    # The Klein basis, weight identities and leaf instantiations start at a
+    # width that covers every S-pair they reduce.
+    def refuse(s, weight):
+        raise AssertionError(f"widened from 2^{s} for weight {weight}")
+
+    monkeypatch.setattr(groebner, "_widen", refuse)
+    assert klein.klein_basis.__wrapped__() == gb
+    rng = SplitMix64(0xF00D)
+    monos = list(fp)
+    for i in range(40):
+        terms = {monos[rng.below(len(monos))]: 1 + rng.below(7) for _ in range(2 + i % 20)}
+        weight_via_footprint(Polynomial(dom, 2, terms), gb)
+    leaves = 0
+    for M, rep in sorted(casebound.verify_all_traces().items()):
+        for leaf in rep.leaves:
+            if not leaf.vacuous:
+                casebound.instantiate_and_check(M, leaf, 2, 0x1EAF + leaves)
+                leaves += 1
+    assert leaves == 87
