@@ -21,16 +21,16 @@ from .casebound import (
     BoundReport,
     Branch,
     Claim,
-    KleinParametric,
     Mul,
     Red,
     TraceError,
+    klein_parametric,
     verify_trace,
 )
 from .codes import coset_min_weight
 from .klein import class_support, klein_variety
 from .params import format_param
-from .poly import HEAD, MonomialOrder, packed, prepare_divisor, reduce_packed
+from .poly import HEAD, divide
 
 DEFAULT_MOVES = ((1, 0), (0, 1), (0, 2), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0))
 # Classes with at most this many parameters get the exact coset minimum as
@@ -78,17 +78,10 @@ def auto_search(M: tuple, budget: SearchBudget = None) -> BoundReport:
     verified replay of the best pass's steps; a replay above the ceiling
     would be unsound and raises TraceError."""
     budget = budget or SearchBudget()
-    ctx = KleinParametric(M)
-    ring = ctx.ring
-    decode = MonomialOrder.decode
-
-    def prepare(d):
-        return prepare_divisor(packed(d), ring)
-
-    # Working polynomials are packed dicts (see poly.MonomialOrder), so the
-    # head is max(W) and a Mul move is a key shift.
-    basis = [(name, prepare(ctx.divisors[name])) for name in ("K", "FX", "FXY")]
-    moves = [(u, MonomialOrder.key(u)) for u in budget.move_set]
+    ctx = klein_parametric(tuple(M))
+    # Working polynomials are the replay's Polynomials.  Each divisor's head
+    # is read once: the root F's is M under every store, its coefficient 1.
+    basis = [(name, d, d.leading_term()[0]) for name, d in ctx.divisors.items()]
     work = [0]
     memo: dict = {}
     # Stores live for the whole call, across passes, so each store's scans,
@@ -100,21 +93,20 @@ def auto_search(M: tuple, budget: SearchBudget = None) -> BoundReport:
         # of a store's identity here.
         key = (cs.key(), tuple(e.key() for e in cs.equalities))
         if key not in stores:
-            stores[key] = cs, prepare(ctx.divisor("F", cs))
+            stores[key] = cs, ctx.divisor("F", cs)
         return stores[key]
 
     SIZE_CAP = 2500  # abandon states whose coefficients have exploded
 
     def explore(W, node, established, depth, branches):
-        """(proved count, steps of the best strategy) from the packed working
-        polynomial W under node = (interned store, its prepared F)."""
+        """(proved count, steps of the best strategy) from the working
+        polynomial W under node = (interned store, its reduced root F)."""
         cs, F = node
-        size = sum(len(c.terms) for c in W.values())
+        size = sum(len(c.terms) for c in W.terms.values())
         work[0] += 1 + size // 4
         claim = ()
-        if W:
-            hk = max(W)
-            lm, lc = decode(hk), W[hk]
+        if W.terms:
+            lm, lc = W.leading_term()
             # greedy claim: the formal head has nothing above it, so it is
             # established as soon as its coefficient is certified
             if lm in ctx.fp and lm not in established and cs.certified_nonzero(lc):
@@ -123,7 +115,7 @@ def auto_search(M: tuple, budget: SearchBudget = None) -> BoundReport:
         here = ctx.covered_count(established)
         if work[0] > budget.max_work or size > SIZE_CAP:
             return here, claim
-        key = (tuple(sorted((k, c.key()) for k, c in W.items())), cs.key(),
+        key = (frozenset((m, c.key()) for m, c in W.terms.items()), cs.key(),
                established, depth, branches)
         if key in memo:
             value, steps = memo[key]
@@ -136,13 +128,13 @@ def auto_search(M: tuple, budget: SearchBudget = None) -> BoundReport:
             if value > best:
                 best, best_steps = value, steps
 
-        if W:
+        if W.terms:
             # head reductions against any divisor whose head divides ours
-            for name, d in (("F", F), *basis):
+            for name, d, head in (("F", F, ctx.M), *basis):
                 if work[0] > budget.max_work:
                     break
-                if d[0] <= lm[0] and d[1] <= lm[1]:
-                    r = reduce_packed(dict(W), [d], ring, HEAD)
+                if head[0] <= lm[0] and head[1] <= lm[1]:
+                    _, r = divide(W, [d], HEAD)
                     value, steps = explore(r, node, established, depth, branches)
                     consider(value, (Red(name, HEAD),) + steps)
             # branch on an undetermined leading coefficient (skip monsters:
@@ -158,18 +150,18 @@ def auto_search(M: tuple, budget: SearchBudget = None) -> BoundReport:
                     if child_cs.vacuous:
                         blocks.append(())
                         continue
-                    W2 = {k: r for k, c in W.items() if (r := child_cs.reduce(c)).terms}
-                    v, steps = explore(W2, child, established, depth, branches - 1)
+                    v, steps = explore(W.map_coeffs(child_cs.reduce), child, established,
+                                       depth, branches - 1)
                     blocks.append(steps)
                     value = v if value is None else min(value, v)
                 if value is not None:
                     consider(value, (Branch(format_param(expr), *blocks),))
         if depth > 0:
-            for u, uk in moves:
+            for u in budget.move_set:
                 if work[0] > budget.max_work:
                     break
-                value, steps = explore({k + uk: c for k, c in W.items()}, node,
-                                       established, depth - 1, branches)
+                value, steps = explore(W.mul_mono(u), node, established, depth - 1,
+                                       branches)
                 consider(value, (Mul(u),) + steps)
         memo[key] = (best, best_steps)
         return best, claim + best_steps
@@ -180,7 +172,7 @@ def auto_search(M: tuple, budget: SearchBudget = None) -> BoundReport:
         if work[0] > budget.max_work or bound >= ceiling:
             break
         memo.clear()
-        value, steps = explore(packed(ctx.root), intern(ctx.fresh_store()),
+        value, steps = explore(ctx.root, intern(ctx.fresh_store()),
                                frozenset(), depth, budget.max_branches)
         if value > bound:
             bound, best_steps = value, steps

@@ -70,6 +70,10 @@ DIVISOR_IDS = ("F", "K", "FX", "FXY")
 # replays at the default budget X^7 and Y^4; a footprint polynomial (X^7 at
 # most) times one mul (X^7 at most) reaches X^14.
 REPLAY_EXPONENT_CAP = 15
+# parse_trace refuses a trace of more lines than this, blank and comment
+# lines not counted: 2000 lines alternating mul X^7 and red FX full stay under
+# the exponent cap and replay for about 0.6 s.  The shipped traces have <= 84.
+TRACE_LINE_CAP = 1000
 
 
 class TraceError(Exception):
@@ -158,6 +162,8 @@ def parse_trace(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             lines.append(line)
+    if len(lines) > TRACE_LINE_CAP:
+        raise ParseError(f"trace of {len(lines)} lines, above the cap {TRACE_LINE_CAP}")
     steps, rest = _parse_block(lines, 0, top=True)
     if rest != len(lines):
         raise ParseError(f"unparsed trailing line: {lines[rest]!r}")
@@ -305,6 +311,11 @@ class KleinParametric:
         return self._counts[established]
 
 
+# One context per class and process, as klein_basis is one basis: only the 22
+# footprint classes have one, and nothing in it changes but its count memo.
+klein_parametric = lru_cache(maxsize=None)(KleinParametric)
+
+
 def param_reduce_step(s: Polynomial, divisor: Polynomial, mode: str,
                       cs: ConstraintStore):
     """One trace reduction: returns (q, r) with s = q*divisor + r re-verified.
@@ -328,7 +339,7 @@ def param_reduce_step(s: Polynomial, divisor: Polynomial, mode: str,
 
 def verify_trace(M: tuple, steps) -> BoundReport:
     """Replay a trace for class M and return its verified bound report."""
-    ctx = KleinParametric(M)
+    ctx = klein_parametric(tuple(M))
     steps = tuple(steps)
     leaves: list[Leaf] = []
 
@@ -428,7 +439,7 @@ def instantiate_and_check(M: tuple, leaf: Leaf, nsamples: int, seed: int):
     established monomial is absent from the footprint of <F> + I8.  I8 enters
     as its reduced basis: it generates the same ideal as the curve and field
     equations, so the reduced basis and footprint of the sum are the same."""
-    ctx = KleinParametric(M)
+    ctx = klein_parametric(tuple(M))
     if leaf.vacuous or leaf.constraints.vacuous:
         raise UnsatisfiableLeaf(leaf.label)
     assignments = leaf.constraints.sample_witnesses(nsamples, seed)

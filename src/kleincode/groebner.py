@@ -11,8 +11,8 @@ monic with its eight scalar multiples, built from (p, alpha*p, alpha^2*p)
 with alpha^3 read off FieldSpec.modulus_bits, so cancelling a head is
 three shifted XORs.  Heads are decoded to exponent pairs for the pair
 criteria and the divisibility tests, and the reduced basis is decoded to
-polynomials at the end.  poly.reduce_packed, the one generic reduction
-loop, serves divide and normal_form, over both coefficient domains.
+polynomials at the end.  poly.divide, the one generic reduction loop,
+serves normal_form, over both coefficient domains.
 
 A basis is a tuple of polynomials, reduced and monic, in ascending order
 of heads, so repeated runs produce identical output.  The order is the one
@@ -57,8 +57,8 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     gm, gc = g.leading_term()
     lcm = mono_lcm(fm, gm)
     dom = f.domain
-    left = f.mul_mono(mono_div(lcm, fm), dom.inv(fc))
-    right = g.mul_mono(mono_div(lcm, gm), dom.inv(gc))
+    left = f.mul_mono(mono_div(lcm, fm)).map_coeffs(dom.scaler(dom.inv(fc)))
+    right = g.mul_mono(mono_div(lcm, gm)).map_coeffs(dom.scaler(dom.inv(gc)))
     return left.add(right)
 
 

@@ -7,18 +7,19 @@ There are two coefficient domains: ``gf.FieldSpec``, the concrete GF(8)
 with enc integer coefficients, and ``params.ParamRing``, the parametric
 ring GF(8)[a1..at] of the case-split engine.  A domain provides ``zero``,
 ``one``, ``is_zero(c)``, ``add(a, b)``, ``mul(a, b)``, ``scaler(c)`` (the
-map b -> c * b, with which reduce_packed scales a divisor once per step),
+map b -> c * b, with which divide scales a divisor once per step),
 ``inv(a)``, ``from_enc(n)``, ``compatible(other)`` and ``parametric``, and
 a parametric one also ``t``, ``var_pow(i, e)`` and ``format_coef(c)``.
 Both domains have characteristic 2, so subtraction is addition throughout.
 
 There is one order, the Klein order: weighted-degree-lex with weights
-(2, 3), ties to Y.  Its key is one packed int.  Leading terms, packing and
-division read MonomialOrder.key and decode directly; none takes an order.
-One reduction loop, ``reduce_packed``, serves every division: it runs on
-dicts keyed by that int, for both coefficient domains, and ``divide``,
-``groebner.normal_form`` and the auto-search call it (``groebner.buchberger``
-runs on GF(8) bit planes of its own).  It has two modes:
+(2, 3), ties to Y.  Its key is one packed int.  Leading terms and division
+read MonomialOrder.key directly; none takes an order.  One reduction loop,
+``divide``, serves every division of a Polynomial, over both coefficient
+domains: the trace replay, the auto-search and ``groebner.normal_form``
+call it (``groebner.buchberger`` runs on GF(8) bit planes of its own).
+Inside it, and nowhere else, a polynomial is a dict keyed by that int,
+and ``decode`` turns the keys back into monomials.  It has two modes:
 
 * ``full``  -- the textbook multivariate division: every monomial of the
   remainder is irreducible by every divisor head.
@@ -188,16 +189,9 @@ class Polynomial:
                     out[m] = v
         return Polynomial(dom, 2, out, _normalized=True)
 
-    def mul_mono(self, mono: tuple, c=None) -> "Polynomial":
-        dom = self.domain
-        if c is None:
-            c = dom.one
-        out = {}
-        for m, v in self.terms.items():
-            cv = dom.mul(c, v)
-            if not dom.is_zero(cv):
-                out[mono_mul(m, mono)] = cv
-        return Polynomial(dom, 2, out, _normalized=True)
+    def mul_mono(self, mono: tuple) -> "Polynomial":
+        out = {mono_mul(m, mono): c for m, c in self.terms.items()}
+        return Polynomial(self.domain, 2, out, _normalized=True)
 
     def leading_term(self):
         if not self.terms:
@@ -244,53 +238,44 @@ class Polynomial:
 
 # ---------------------------------------------------------------------------
 # division: the one reduction loop
-#
-# Division works on packed polynomials, dicts from order key to coefficient
-# (see MonomialOrder), so the next reduction target is a raw int max over
-# the keys and a multiple of a divisor is a key shift.
 
-def packed(p: Polynomial) -> dict:
-    key = MonomialOrder.key
-    return {key(m): c for m, c in p.terms.items()}
+def divide(s: Polynomial, divisors, mode: str = FULL):
+    """Divide s by an ordered divisor list; returns (quotients, remainder).
 
-
-def from_packed(d: dict, domain) -> Polynomial:
-    decode = MonomialOrder.decode
-    return Polynomial(domain, 2, {decode(k): c for k, c in d.items()}, _normalized=True)
-
-
-def prepare_divisor(d: dict, domain) -> tuple:
-    """(head exponents, head key, inverse head coefficient or None for 1,
-    terms) of a nonzero packed divisor, the form reduce_packed takes."""
-    hk = max(d)
-    lc = d[hk]
-    ha, hb = MonomialOrder.decode(hk)
-    return ha, hb, hk, None if _is_one(domain, lc) else domain.inv(lc), list(d.items())
-
-
-def reduce_packed(p: dict, divisors, domain, mode: str = FULL, quots=None) -> dict:
-    """Reduce the packed polynomial p, in place, by prepared divisors; returns
-    the remainder.  The first divisor whose head divides the current head
-    cancels it.  FULL moves an irreducible head to the remainder and goes on;
-    HEAD stops there.  When given, quots[i] accumulates divisor i's quotient."""
-    add, mul, is_zero, zero = domain.add, domain.mul, domain.is_zero, domain.zero
-    scaler, decode = domain.scaler, MonomialOrder.decode
+    At each step the first divisor whose head divides the current head
+    cancels it.  FULL moves an irreducible head to the remainder and goes
+    on; HEAD stops there.  The identity s = sum(quotients[i] * divisors[i]) + r
+    holds exactly in both modes.
+    """
+    if mode not in (HEAD, FULL):
+        raise ValueError(f"unknown mode {mode!r}")
+    dom = s.domain
+    add, mul, is_zero, zero = dom.add, dom.mul, dom.is_zero, dom.zero
+    key, decode, scaler = MonomialOrder.key, MonomialOrder.decode, dom.scaler
+    # The loop runs on dicts from order key to coefficient (see
+    # MonomialOrder), so the next head is a raw int max and a multiple of a
+    # divisor is a key shift.  A divisor is (head exponents, head key,
+    # inverse head coefficient or None for 1, terms).
+    prepared = []
+    for d in divisors:
+        if d.is_zero():
+            raise ZeroPolynomial("zero divisor")
+        head, lc = d.leading_term()
+        inv = None if is_zero(add(lc, dom.one)) else dom.inv(lc)
+        prepared.append((*head, key(head), inv, [(key(m), c) for m, c in d.terms.items()]))
+    quots = [{} for _ in divisors]
+    p = {key(m): c for m, c in s.terms.items()}
     rem: dict = {}
     while p:
         mk = max(p)
         c = p[mk]
         ma, mb = decode(mk)
-        for i, (da, db, dk, dinv, items) in enumerate(divisors):
+        for (da, db, dk, dinv, items), q in zip(prepared, quots):
             if da <= ma and db <= mb:
+                # the heads fall strictly, so each quotient monomial of one
+                # divisor is new: assigned, never accumulated
                 tk = mk - dk
-                qc = c if dinv is None else mul(c, dinv)
-                if quots is not None:
-                    qd = quots[i]
-                    qv = add(qd.get(tk, zero), qc)
-                    if is_zero(qv):
-                        qd.pop(tk, None)
-                    else:
-                        qd[tk] = qv
+                q[tk] = qc = c if dinv is None else mul(c, dinv)
                 scale = scaler(qc)
                 for dmk, dc in items:
                     nk = tk + dmk
@@ -302,33 +287,15 @@ def reduce_packed(p: dict, divisors, domain, mode: str = FULL, quots=None) -> di
                 break
         else:
             if mode == HEAD:
-                return p
+                rem = p
+                break
             rem[mk] = c
             del p[mk]
-    return rem
 
+    def unpack(d):
+        return Polynomial(dom, 2, {decode(k): c for k, c in d.items()}, _normalized=True)
 
-def divide(s: Polynomial, divisors, mode: str = FULL):
-    """Divide s by an ordered divisor list; returns (quotients, remainder).
-
-    Divisors are tried in list order at each step.  The identity
-    s = sum(quotients[i] * divisors[i]) + r holds exactly in both modes.
-    """
-    if mode not in (HEAD, FULL):
-        raise ValueError(f"unknown mode {mode!r}")
-    dom = s.domain
-    prepared = []
-    for d in divisors:
-        if d.is_zero():
-            raise ZeroPolynomial("zero divisor")
-        prepared.append(prepare_divisor(packed(d), dom))
-    quots = [{} for _ in divisors]
-    rem = reduce_packed(packed(s), prepared, dom, mode, quots)
-    return [from_packed(q, dom) for q in quots], from_packed(rem, dom)
-
-
-def _is_one(dom, c) -> bool:
-    return dom.is_zero(dom.add(c, dom.one))
+    return [unpack(q) for q in quots], unpack(rem)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 from kleincode import autosearch
 from kleincode.autosearch import SearchBudget, auto_search, coset_ceiling
 from kleincode.casebound import Branch, TraceError, UnjustifiedClaim, verify_trace
-from kleincode.klein import parse_monomial
+from kleincode.klein import klein_footprint, parse_monomial
+from kleincode.poly import format_monomial
 
 GOLDEN_DELTA = json.loads((Path(__file__).parent / "golden" / "bound.json")
                           .read_text())["delta_map"]
@@ -37,6 +38,21 @@ def test_deterministic():
     assert r1.bound == r2.bound
     assert list(r1.leaf_rows()) == list(r2.leaf_rows())
     assert r1.bound >= r1.baseline == 12
+
+
+def test_searches_reproduce_the_recorded_reports():
+    """Every class's search at max_work=2000 gives the bound, baseline, leaf
+    rows and step tree recorded in tests/data: a change to the arithmetic the
+    search explores with must not change what it finds."""
+    recorded = json.loads((Path(__file__).parent / "data" / "auto_search_w2000.json")
+                          .read_text())
+    budget = SearchBudget(max_work=recorded["max_work"])
+    assert len(recorded["classes"]) == 22
+    for M in klein_footprint():
+        rep = auto_search(M, budget)
+        assert {"bound": rep.bound, "baseline": rep.baseline,
+                "leaves": list(rep.leaf_rows()), "steps": repr(rep.steps)} \
+            == recorded["classes"][format_monomial(M)], format_monomial(M)
 
 
 def _first_branch_to_nonzero(steps):
@@ -71,13 +87,13 @@ def test_ceiling_bounds_every_golden_delta():
 
 def _count_reductions(monkeypatch):
     calls = [0]
-    reduce_packed = autosearch.reduce_packed
+    divide = autosearch.divide
 
     def counting(*args, **kwargs):
         calls[0] += 1
-        return reduce_packed(*args, **kwargs)
+        return divide(*args, **kwargs)
 
-    monkeypatch.setattr(autosearch, "reduce_packed", counting)
+    monkeypatch.setattr(autosearch, "divide", counting)
     return calls
 
 

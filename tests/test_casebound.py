@@ -254,6 +254,26 @@ def test_instantiate_footprint_matches_raw_generators(monkeypatch):
         assert footprint(gb).monomials == footprint(raw).monomials
 
 
+def test_instantiate_reuses_the_class_context(monkeypatch):
+    # one context per class: repeated calls build no ParamRing, and so leave
+    # no fresh multiplication table for the garbage collector
+    from kleincode.params import ParamRing
+
+    leaf = verify_trace((0, 1), parse_trace(load_trace_text("s31"))).leaves[0]
+    instantiate_and_check((0, 1), leaf, nsamples=1, seed=5)
+    built = [0]
+    init = ParamRing.__init__
+
+    def counting(self, t):
+        built[0] += 1
+        init(self, t)
+
+    monkeypatch.setattr(ParamRing, "__init__", counting)
+    for seed in range(5):
+        instantiate_and_check((0, 1), leaf, nsamples=2, seed=seed)
+    assert built[0] == 0
+
+
 def test_instantiate_vacuous_leaf_raises():
     from kleincode.casebound import Leaf
     from kleincode.params import ConstraintStore, ParamRing

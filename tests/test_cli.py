@@ -195,6 +195,10 @@ BAD_TRACES = {
     "missing operand": ("mul\n", "error: bad mul step: 'mul'\n"),
     "extra operand": ("claim Y extra\n", "error: bad claim step: 'claim Y extra'\n"),
     "extra restart operand": ("restart extra\n", "error: bad restart step: 'restart extra'\n"),
+    # every step stays within the replay cap, but the length alone would
+    # keep the replay busy
+    "too many steps": ("mul X^7\nred FX full\n" * 1000,
+                       "error: trace of 2000 lines, above the cap 1000\n"),
 }
 
 
@@ -220,10 +224,10 @@ def test_bound_malformed_trace_dir_exit_two(kind, tmp_path, capsys):
 
 
 def test_long_trace_past_the_replay_cap_refused_at_once(tmp_path, capsys):
-    # 100 000 lines of mul X^7: without a cap on the working polynomial the
-    # replay runs for about a minute and exits 0
+    # 999 lines, within the cap on a trace's length: the cap on the working
+    # polynomial refuses the third mul X^7, before the rest is replayed
     path = tmp_path / "long.trace"
-    path.write_text("mul X^7\n" * 100_000 + "red FX full\n")
+    path.write_text("mul X^7\n" * 998 + "red FX full\n")
     start = time.perf_counter()
     code, out = run_cli(["trace-verify", str(path), "--lm", "X^6*Y^2"])
     assert time.perf_counter() - start < 1.0

@@ -18,7 +18,10 @@ No linter ships with the project, so these tests walk syntax trees:
   command-line flags are the package's only inputs;
 * a parameter named ``order`` or ``arity`` threads a fact of poly.py, the
   one monomial order and the plane, through calls.  Only the call forms
-  that the acceptance gate and the benchmark use keep one.
+  that the acceptance gate and the benchmark use keep one;
+* a module other than poly.py that reads MonomialOrder.decode, or a name
+  with "packed" in it from poly, knows the packed form of a polynomial,
+  which only poly.divide works on.
 """
 
 import ast
@@ -331,3 +334,37 @@ def test_no_order_or_arity_parameters():
              for name, param in order_arity_parameters(path.read_text(), path.stem)
              if name not in PINNED_ORDER_ARITY]
     assert found == []
+
+
+def poly_internals(source: str) -> list:
+    """(line, name) of each read of MonomialOrder.decode and of each name
+    containing "packed" that is imported from poly or read off it: the packed
+    form of a polynomial is poly.py's business, and divide its one entry."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "MonomialOrder" and node.attr == "decode":
+                out.append((node.lineno, "MonomialOrder.decode"))
+            elif node.value.id == "poly" and "packed" in node.attr:
+                out.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "poly":
+            out += [(node.lineno, alias.name) for alias in node.names
+                    if "packed" in alias.name]
+    return sorted(out)
+
+
+def test_poly_internals_detector():
+    src = ("from .poly import HEAD, MonomialOrder, divide, reduce_packed\n"
+           "from kleincode.poly import packed\n"
+           "from . import poly\n"
+           "from .codes import pack_planes, _packed_multiples\n"
+           "def f(k, p):\n"
+           "    return MonomialOrder.decode(k), MonomialOrder.key(k), poly.from_packed(p)\n")
+    assert poly_internals(src) == [(1, "reduce_packed"), (2, "packed"),
+                                   (6, "MonomialOrder.decode"), (6, "from_packed")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "poly.py"],
+                         ids=lambda p: p.name)
+def test_no_poly_internals_outside_poly(path):
+    assert poly_internals(path.read_text()) == []

@@ -185,6 +185,49 @@ def test_division_identity_random(dom):
                 assert not any(h[0] <= lm[0] and h[1] <= lm[1] for h in heads)
 
 
+def _random_param_poly(rng, ring, max_exp=5, max_terms=5):
+    """Random terms whose coefficients are sums of scaled parameter powers."""
+    terms = {}
+    for _ in range(1 + rng.below(max_terms)):
+        c = ring.zero
+        for _ in range(1 + rng.below(3)):
+            power = ring.var_pow(rng.below(ring.t), rng.below(8))
+            c = c.add(power.mul(ring.const(rng.below(8))))
+        terms[(rng.below(max_exp + 1), rng.below(max_exp + 1))] = c
+    return Polynomial(ring, 2, terms)
+
+
+def test_parametric_division_identity_several_divisors():
+    # divide assigns each quotient term: the heads one divisor cancels fall
+    # strictly, so its quotient monomials never repeat, and a repeat would
+    # drop a term and break the identity
+    ring = ParamRing(3)
+    rng = SplitMix64(0xD1D2)
+    for _ in range(300):
+        s = _random_param_poly(rng, ring)
+        divisors = []
+        for _ in range(2 + rng.below(2)):
+            head = (rng.below(4), rng.below(4))
+            tail = _random_param_poly(rng, ring, max_exp=3, max_terms=4).terms
+            terms = {m: c for m, c in tail.items()
+                     if MonomialOrder.key(m) < MonomialOrder.key(head)}
+            terms[head] = ring.const(1 + rng.below(7))  # a constant, not always 1
+            divisors.append(Polynomial(ring, 2, terms))
+        heads = [d.leading_term()[0] for d in divisors]
+        for mode in (FULL, HEAD):
+            quots, r = divide(s, divisors, mode)
+            acc = r
+            for q, d in zip(quots, divisors):
+                acc = acc.add(q.mul(d))
+            assert acc == s
+            reducible = [m for m in r.terms
+                         if any(h[0] <= m[0] and h[1] <= m[1] for h in heads)]
+            if mode == FULL:
+                assert reducible == []
+            elif not r.is_zero():
+                assert r.leading_term()[0] not in reducible
+
+
 def test_head_full_consistency_spot(dom):
     # when the head-mode remainder is already fully irreducible the two
     # modes must agree
