@@ -10,7 +10,9 @@ The search only proposes: its best strategy is a tree of trace steps, and
 the report it returns is that tree's replay by ``casebound.verify_trace``,
 the same verifier the shipped traces pass, so the bound is proved.  The
 search is best-effort under its budget; it never returns less than the
-divisibility count.
+divisibility count.  It stops before a pass once its bound reaches the
+class's coset minimum, read from the table klein.CLASS_MINIMUM, since no
+pass can prove more; the search itself scans no codewords.
 """
 
 from __future__ import annotations
@@ -27,35 +29,11 @@ from .casebound import (
     klein_parametric,
     verify_trace,
 )
-from .codes import coset_min_weight
-from .klein import class_support, klein_variety
+from .klein import CLASS_MINIMUM
 from .params import format_param
 from .poly import HEAD, divide
 
 DEFAULT_MOVES = ((1, 0), (0, 1), (0, 2), (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (7, 0))
-# Classes with at most this many parameters get the exact coset minimum as
-# their ceiling.  The exact scan visits one word per orbit of the curve's
-# order-7 symmetry, so on a 2-CPU x86 host the 8^8-state X^4 coset takes
-# about 4 ms and the 8^9-state X*Y^2 coset about 25 ms.  A higher value
-# would change which ceilings, and so which auto-search results, are exact.
-CEILING_SCAN_COEFFS = 8
-
-
-def coset_ceiling(M: tuple) -> int:
-    """The weight of a word known to lie in the coset M + span(class_support(M)),
-    so no proved bound of the class can exceed it.
-
-    With t = len(class_support(M)) <= CEILING_SCAN_COEFFS it is the exact
-    minimum from codes.coset_min_weight.  Otherwise it is n - t: evaluation
-    on the n footprint monomials is a bijection onto GF(8)^n, so the t
-    support rows are independent, some t points carry an invertible minor,
-    and the coset word that vanishes on those points has weight <= n - t.
-    """
-    support = class_support(M)
-    v = klein_variety()
-    if len(support) > CEILING_SCAN_COEFFS:
-        return len(v) - len(support)
-    return coset_min_weight(M, support, v)[0]
 
 
 @dataclass(frozen=True)
@@ -63,7 +41,7 @@ class SearchBudget:
     """Depth counts multiplications; work units approximate polynomial-size
     weighted node visits, shared across the iterative-deepening passes.
     Whatever the budget, the search stops before a pass once its proved
-    bound reaches the class's coset_ceiling."""
+    bound reaches the class's coset minimum, klein.CLASS_MINIMUM."""
 
     max_depth: int = 3
     max_branches: int = 8
@@ -74,9 +52,10 @@ class SearchBudget:
 def auto_search(M: tuple, budget: SearchBudget = None) -> BoundReport:
     """Iterative deepening: complete passes at depth 0, 1, ... max_depth,
     keeping the best proved bound, until the work budget runs out or the
-    bound reaches coset_ceiling(M), which no pass could beat.  Returns the
-    verified replay of the best pass's steps; a replay above the ceiling
-    would be unsound and raises TraceError."""
+    bound reaches the least weight of a word in the class coset,
+    CLASS_MINIMUM[M], which no pass could beat.  Returns the verified replay
+    of the best pass's steps; a replay above that minimum would be unsound
+    and raises TraceError."""
     budget = budget or SearchBudget()
     ctx = klein_parametric(tuple(M))
     # Working polynomials are the replay's Polynomials.  Each divisor's head
@@ -166,7 +145,7 @@ def auto_search(M: tuple, budget: SearchBudget = None) -> BoundReport:
         memo[key] = (best, best_steps)
         return best, claim + best_steps
 
-    ceiling = coset_ceiling(ctx.M)
+    ceiling = CLASS_MINIMUM[ctx.M]
     bound, best_steps = len(ctx.upset), ()
     for depth in range(budget.max_depth + 1):
         if work[0] > budget.max_work or bound >= ceiling:

@@ -180,7 +180,9 @@ def cmd_table(args) -> int:
         best = klein.BEST_KNOWN_DISTANCE.get(r["k"])
         if best is not None:
             row["best_known"] = best
-            row["comparison"] = "matches" if best == r["d"] else "one-less"
+            gap = best - r["d"]
+            row["comparison"] = "exceeds" if gap < 0 else \
+                {0: "matches", 1: "one-less"}.get(gap, f"{gap}-less")
         enriched.append(row)
     if args.format == "json":
         sys.stdout.write(_emit_json({"rows": enriched}))

@@ -19,7 +19,7 @@ from functools import lru_cache
 from .codes import Variety, enumerate_variety
 from .gf import FieldSpec, gf8
 from .groebner import Footprint, buchberger, footprint
-from .poly import MonomialOrder, ParseError, Polynomial, parse_poly
+from .poly import MonomialOrder, ParseError, Polynomial, _short, parse_poly
 
 # the curve, then the field equations of X and Y
 GENERATOR_TEXTS = ("Y^3+X^3*Y+X", "X^8+X", "Y^8+Y")
@@ -31,6 +31,18 @@ GENERATOR_TEXTS = ("Y^3+X^3*Y+X", "X^8+X", "Y^8+Y")
 BEST_KNOWN_DISTANCE = {
     1: 22, 2: 19, 3: 18, 4: 17, 5: 15, 7: 13, 8: 12, 10: 10,
     11: 9, 13: 7, 14: 7, 15: 6, 17: 4, 18: 4, 20: 2,
+}
+
+# The least weight of a word in each class coset M + span(class_support(M)),
+# rows of Y-degree 0, 1 and 2.  Each value equals the class's proved bound
+# delta(M): the traces show that no coset word is lighter, and
+# tests/data/class_witnesses.json holds a coset word of exactly this weight
+# for every class, which a test evaluates.
+CLASS_MINIMUM = {
+    (0, 0): 22, (1, 0): 19, (2, 0): 16, (3, 0): 13, (4, 0): 10, (5, 0): 7, (6, 0): 4,
+    (7, 0): 1,
+    (0, 1): 18, (1, 1): 15, (2, 1): 12, (3, 1): 9, (4, 1): 6, (5, 1): 4, (6, 1): 2,
+    (0, 2): 13, (1, 2): 10, (2, 2): 7, (3, 2): 5, (4, 2): 3, (5, 2): 2, (6, 2): 1,
 }
 
 
@@ -51,10 +63,10 @@ def parse_monomial(text: str) -> tuple:
     a trace spells the same few monomials on many lines."""
     p = parse_poly(text, klein_domain())
     if len(p.terms) != 1:
-        raise ParseError(f"{text!r} is not a monomial")
+        raise ParseError(f"{_short(text)!r} is not a monomial")
     ((m, c),) = p.terms.items()
     if c != 1:
-        raise ParseError(f"{text!r} is not a monic monomial")
+        raise ParseError(f"{_short(text)!r} is not a monic monomial")
     return m
 
 

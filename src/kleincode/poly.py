@@ -34,6 +34,10 @@ from __future__ import annotations
 import re
 
 EXPONENT_CAP = 1 << 20
+# The most terms a parsed sum may be written as.  Shipped and recorded
+# branch expressions have at most 2, and the auto-search branches on no
+# coefficient of more than 64.
+TERM_CAP = 4096
 
 HEAD = "head"
 FULL = "full"
@@ -312,21 +316,19 @@ def divide(s: Polynomial, divisors, mode: str = FULL):
 # Every digit string is measured before int() reads it, since int() refuses
 # more than 4300 digits with a message of its own: a coefficient has one
 # digit, an enc of GF(8), and a parameter index at most as many as t.
+# A sum written as more than TERM_CAP terms is refused, and a product of
+# parenthesised sums before it is multiplied out.
 
 _TOKEN = re.compile(r"\(|\)|\+|\*|\^|[0-9]+|a[0-9]+|[XY]")
+_TOKENS = re.compile(f"(?:{_TOKEN.pattern})*")
 
 
 def _tokenize(text: str):
     stripped = re.sub(r"\s+", "", text)
-    tokens = []
-    pos = 0
-    while pos < len(stripped):
-        m = _TOKEN.match(stripped, pos)
-        if not m:
-            raise ParseError(f"bad character at {stripped[pos:pos+8]!r}")
-        tokens.append(m.group())
-        pos = m.end()
-    return tokens
+    pos = _TOKENS.match(stripped).end()
+    if pos < len(stripped):
+        raise ParseError(f"bad character at {stripped[pos:pos+8]!r}")
+    return _TOKEN.findall(stripped)
 
 
 _VAR_INDEX = {"X": 0, "Y": 1}
@@ -355,47 +357,51 @@ class _Parser:
             raise ParseError(f"expected {tok!r}, got {t!r}")
 
     def parse_poly(self) -> Polynomial:
-        acc = self.parse_sum()
+        acc, _ = self.parse_sum()
         if self.peek() is not None:
             raise ParseError(f"trailing input at {self.peek()!r}")
         return acc
 
-    def parse_sum(self) -> Polynomial:
-        acc = self.parse_term()
+    def parse_sum(self):
+        """Terms joined by '+', as (sum, size).  The size counts the terms as
+        written, parenthesised factors multiplied out, before anything
+        cancels or folds; it is refused once it passes TERM_CAP."""
+        acc, size = self.parse_term()
         while self.peek() == "+":
             self.take()
-            acc = acc.add(self.parse_term())
-        return acc
+            term, n = self.parse_term()
+            size += n
+            if size > TERM_CAP:
+                raise ParseError(f"sum of {size} terms, above the cap {TERM_CAP}")
+            acc = acc.add(term)
+        return acc, size
 
-    def parse_term(self) -> Polynomial:
-        dom = self.domain
-        coef = dom.one
-        exps = [0, 0]
-        first = True
+    def parse_term(self):
+        """Factors joined by '*', as (term, size)."""
+        if self.peek() in (None, "+", ")"):
+            raise ParseError("empty term")
+        coef, size, exps = self.domain.one, 1, [0, 0]
         while True:
-            tok = self.peek()
-            if tok is None or tok in ("+", ")"):
-                if first:
-                    raise ParseError("empty term")
-                break
-            if not first:
-                self.expect("*")
-                tok = self.peek()
-            first = False
-            coef, exps = self.parse_factor(coef, exps)
-        return Polynomial(dom, 2, {tuple(exps): coef})
+            coef, size = self.parse_factor(coef, size, exps)
+            if self.peek() in (None, "+", ")"):
+                return Polynomial(self.domain, 2, {tuple(exps): coef}), size
+            self.expect("*")
 
-    def parse_factor(self, coef, exps):
+    def parse_factor(self, coef, size, exps):
+        """Multiply one factor into a term's coefficient and size; an X or Y
+        power goes into exps in place."""
         dom = self.domain
         tok = self.take()
         if tok == "(":
             if not dom.parametric:
                 raise ParseError("parenthesized coefficients need a parametric ring")
             self.depth += 1
-            val = self.parse_sum()
+            val, n = self.parse_sum()
             self.expect(")")
             self.depth -= 1
-            return dom.mul(coef, val.coef((0, 0))), exps
+            if size * n > TERM_CAP:
+                raise ParseError(f"product of {size} by {n} terms, above the cap {TERM_CAP}")
+            return dom.mul(coef, val.coef((0, 0))), size * n
         if tok in _VAR_INDEX:
             if self.depth:
                 raise ParseError(f"{tok} inside a parenthesized coefficient")
@@ -403,15 +409,15 @@ class _Parser:
             exps[idx] += self.maybe_exponent()
             if exps[idx] > EXPONENT_CAP:
                 raise ExponentCapExceeded(f"exponent cap {EXPONENT_CAP} exceeded")
-            return coef, exps
+            return coef, size
         if tok.startswith("a") and len(tok) > 1:
             if not dom.parametric:
                 raise ParseError(f"parameter {tok} in a concrete polynomial")
-            return dom.mul(coef, self.parse_param(tok)), exps
+            return dom.mul(coef, self.parse_param(tok)), size
         if tok.isdigit():
             if len(tok.lstrip("0")) > 1:
                 raise ParseError(f"coefficient {_short(tok)} outside GF(8)")
-            return dom.mul(coef, dom.from_enc(int(tok))), exps
+            return dom.mul(coef, dom.from_enc(int(tok))), size
         raise ParseError(f"unexpected token {tok!r}")
 
     def maybe_exponent(self) -> int:

@@ -340,7 +340,7 @@ def suite_x7_claim(seed, quick):
 
 
 def suite_autosearch(seed, quick):
-    from .autosearch import SearchBudget, auto_search, coset_ceiling
+    from .autosearch import SearchBudget, auto_search
 
     rep = auto_search((0, 1), SearchBudget(max_depth=0))
     if rep.bound != rep.baseline:
@@ -349,9 +349,9 @@ def suite_autosearch(seed, quick):
     if rep.bound != 18:
         return False, f"Y rediscovery returned {rep.bound}"
     for M, delta in full_bound_map().items():
-        ceiling = coset_ceiling(M)
-        if delta > ceiling:
-            return False, f"{format_monomial(M)}: bound {delta} above coset word weight {ceiling}"
+        minimum = klein.CLASS_MINIMUM[M]
+        if delta > minimum:
+            return False, f"{format_monomial(M)}: bound {delta} above coset word weight {minimum}"
     return True, "floor, Y rediscovery and bounds under coset word weights"
 
 

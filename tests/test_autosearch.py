@@ -4,9 +4,9 @@ from pathlib import Path
 import pytest
 
 from kleincode import autosearch
-from kleincode.autosearch import SearchBudget, auto_search, coset_ceiling
+from kleincode.autosearch import SearchBudget, auto_search
 from kleincode.casebound import Branch, TraceError, UnjustifiedClaim, verify_trace
-from kleincode.klein import klein_footprint, parse_monomial
+from kleincode.klein import CLASS_MINIMUM, klein_footprint, parse_monomial
 from kleincode.poly import format_monomial
 
 GOLDEN_DELTA = json.loads((Path(__file__).parent / "golden" / "bound.json")
@@ -75,14 +75,12 @@ def test_report_is_verified_replay():
 
 
 def test_ceiling_bounds_every_golden_delta():
-    """An independent check of the traces: every proved bound is at most the
-    weight of a word that lies in the class's coset."""
-    tight = {"1", "X", "Y", "X^2", "X*Y", "X^3", "Y^2", "X^2*Y", "X^4",
-             "X^5*Y^2", "X^6*Y^2"}
-    assert len(GOLDEN_DELTA) == 22
+    """The search's ceiling, the least weight in each class coset, is the
+    proved bound of every class: the traces and the witness words of
+    tests/data/class_witnesses.json (test_klein) meet."""
+    assert len(GOLDEN_DELTA) == len(CLASS_MINIMUM) == 22
     for name, delta in GOLDEN_DELTA.items():
-        ceiling = coset_ceiling(parse_monomial(name))
-        assert delta == ceiling if name in tight else delta < ceiling, name
+        assert CLASS_MINIMUM[parse_monomial(name)] == delta, name
 
 
 def _count_reductions(monkeypatch):
@@ -107,6 +105,6 @@ def test_cutoff_stops_at_the_ceiling(monkeypatch):
 
 
 def test_bound_above_the_ceiling_raises(monkeypatch):
-    monkeypatch.setattr(autosearch, "coset_ceiling", lambda M: 17)
+    monkeypatch.setitem(CLASS_MINIMUM, (0, 1), 17)
     with pytest.raises(TraceError):
         auto_search((0, 1))

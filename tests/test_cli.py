@@ -91,6 +91,40 @@ def test_table_json_golden():
     assert one_less == [4, 14, 15, 18]
 
 
+def _weakened_traces(tmp_path):
+    """The shipped traces with those for Y and X*Y emptied: the rows k = 3
+    and 4 fall 2 and 3 below the best known distance."""
+    for trace in TRACES.glob("*.trace"):
+        text = "" if trace.stem in ("s31", "s33") else trace.read_text()
+        (tmp_path / trace.name).write_text(text)
+    return str(tmp_path)
+
+
+def test_table_labels_each_gap_by_its_size(tmp_path):
+    traces = _weakened_traces(tmp_path)
+    code, out = run_cli(["table", "--traces", traces])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[2] == "[22, 3, 16]  best known 18 (2-less)"
+    assert lines[3] == "[22, 4, 14]  best known 17 (3-less)"
+    assert lines[9] == "[22, 14, 6]  best known 7 (one-less)"
+    code, out = run_cli(["table", "--traces", traces, "--format", "json"])
+    assert code == 0
+    labels = {r["k"]: r["comparison"] for r in json.loads(out)["rows"] if "comparison" in r}
+    assert labels == {1: "matches", 2: "matches", 3: "2-less", 4: "3-less", 8: "matches",
+                      10: "matches", 11: "matches", 13: "matches", 14: "one-less",
+                      15: "one-less", 17: "matches", 18: "one-less", 20: "matches"}
+
+
+def test_table_labels_a_proved_d_above_the_best_known(monkeypatch):
+    from kleincode import klein
+
+    monkeypatch.setitem(klein.BEST_KNOWN_DISTANCE, 2, 18)
+    code, out = run_cli(["table"])
+    assert code == 0
+    assert out.splitlines()[1] == "[22, 2, 19]  best known 18 (exceeds)"
+
+
 def test_table_measured():
     code, out = run_cli(["table", "--measure-upto", "2", "--format", "json"])
     assert code == 0
@@ -170,6 +204,14 @@ def test_trace_verify_csv_is_the_bound_class_row():
     assert out == bound_csv == "monomial,parameters,baseline,bound\nX^2*Y,7,10,12\n"
 
 
+# Expressions past the parser's term cap, in the two parameters of Y:
+# (1+a1+...+a1^7)*(1+a2+...+a2^7)*... with eight factors, and a sum of
+# 32 000 parameter monomials (about 300 KB)
+EIGHT_FACTORS = "*".join("(" + "+".join(["1"] + [f"a{1 + i % 2}^{e}" for e in range(1, 8)]) + ")"
+                         for i in range(8))
+LONG_PARAM_SUM = "+".join(f"a1^{1 + i % 7}*a2^{1 + i // 7 % 7}" for i in range(32_000))
+LONG_MONOMIAL_SUM = "+".join(f"X^{i // 160}*Y^{i % 160}" for i in range(32_000))
+
 BAD_TRACES = {
     "parameter": ("branch a9 {\n  claim Y\n} else {\n  claim Y\n}\n",
                   "error: parameter a9 outside a1..a2\n"),
@@ -199,6 +241,12 @@ BAD_TRACES = {
     # keep the replay busy
     "too many steps": ("mul X^7\nred FX full\n" * 1000,
                        "error: trace of 2000 lines, above the cap 1000\n"),
+    # eight factors of 8 terms each would expand to 8^8 terms: refused at
+    # the fifth, before it is multiplied
+    "long product": ("branch " + EIGHT_FACTORS + " {\n  claim Y\n} else {\n  claim Y\n}\n",
+                     "error: product of 4096 by 8 terms, above the cap 4096\n"),
+    "long sum": ("branch " + LONG_PARAM_SUM + " {\n  claim Y\n} else {\n  claim Y\n}\n",
+                 "error: sum of 4097 terms, above the cap 4096\n"),
 }
 
 
@@ -207,7 +255,9 @@ def test_trace_verify_malformed_input_exit_two(kind, tmp_path, capsys):
     text, message = BAD_TRACES[kind]
     path = tmp_path / "bad.trace"
     path.write_text(text)
+    start = time.perf_counter()
     code, out = run_cli(["trace-verify", str(path), "--lm", "Y"])
+    assert time.perf_counter() - start < 1.0  # refused at once, however long
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == message
 
@@ -261,6 +311,20 @@ def test_bound_exponent_with_too_many_digits_refused(var, capsys):
     code, out = run_cli(["bound", "--lm", f"{var}^" + "9" * 5000])
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == "error: exponent cap 1048576 exceeded\n"
+
+
+def test_bound_sum_past_the_term_cap_refused_at_once(capsys):
+    start = time.perf_counter()
+    code, out = run_cli(["bound", "--lm", LONG_MONOMIAL_SUM])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: sum of 4097 terms, above the cap 4096\n"
+
+
+def test_bound_non_monomial_quoted_short(capsys):
+    code, out = run_cli(["bound", "--lm", "+".join(f"X^{i}" for i in range(4000))])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: 'X^0+X^1+X^2+...' is not a monomial\n"
 
 
 def test_bound_coefficient_with_too_many_digits_refused(capsys):

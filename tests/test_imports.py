@@ -21,7 +21,8 @@ No linter ships with the project, so these tests walk syntax trees:
   that the acceptance gate and the benchmark use keep one;
 * a module other than poly.py that reads MonomialOrder.decode, or a name
   with "packed" in it from poly, knows the packed form of a polynomial,
-  which only poly.divide works on.
+  which only poly.divide works on;
+* autosearch.py imports nothing from codes: the search scans no codewords.
 """
 
 import ast
@@ -368,3 +369,9 @@ def test_poly_internals_detector():
                          ids=lambda p: p.name)
 def test_no_poly_internals_outside_poly(path):
     assert poly_internals(path.read_text()) == []
+
+
+def test_autosearch_runs_no_codeword_scan():
+    # The search's ceiling is data, klein.CLASS_MINIMUM; an import from
+    # codes would let each search pay for an exact coset scan again.
+    assert "codes" not in package_imports((SRC / "autosearch.py").read_text())
