@@ -56,6 +56,7 @@ from .poly import (
     MonomialOrder,
     ParseError,
     Polynomial,
+    _short,
     divide,
     format_monomial,
     mono_divides,
@@ -166,12 +167,18 @@ def parse_trace(text: str):
         raise ParseError(f"trace of {len(lines)} lines, above the cap {TRACE_LINE_CAP}")
     steps, rest = _parse_block(lines, 0, top=True)
     if rest != len(lines):
-        raise ParseError(f"unparsed trailing line: {lines[rest]!r}")
+        raise ParseError(f"unparsed trailing line: {_quote(lines[rest])}")
     return steps
 
 
 # The number of tokens on each one-line step, the step name included.
 _STEP_TOKENS = {"mul": 2, "red": 3, "claim": 2, "restart": 1}
+
+
+def _quote(text: str) -> str:
+    """A trace line or branch expression as a parse error quotes it, cut at
+    40 characters: every well-formed step but a branch fits."""
+    return repr(_short(text, 40))
 
 
 def _parse_block(lines, i, top=False):
@@ -184,18 +191,18 @@ def _parse_block(lines, i, top=False):
             return tuple(steps), i
         parts = line.split()
         if len(parts) != _STEP_TOKENS.get(parts[0], len(parts)):
-            raise ParseError(f"bad {parts[0]} step: {line!r}")
+            raise ParseError(f"bad {parts[0]} step: {_quote(line)}")
         if parts[0] == "mul":
             # X^8 = X and Y^8 = Y on the curve, so no derivation needs a
             # higher power, and a huge one would keep the replay busy for minutes
             mono = parse_monomial(parts[1])
             if max(mono) > 7:
-                raise ParseError(f"bad mul step: {line!r} has an exponent above 7")
+                raise ParseError(f"bad mul step: {_quote(line)} has an exponent above 7")
             steps.append(Mul(mono))
             i += 1
         elif parts[0] == "red":
             if parts[1] not in DIVISOR_IDS or parts[2] not in (HEAD, FULL):
-                raise ParseError(f"bad red step: {line!r}")
+                raise ParseError(f"bad red step: {_quote(line)}")
             steps.append(Red(parts[1], parts[2]))
             i += 1
         elif parts[0] == "claim":
@@ -206,23 +213,24 @@ def _parse_block(lines, i, top=False):
             i += 1
         elif parts[0] == "branch":
             if not line.endswith("{"):
-                raise ParseError(f"branch line must end with '{{': {line!r}")
+                raise ParseError(f"branch line must end with '{{': {_quote(line)}")
             expr = line[len("branch"):].rstrip("{").strip()
             if not expr:
                 raise ParseError("branch without an expression")
             nonzero, i = _parse_block(lines, i + 1)
             if lines[i].replace(" ", "") != "}else{":
-                raise ParseError(f"expected '}} else {{' after branch block, got {lines[i]!r}")
+                raise ParseError(
+                    f"expected '}} else {{' after branch block, got {_quote(lines[i])}")
             zero, i = _parse_block(lines, i + 1)
             if lines[i].strip() != "}":
-                raise ParseError(f"expected closing '}}', got {lines[i]!r}")
+                raise ParseError(f"expected closing '}}', got {_quote(lines[i])}")
             i += 1
             step = Branch(expr, nonzero, zero)
             steps.append(step)
             if i < len(lines) and not lines[i].startswith("}"):
                 raise ParseError("branch must be the last step of its block")
         else:
-            raise ParseError(f"unknown step: {line!r}")
+            raise ParseError(f"unknown step: {_quote(line)}")
     if not top:
         raise ParseError("unterminated block")
     return tuple(steps), i
@@ -292,7 +300,7 @@ class KleinParametric:
         p = parse_poly(text, self.ring)
         for m in p.terms:
             if any(m):
-                raise ParseError(f"branch expression {text!r} mentions X or Y")
+                raise ParseError(f"branch expression {_quote(text)} mentions X or Y")
         return p.coef((0, 0))
 
     def divisor(self, name: str, cs: ConstraintStore) -> Polynomial:

@@ -1,10 +1,11 @@
 """Variety enumeration, evaluation codes, and weight/distance oracles.
 
-Evaluation is vectorised: a Variety keeps, per coordinate, the rows of an
-8x8 power table for its points, and evaluate_terms gathers one column per
-term exponent and multiplies through mul_table, all points and terms at
-once.  Evaluation vectors, monomial rows and the variety scan itself all
-go through it; Polynomial.eval stays the scalar reference.
+Evaluation is vectorised: a Variety keeps its points as a 2 x n uint8
+array of coordinates, and evaluate_terms folds each exponent into 0..7 and
+hands the terms to FieldSpec.evaluate, the package's one GF(8) evaluator,
+all points and terms at once.  Evaluation vectors, monomial rows and the
+variety scan itself all go through it; Polynomial.eval stays the scalar
+reference.
 
 Every codeword scan runs on one bit-plane scanner: a word of n symbols of
 GF(8) is packed into three unsigned n-bit planes, one per bit of the enc
@@ -72,19 +73,19 @@ class SupportNotBelowM(ValueError):
 
 
 class Variety:
-    """Ordered list of distinct points, sorted by enc coordinates.
+    """Ordered list of distinct points in the plane, sorted by enc
+    coordinates.
 
-    powers[i][j, r] is coordinate i of point j raised to r < q: the rows of
-    the field's power table that evaluate_terms gathers from.
+    coords[i, j] is coordinate i of point j: the rows that evaluate_terms
+    hands to FieldSpec.evaluate.
     """
 
-    __slots__ = ("spec", "points", "powers", "_symmetry")
+    __slots__ = ("spec", "points", "coords", "_symmetry")
 
     def __init__(self, spec: FieldSpec, points):
         self.spec = spec
         self.points = tuple(sorted(points))
-        pw = spec.pow_table()
-        self.powers = tuple(pw[list(xs)] for xs in zip(*self.points))
+        self.coords = np.array(self.points, dtype=np.uint8).reshape(-1, 2).T
         self._symmetry = False  # not looked for yet
 
     def __len__(self):
@@ -111,15 +112,14 @@ class Variety:
         if not self.points:
             return None
         q = self.spec.q
-        pts = np.array(self.points, dtype=np.int64)
+        pts = self.coords.T
         place = q ** np.arange(pts.shape[1])[::-1]
         keys = pts @ place  # ascending: the points are sorted
-        scale = self.spec.pow_table()[2, :q - 1]  # g^e for e < q - 1
-        mul = self.spec.mul_table()
+        scale = self.spec.mul_pow_table()[:, :, 2]  # [x, e] -> g^e * x
         for exps in product(range(q - 1), repeat=pts.shape[1]):
             if not any(exps):
                 continue
-            image = mul[scale[list(exps)], pts].astype(np.int64) @ place
+            image = scale[pts, list(exps)] @ place
             pi = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
             if np.array_equal(keys[pi], image) and np.any(pi != np.arange(len(pi))):
                 return pi
@@ -170,18 +170,13 @@ def evaluate_terms(terms: dict, v: Variety) -> np.ndarray:
     """sum of c * x^m over a concrete term map {m: c}, at every point x of v,
     as a uint8 enc vector in variety order.
 
-    An exponent e >= 1 reads power table column (e - 1) % (q - 1) + 1,
-    which keeps 0^e = 0, and e = 0 reads column 0, so x^0 = 1 for every x.
-    Every point and term goes through mul_table at once."""
-    if not terms or not v.points:
-        return np.zeros(len(v), dtype=np.uint8)
-    exps = np.array(list(terms), dtype=np.int64)
-    cols = np.where(exps > 0, (exps - 1) % (v.spec.q - 1) + 1, 0)
-    vals = np.array(list(terms.values()), dtype=np.uint8)
-    mul = v.spec.mul_table()
-    for i, rows in enumerate(v.powers):
-        vals = mul[vals, rows[:, cols[:, i]]]
-    return np.bitwise_xor.reduce(vals, axis=1)
+    An exponent e >= 1 folds to (e - 1) % (q - 1) + 1, which keeps 0^e = 0,
+    and e = 0 stays 0, so x^0 = 1 for every x; the plane's exponents reach
+    EXPONENT_CAP, past the table FieldSpec.evaluate gathers from."""
+    terms = terms or {(0, 0): 0}
+    exps = np.array(list(terms), dtype=np.int64).T
+    folded = np.where(exps > 0, (exps - 1) % (v.spec.q - 1) + 1, 0)
+    return v.spec.evaluate(list(terms.values()), folded, v.coords, [0])[0]
 
 
 def evaluation_vector(F: Polynomial, v: Variety) -> np.ndarray:
@@ -374,7 +369,7 @@ def _orbit_phases(words: np.ndarray, pi, spec: FieldSpec):
     reduction off."""
     if pi is None:
         return None
-    scaled = spec.mul_table()[spec.pow_table()[2, :spec.q - 1, None, None], words]
+    scaled = spec.mul_pow_table()[words, np.arange(spec.q - 1)[:, None, None], 2]
     match = np.all(scaled == words[:, pi], axis=-1)  # (q - 1, words)
     if not match.any(axis=0).all():
         return None

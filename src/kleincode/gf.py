@@ -7,12 +7,18 @@ coefficient of alpha^i, where alpha is a root of the modulus.  Addition is
 bitwise XOR; multiplication and inversion go through discrete-log tables
 to the base alpha.  All enc integers in file formats and CLI output refer
 to this representation.
+
+FieldSpec.evaluate is the package's one evaluator of polynomials at arrays
+of points; codes.evaluate_terms (the variety) and params.evaluate_grid (the
+parameter grids) only turn their monomials into exponent rows for it.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import lru_cache
+
+import numpy as np
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -27,7 +33,7 @@ class FieldSpec:
     poly.Polynomial.
     """
 
-    __slots__ = ("_exp", "_log", "_rows", "_mul_table", "_pow_table")
+    __slots__ = ("_exp", "_log", "rows", "_mul_pow_table")
 
     m, q, modulus_bits = 3, 8, 0b1011
     parametric = False
@@ -50,10 +56,10 @@ class FieldSpec:
                 x ^= self.modulus_bits
         self._exp = exp
         self._log = log
-        # _rows[a][b] = a * b, so a product is two tuple lookups
-        self._rows = tuple(tuple(exp[log[a] + log[b]] if a and b else 0
-                                 for b in range(self.q)) for a in range(self.q))
-        self._mul_table = self._pow_table = None
+        # rows[a][b] = a * b, so a product is two tuple lookups
+        self.rows = tuple(tuple(exp[log[a] + log[b]] if a and b else 0
+                                for b in range(self.q)) for a in range(self.q))
+        self._mul_pow_table = None
 
     def from_enc(self, a: int) -> int:
         if not 0 <= a < self.q:
@@ -64,11 +70,11 @@ class FieldSpec:
         return isinstance(other, FieldSpec)
 
     def mul(self, a: int, b: int) -> int:
-        return self._rows[a][b]
+        return self.rows[a][b]
 
     def scaler(self, c: int):
         """The map b -> c * b, as one bound tuple lookup."""
-        return self._rows[c].__getitem__
+        return self.rows[c].__getitem__
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -91,21 +97,33 @@ class FieldSpec:
         return list(range(self.q))
 
     def mul_table(self):
-        """q-by-q numpy multiplication table (uint8)."""
-        if self._mul_table is None:
-            import numpy as np
+        """q-by-q numpy multiplication table (uint8): mul_pow_table at e = 1."""
+        return self.mul_pow_table()[:, 1]
 
-            self._mul_table = np.array(self._rows, dtype=np.uint8)
-        return self._mul_table
+    def mul_pow_table(self):
+        """q-by-q-by-q numpy table (uint8): entry [c, e, x] is c * x^e, 0^0 = 1."""
+        if self._mul_pow_table is None:
+            powers = [[self.pow(x, e) for x in range(self.q)] for e in range(self.q)]
+            self._mul_pow_table = np.array(self.rows, dtype=np.uint8)[:, powers]
+        return self._mul_pow_table
 
-    def pow_table(self):
-        """q-by-q numpy power table (uint8): entry [a, r] is a^r, 0^0 = 1."""
-        if self._pow_table is None:
-            import numpy as np
+    def evaluate(self, coefs, exps, points, starts) -> np.ndarray:
+        """Sums of terms c * x_1^e_1 * ... at every column of points, as a
+        uint8 array with one row per group of terms.
 
-            self._pow_table = np.array([[self.pow(a, r) for r in range(self.q)]
-                                        for a in range(self.q)], dtype=np.uint8)
-        return self._pow_table
+        Term j has coefficient coefs[j] and exponent exps[i][j], in 0..q-1,
+        on variable i, whose values are the row points[i].  The groups begin
+        at the indices starts, as np.bitwise_xor.reduceat splits them.  One
+        table gather per variable evaluates every term at every point.
+        """
+        table = self.mul_pow_table()
+        vals = np.array(coefs, dtype=np.uint8)[:, None]
+        for e, x in zip(exps, points):
+            vals = table[vals, e[:, None], x]
+        vals = np.bitwise_xor.reduceat(vals, starts, axis=0)
+        # constants alone leave a single column
+        columns = points.shape[1]
+        return vals if vals.shape[1] == columns else vals.repeat(columns, axis=1)
 
     def __repr__(self):
         return f"FieldSpec(m={self.m}, modulus_bits=0b{self.modulus_bits:b})"

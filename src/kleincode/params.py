@@ -22,12 +22,12 @@ expressions asserted nonzero.  Branches whose store admits no concrete
 satisfying assignment are vacuous and drop out of bound minima.  Every
 store question (vanishing, vacuity, witnesses, samples) is answered on
 numpy assignment grids by one predicate; vacuity is proved only by an
-exhaustive scan, so a store too large to scan stays live.
+exhaustive scan, so a store too large to scan stays live.  evaluate_grid
+unpacks the exponents of the parameters in use and hands the terms to
+FieldSpec.evaluate, the package's one GF(8) evaluator.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -92,10 +92,10 @@ class ParamPoly:
         # so nothing carries into the next nibble.  h holds bit 3 of the
         # nibbles that reached 8..14, and s + (h >> 3) - h takes 7 from each
         # of them: a^e = a^(e - 7).
-        high, table = self.ring.high, self.ring.table
+        high, rows = self.ring.high, self.ring.spec.rows
         out: dict = {}
         for m1, c1 in self.terms.items():
-            row = table[c1][1]
+            row = rows[c1]
             for m2, c2 in other.terms.items():
                 s = m1 + m2
                 h = s & high
@@ -112,7 +112,7 @@ class ParamPoly:
             return self.ring.zero
         if c == 1:
             return self
-        row = self.ring.table[c][1]
+        row = self.ring.spec.rows[c]
         return ParamPoly(self.ring, {m: row[v] for m, v in self.terms.items()})
 
     def _substitute(self, subs: dict, mask: int) -> "ParamPoly":
@@ -140,15 +140,14 @@ class ParamPoly:
         return ParamPoly(ring, out)
 
     def evaluate(self, assignment) -> int:
-        table, shifts = self.ring.table, self.ring.shifts
+        spec, shifts = self.ring.spec, self.ring.shifts
         acc = 0
         for m, c in self.terms.items():
-            v = c
             for x, sh in zip(assignment, shifts):
                 e = (m >> sh) & 15
                 if e:
-                    v = table[v][e][x]
-            acc ^= v
+                    c = spec.mul(c, spec.pow(x, e))
+            acc ^= c
         return acc
 
     def variables(self) -> set:
@@ -178,11 +177,10 @@ class ParamRing:
 
     The field is fixed: exponent folding (a^8 = a), exact division and the
     grid scans all assume q = 8.  `shifts[i]` places a_{i+1}'s nibble in a
-    packed key, `high` has bit 3 of every nibble set, and `table[c][e][x]`
-    is c * x^e.
+    packed key and `high` has bit 3 of every nibble set.
     """
 
-    __slots__ = ("t", "spec", "shifts", "high", "table", "zero", "one")
+    __slots__ = ("t", "spec", "shifts", "high", "zero", "one")
     parametric = True
 
     def __init__(self, t: int):
@@ -190,7 +188,6 @@ class ParamRing:
         self.spec = gf8()
         self.shifts = tuple(4 * (t - 1 - i) for i in range(t))
         self.high = sum(8 << sh for sh in self.shifts)
-        self.table = _mul_pow_table().tolist()
         self.zero = ParamPoly(self, {})
         self.one = ParamPoly(self, {0: 1})
 
@@ -258,14 +255,6 @@ def _param_pow(p: ParamPoly, e: int) -> ParamPoly:
     return acc
 
 
-@lru_cache(maxsize=None)
-def _mul_pow_table() -> np.ndarray:
-    """uint8 table [c, e, x] -> c * x^e over GF(8), with 0^0 = 1."""
-    spec = gf8()
-    return np.array([[[spec.mul(c, spec.pow(x, e)) for x in range(8)] for e in range(8)]
-                     for c in range(8)], dtype=np.uint8)
-
-
 def assignment_grid(t: int, idx, start: int = 0, stop: int = None) -> np.ndarray:
     """t x 8^k uint8 grid of every assignment to the parameters idx (the
     others stay 0), or its columns start..stop-1.  Column n gives idx[j] the
@@ -291,15 +280,10 @@ def evaluate_grid(polys, grid: np.ndarray) -> np.ndarray:
     used = 0
     for m in monos:
         used |= m
-    table = _mul_pow_table()
-    vals = np.array(coefs, dtype=np.uint8)[:, None]
-    for i, sh in enumerate(polys[0].ring.shifts):
-        if (used >> sh) & 15:
-            exps = np.array([(m >> sh) & 15 for m in monos], dtype=np.uint8)
-            vals = table[vals, exps[:, None], grid[i]]
-    vals = np.bitwise_xor.reduceat(vals, starts, axis=0)
-    # constants alone leave a single column
-    return vals if vals.shape[1] == grid.shape[1] else vals.repeat(grid.shape[1], axis=1)
+    shifts = polys[0].ring.shifts
+    idx = [i for i, sh in enumerate(shifts) if (used >> sh) & 15]
+    exps = [np.array([(m >> shifts[i]) & 15 for m in monos], dtype=np.uint8) for i in idx]
+    return gf8().evaluate(coefs, exps, grid[idx], starts)
 
 
 def _affordable(involved, size: int) -> bool:
@@ -569,22 +553,9 @@ def _solve_linear(c: ParamPoly):
     ring = c.ring
     for i, sh in enumerate(ring.shifts):
         nibble, linear = 15 << sh, 1 << sh
-        alpha = None
-        ok = True
-        rest = {}
-        for m, coef in c.terms.items():
-            if not m & nibble:
-                rest[m] = coef
-                continue
-            if m == linear:
-                alpha = coef
-            else:
-                ok = False
-                break
-        if ok and alpha is not None:
-            inv = ring.spec.inv(alpha)
-            rhs = ParamPoly(ring, rest).scale(inv)
-            return i, rhs
+        if linear in c.terms and all(m == linear or not m & nibble for m in c.terms):
+            rest = {m: v for m, v in c.terms.items() if m != linear}
+            return i, ParamPoly(ring, rest).scale(ring.spec.inv(c.terms[linear]))
     return None
 
 
@@ -593,7 +564,7 @@ def _exact_divide(p: ParamPoly, f: ParamPoly):
     if f.is_zero():
         return None
     ring = p.ring
-    high, table = ring.high, ring.table
+    high, rows = ring.high, ring.spec.rows
     flm = max(f.terms)
     inv = ring.spec.inv(f.terms[flm])
     rem = dict(p.terms)
@@ -609,9 +580,9 @@ def _exact_divide(p: ParamPoly, f: ParamPoly):
         if ((m | high) - flm) & high != high:
             return None
         t = m - flm
-        qc = table[rem[m]][1][inv]
+        qc = rows[rem[m]][inv]
         quot[t] = qc
-        row = table[qc][1]
+        row = rows[qc]
         for fm, fc in f.terms.items():
             k = t + fm
             if k & high:

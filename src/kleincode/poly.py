@@ -38,6 +38,9 @@ EXPONENT_CAP = 1 << 20
 # branch expressions have at most 2, and the auto-search branches on no
 # coefficient of more than 64.
 TERM_CAP = 4096
+# The most parentheses the parser nests; shipped and recorded branch
+# expressions use none, and a printed polynomial one level.
+NEST_CAP = 16
 
 HEAD = "head"
 FULL = "full"
@@ -317,7 +320,8 @@ def divide(s: Polynomial, divisors, mode: str = FULL):
 # more than 4300 digits with a message of its own: a coefficient has one
 # digit, an enc of GF(8), and a parameter index at most as many as t.
 # A sum written as more than TERM_CAP terms is refused, and a product of
-# parenthesised sums before it is multiplied out.
+# parenthesised sums before it is multiplied out; so are parentheses nested
+# deeper than NEST_CAP, before the recursion could run out of stack.
 
 _TOKEN = re.compile(r"\(|\)|\+|\*|\^|[0-9]+|a[0-9]+|[XY]")
 _TOKENS = re.compile(f"(?:{_TOKEN.pattern})*")
@@ -396,6 +400,8 @@ class _Parser:
             if not dom.parametric:
                 raise ParseError("parenthesized coefficients need a parametric ring")
             self.depth += 1
+            if self.depth > NEST_CAP:
+                raise ParseError(f"parentheses nested deeper than the cap {NEST_CAP}")
             val, n = self.parse_sum()
             self.expect(")")
             self.depth -= 1
@@ -439,9 +445,9 @@ class _Parser:
         return self.domain.var_pow(int(tok[1:]) - 1, self.maybe_exponent())
 
 
-def _short(tok: str) -> str:
-    """A token as an error message quotes it: a long one is cut at 12 characters."""
-    return tok if len(tok) <= 12 else tok[:12] + "..."
+def _short(tok: str, cut: int = 12) -> str:
+    """A token as an error message quotes it: a long one is cut at `cut` characters."""
+    return tok if len(tok) <= cut else tok[:cut] + "..."
 
 
 def parse_poly(text: str, domain) -> Polynomial:

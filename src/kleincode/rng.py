@@ -55,7 +55,8 @@ class SplitMix64:
         (uint8 for n <= 256, else uint64), so no temporary grows with the
         shape.
         """
-        assert n & (n - 1) == 0, "fill_below wants a power of two"
+        if n < 1 or n & (n - 1):
+            raise ValueError(f"fill_below wants a power of two, not {n}")
         out = np.empty(shape, dtype=np.uint8 if n <= 256 else np.uint64)
         flat = out.reshape(-1)
         run = min(_RUN, flat.size)

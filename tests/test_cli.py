@@ -211,6 +211,7 @@ EIGHT_FACTORS = "*".join("(" + "+".join(["1"] + [f"a{1 + i % 2}^{e}" for e in ra
                          for i in range(8))
 LONG_PARAM_SUM = "+".join(f"a1^{1 + i % 7}*a2^{1 + i // 7 % 7}" for i in range(32_000))
 LONG_MONOMIAL_SUM = "+".join(f"X^{i // 160}*Y^{i % 160}" for i in range(32_000))
+SUM_3000 = "+".join(["a1*a2"] * 3000)  # below the term cap, but 17 999 characters
 
 BAD_TRACES = {
     "parameter": ("branch a9 {\n  claim Y\n} else {\n  claim Y\n}\n",
@@ -247,6 +248,19 @@ BAD_TRACES = {
                      "error: product of 4096 by 8 terms, above the cap 4096\n"),
     "long sum": ("branch " + LONG_PARAM_SUM + " {\n  claim Y\n} else {\n  claim Y\n}\n",
                  "error: sum of 4097 terms, above the cap 4096\n"),
+    # the parser would recurse three frames per level, past Python's limit
+    "nested parentheses": ("branch " + "(" * 400 + "a1" + ")" * 400 + " {\n  claim Y\n"
+                           "} else {\n  claim Y\n}\n",
+                           "error: parentheses nested deeper than the cap 16\n"),
+    # a long line or expression is quoted cut short, not whole
+    "long branch line": ("branch " + SUM_3000 + "\n",
+                         "error: branch line must end with '{': "
+                         "'branch a1*a2+a1*a2+a1*a2+a1*a2+a1*a2+a1*...'\n"),
+    "long claim line": ("claim" + " Y" * 3000 + "\n",
+                        "error: bad claim step: 'claim Y Y Y Y Y Y Y Y Y Y Y Y Y Y Y Y Y ...'\n"),
+    "long expression in X": ("branch X+" + SUM_3000 + " {\n  claim Y\n} else {\n  claim Y\n}\n",
+                             "error: branch expression 'X+a1*a2+a1*a2+a1*a2+a1*a2+a1*a2+a1*a2+a1...' "
+                             "mentions X or Y\n"),
 }
 
 
@@ -268,7 +282,9 @@ def test_bound_malformed_trace_dir_exit_two(kind, tmp_path, capsys):
         (tmp_path / trace.name).write_text(trace.read_text())
     text, message = BAD_TRACES[kind]
     (tmp_path / "s31.trace").write_text(text)
+    start = time.perf_counter()
     code, out = run_cli(["bound", "--traces", str(tmp_path)])
+    assert time.perf_counter() - start < 1.0  # refused at once, however long
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == message
 

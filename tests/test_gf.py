@@ -1,6 +1,12 @@
+import itertools
+import random
+
+import numpy as np
 import pytest
 
-from kleincode.gf import DivisionByZero, gf8
+from kleincode import codes, klein, params
+from kleincode.gf import DivisionByZero, FieldSpec, gf8
+from kleincode.poly import parse_poly
 
 
 def test_gf8_construction(spec):
@@ -83,3 +89,64 @@ def test_pow_conventions(spec):
 def test_nonzero_count(spec):
     assert sum(1 for a in spec.elements() if a) == 7
 
+
+
+def test_mul_pow_table_is_scalar_arithmetic(spec):
+    table = spec.mul_pow_table()
+    assert table.shape == (8, 8, 8) and table.dtype == np.uint8
+    for c, e, x in itertools.product(range(8), repeat=3):
+        assert table[c, e, x] == spec.mul(c, spec.pow(x, e))
+
+
+def _scalar_evaluate(spec, groups, points):
+    """FieldSpec.evaluate's result, one term and one point at a time."""
+    out = []
+    for terms in groups:
+        row = []
+        for col in points.T.tolist():
+            acc = 0
+            for c, exps in terms:
+                for e, x in zip(exps, col):
+                    c = spec.mul(c, spec.pow(x, e))
+                acc ^= c
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def test_evaluate_matches_scalar_loop(spec):
+    # seeded random groups over 0 to 3 variables and 0 to 70 columns; the
+    # last two groups hold only constants and the zero polynomial's 0 * 1
+    rnd = random.Random(0x8E7)
+    for _ in range(60):
+        nvars, columns = rnd.randint(0, 3), rnd.randint(0, 70)
+        groups = [[(rnd.randrange(8), tuple(rnd.randrange(8) for _ in range(nvars)))
+                   for _ in range(rnd.randint(1, 6))] for _ in range(rnd.randint(1, 4))]
+        groups += [[(rnd.randrange(8), (0,) * nvars), (5, (0,) * nvars)], [(0, (0,) * nvars)]]
+        terms = [term for g in groups for term in g]
+        starts = list(itertools.accumulate([0] + [len(g) for g in groups[:-1]]))
+        exps = np.array([e for _, e in terms], dtype=np.uint8).reshape(len(terms), nvars).T
+        points = np.array([[rnd.randrange(8) for _ in range(columns)] for _ in range(nvars)],
+                          dtype=np.uint8).reshape(nvars, columns)
+        got = spec.evaluate([c for c, _ in terms], exps, points, starts)
+        assert got.dtype == np.uint8 and got.shape == (len(groups), columns)
+        assert got.tolist() == _scalar_evaluate(spec, groups, points)
+
+
+def test_every_evaluator_reaches_the_one_kernel(spec, dom, variety, monkeypatch):
+    calls = []
+    kernel = FieldSpec.evaluate
+
+    def counting(self, *args):
+        calls.append(args[2].shape)  # the points
+        return kernel(self, *args)
+
+    monkeypatch.setattr(FieldSpec, "evaluate", counting)
+    codes.evaluation_vector(parse_poly("X^3*Y+Y^3+X", dom), variety)
+    assert calls == [(2, 22)]
+    gens = list(klein.ideal_generators())
+    assert codes.enumerate_variety(gens, spec).points == variety.points
+    assert calls[1:] == [(2, 64)] * len(gens)
+    ring = params.ParamRing(3)
+    params.evaluate_grid([ring.var(0).mul(ring.var(2))], params.assignment_grid(3, [0, 2]))
+    assert calls[-1] == (2, 64) and len(calls) == 2 + len(gens)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,3 +44,22 @@ def test_fill_below_peak_memory_is_its_output_and_a_run():
     finally:
         tracemalloc.stop()
     assert peak < out.nbytes + 1_000_000
+
+
+@pytest.mark.parametrize("n", [0, 3, 6, 1000])
+def test_fill_below_refuses_a_bound_not_a_power_of_two(n):
+    g = SplitMix64(1)
+    with pytest.raises(ValueError, match="power of two"):
+        g.fill_below(n, (4,))
+    assert g.state == 1  # refused before any draw
+
+
+def test_fill_below_refuses_under_optimisation():
+    # python -O strips assert statements; the refusal must not be one
+    src = Path(rng.__file__).resolve().parent.parent
+    run = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from kleincode.rng import SplitMix64; SplitMix64(0).fill_below(6, 1000)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 1
+    assert run.stderr.splitlines()[-1] == "ValueError: fill_below wants a power of two, not 6"
