@@ -224,9 +224,10 @@ def cmd_oracle(args) -> int:
     if args.format == "json":
         sys.stdout.write(_emit_json(result))
     elif args.format == "csv":
-        sys.stdout.write("monomial,mode,coefficients,min_weight,exact,delta\n")
-        sys.stdout.write(f"{result['monomial']},{mode},{len(support)},{w},"
-                         f"{str(exact).lower()},{delta}\n")
+        # the json's fields
+        sys.stdout.write(",".join(result) + "\n")
+        sys.stdout.write(",".join(str(v).lower() if isinstance(v, bool) else str(v)
+                                  for v in result.values()) + "\n")
     else:
         sys.stdout.write(
             f"{result['monomial']} ({len(support)} coefficients, {mode}): "

@@ -35,6 +35,9 @@ four, tabulates the packed span of each group once (8^4 words) and adds
 up one gathered table word per group for each seeded SplitMix64 message,
 a few thousand messages per block so that every temporary stays in
 cache; the gather indices of all groups come from one float32 product.
+A message's coefficients are bytes of SplitMix64 outputs, eight per
+output (rng.SplitMix64.fill_below), so the generator costs one mix per
+eight coefficients.
 """
 
 from __future__ import annotations
@@ -436,7 +439,9 @@ def sample_weights(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
     weights[j] is the weight of offset + sum coeffs[j, i] * rows[i].
 
     The coefficients are the SplitMix64(seed).fill_below(q, (take, k))
-    stream, so results do not depend on the block size.  Each group of
+    stream: each is one byte of an output, masked, eight per output.
+    fill_below carries a partly used output over to the next block, so
+    results do not depend on the block size.  Each group of
     _GROUP_ROWS consecutive rows has a packed span table (offset folded
     into the first), so a word is one gather per group.  All the groups'
     table indices come from one product coeffs @ digits.

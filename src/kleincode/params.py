@@ -507,8 +507,13 @@ class ConstraintStore:
 
     def sample_witnesses(self, count: int, seed: int):
         """The first `count` satisfying assignments (repetition possible)
-        among at most max(64 * count, 4096) seeded draws of the free
-        parameters: SplitMix64(seed).fill_below(8, ...), one row per draw."""
+        among at most max(64 * count, 4096) seeded attempts.  Attempt j
+        sets the free parameters, in index order, to the next len(free)
+        draws of SplitMix64(seed).fill_below(8, ...): bytes of successive
+        outputs, least significant first, masked to 7.  The attempts come
+        in blocks that grow 8x at a time, and fill_below carries a partly
+        used output over from block to block, so the draws do not depend
+        on the block sizes."""
         if count < 1:
             raise ValueError(f"sample count {count} must be at least 1")
         t = self.ring.t

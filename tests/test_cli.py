@@ -175,6 +175,17 @@ def test_oracle_sample_seeded():
     assert json.loads(out1)["exact"] is False
 
 
+@pytest.mark.parametrize("lm,mode", [("X*Y^2", "exhaustive"), ("X^2*Y^2", "sample")])
+def test_oracle_csv_carries_the_json_fields(lm, mode):
+    argv = ["oracle", "--lm", lm, "--mode", mode, "--seed", "9"]
+    _, out = run_cli([*argv, "--format", "json"])
+    data = json.loads(out)
+    _, out = run_cli([*argv, "--format", "csv"])
+    header, row = out.splitlines()
+    assert dict(zip(header.split(","), row.split(","), strict=True)) == {
+        k: v if isinstance(v, str) else json.dumps(v) for k, v in data.items()}
+
+
 @pytest.mark.parametrize("extra", [["--mode", "exhaustive"], []])
 def test_oracle_exact_scan_refused(extra, capsys):
     code, out = run_cli(["oracle", "--lm", "X^6*Y^2", *extra])

@@ -571,9 +571,13 @@ def test_forged_symmetry_is_caught(fp, variety, monkeypatch):
 
 
 def _scalar_coeffs(seed, count, k):
-    """The sampler's coefficients, drawn one scalar below(8) at a time."""
+    """The sampler's coefficients, drawn one scalar at a time: the bytes of
+    successive next_u64() outputs, least significant first, masked to 7."""
     g = SplitMix64(seed)
-    return np.array([g.below(8) for _ in range(count * k)], dtype=np.uint8).reshape(count, k)
+    draws = []
+    while len(draws) < count * k:
+        draws += [b & 7 for b in g.next_u64().to_bytes(8, "little")]
+    return np.array(draws[:count * k], dtype=np.uint8).reshape(count, k)
 
 
 # (seed, offset monomial, k, count): k = 0 is the class 1, k = 5, 6 and 7

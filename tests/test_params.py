@@ -202,6 +202,14 @@ def _scalar_satisfied(cs, assignment):
             and all(c.evaluate(assignment) != 0 for c in cs.nonzeros.values()))
 
 
+def _scalar_bytes(seed):
+    """Draws below 8 as fill_below makes them: the bytes of successive
+    next_u64() outputs, least significant first, each masked to 7."""
+    g = SplitMix64(seed)
+    while True:
+        yield from (b & 7 for b in g.next_u64().to_bytes(8, "little"))
+
+
 def test_store_decisions_match_brute_force():
     rng = random.Random(0x7E57)
     shapes = {"subs": 0, "vacuous": 0, "live": 0}
@@ -224,15 +232,16 @@ def test_store_decisions_match_brute_force():
                 expected = tuple(a)
                 break
         assert cs.witness() == expected
-        # sampling: the first hits among per-attempt below(8) draws
+        # sampling: the first hits among the attempts, each free parameter
+        # one byte of the scalar stream
         count, seed = rng.randint(1, 5), trial
-        draws = SplitMix64(seed)
+        draws = _scalar_bytes(seed)
         free = [i for i in range(t) if i not in cs.subs]
         samples = []
         for _ in range(max(64 * count, 4096)):
             a = [0] * t
             for i in free:
-                a[i] = draws.below(8)
+                a[i] = next(draws)
             if _scalar_satisfied(cs, a):
                 samples.append(tuple(a))
                 if len(samples) == count:
