@@ -38,7 +38,7 @@ for b in (2, 1, 0):
     print(f"  b={b}: " + "  ".join(f"{m} w={order.weight(m)}" for m in row))
 
 # The variety has exactly #footprint = 22 points.
-v = enumerate_variety(list(gens), spec, 2)
+v = enumerate_variety(list(gens))
 print(f"\nvariety: {len(v)} points, including the origin:")
 print("  ", list(v)[:6], "...")
 

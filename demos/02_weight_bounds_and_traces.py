@@ -20,16 +20,13 @@ from kleincode.casebound import (
     verify_all_traces,
     verify_trace,
 )
-from kleincode.klein import klein_footprint
 from kleincode.poly import FULL, HEAD, format_poly
-
-fp = klein_footprint()
 
 # Class Y: the reduced codeword polynomial is F = Y + a1*X + a2 with two
 # free coefficients.  14 footprint monomials are divisible by Y.
 ctx = KleinParametric((0, 1))
 print("root polynomial:", format_poly(ctx.root))
-print("divisibility baseline:", divisibility_bound((0, 1), fp))
+print("divisibility baseline:", divisibility_bound((0, 1)))
 
 # Multiply by Y^2 and push the result down: first one head-reduction by
 # the curve, then a full reduction by F itself.

@@ -2,7 +2,7 @@
 """Cross-check the symbolic bounds with brute force, then let the bounded
 search rediscover one.
 
-Run:  python demos/04_oracles_and_search.py   (about ten seconds)
+Run:  python demos/04_oracles_and_search.py   (under a second)
 """
 
 import time
@@ -22,9 +22,12 @@ delta = full_bound_map()
 # free coefficients, 8^10 states): the minimum weight over all coefficient
 # choices with a fixed leading monomial.  Each scan packs a word into three
 # bit-planes (XOR adds, popcount weighs), tabulates the five lowest
-# coefficients once and XORs in the high ones a chunk at a time.  The
-# bounds turn out to be tight for each of these.
-print("exact oracles (8^t codeword representatives each):")
+# coefficients once and XORs in the high ones a chunk at a time, one word
+# per orbit of the curve's symmetry (x, y) -> (alpha*x, alpha^5*y): for
+# X^2*Y, X*Y^2 and X^3*Y about 8^t/7 words.  The bounds turn out to be
+# tight for each of these.
+print("exact oracles (8^t codeword representatives, about 8^t/7 scanned "
+      "for t >= 7):")
 for M in [(0, 1), (1, 1), (0, 2), (2, 1), (1, 2), (3, 1)]:
     support = klein.class_support(M)
     t0 = time.time()

@@ -41,11 +41,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .groebner import Footprint, buchberger, footprint
+from .gf import gf8
+from .groebner import buchberger, footprint
 from .klein import (
     class_support,
     klein_basis,
-    klein_domain,
     klein_footprint,
     parse_monomial,
 )
@@ -112,17 +112,18 @@ class UncertifiedLeadingCoefficient(TraceError):
 # ---------------------------------------------------------------------------
 # upsets
 
-def upset_in_footprint(M: tuple, fp: Footprint) -> set:
-    """Footprint monomials divisible by M."""
+def upset_in_footprint(M: tuple) -> set:
+    """Klein footprint monomials divisible by M."""
     M = tuple(M)
+    fp = klein_footprint()
     if M not in fp:
         raise NotInFootprint(f"{format_monomial(M)} outside the footprint")
     return {N for N in fp if mono_divides(M, N)}
 
 
-def divisibility_bound(M: tuple, fp: Footprint) -> int:
+def divisibility_bound(M: tuple) -> int:
     """Count of footprint multiples of M; what divisibility alone detects."""
-    return len(upset_in_footprint(M, fp))
+    return len(upset_in_footprint(M))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +280,7 @@ class KleinParametric:
     def __init__(self, M: tuple):
         self.fp = klein_footprint()
         self.M = M = tuple(M)
-        self.upset = frozenset(upset_in_footprint(M, self.fp))
+        self.upset = frozenset(upset_in_footprint(M))
         self._counts: dict = {}
         self.support = class_support(M)
         self.t = len(self.support)
@@ -453,7 +454,7 @@ def instantiate_and_check(M: tuple, leaf: Leaf, nsamples: int, seed: int):
     assignments = leaf.constraints.sample_witnesses(nsamples, seed)
     if not assignments:
         raise UnsatisfiableLeaf(leaf.label)
-    dom = klein_domain()
+    dom = gf8()
     gens = klein_basis()
     F_leaf = ctx.root.map_coeffs(leaf.constraints.reduce)
     grid = np.array(assignments, dtype=np.uint8).T
@@ -504,9 +505,8 @@ def bound_map_from_reports(reports: dict) -> dict:
     """full_bound_map for trace reports that are already verified.  A
     report's bound is never below its baseline, the divisibility count: every
     leaf count includes M's upset."""
-    fp = klein_footprint()
-    return {M: reports[M].bound if M in reports else divisibility_bound(M, fp)
-            for M in fp}
+    return {M: reports[M].bound if M in reports else divisibility_bound(M)
+            for M in klein_footprint()}
 
 
 def verify_all_traces(traces_dir=None) -> dict:

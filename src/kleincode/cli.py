@@ -41,7 +41,7 @@ from .codes import (
     coset_min_weight,
     min_distance,
 )
-from .poly import ExponentCapExceeded, format_monomial
+from .poly import ExponentCapExceeded, MonomialOrder, format_monomial
 
 
 # oracle --mode sample draws this many messages, so a sampled report is a
@@ -57,7 +57,7 @@ def _emit_json(obj) -> str:
 # subcommands
 
 def cmd_footprint(args) -> int:
-    order = klein.klein_order()
+    order = MonomialOrder()
     rows = [{"monomial": format_monomial(m), "exponents": list(m),
              "weight": order.weight(m)} for m in klein.klein_footprint()]
     if args.format == "json":
@@ -138,7 +138,7 @@ def cmd_bound(args) -> int:
     reports, delta = _bound_reports(args)
     source = "auto" if delta is None else "traces"
     fp = klein.klein_footprint()
-    out = [_class_entry(M, reports[M]) for M in sorted(reports, key=klein.klein_order().key)]
+    out = [_class_entry(M, reports[M]) for M in sorted(reports, key=MonomialOrder.key)]
     if args.format == "json":
         payload = {"source": source, "classes": out}
         if delta is not None:

@@ -16,12 +16,14 @@ coefficients into one table and XORs in the high-coefficient states a chunk
 at a time on the calling thread, refusing more than EXACT_LIMIT_COEFFS
 coefficients before any work.
 
-The high states visit one word per orbit of a symmetry of order 7.
-Variety.symmetry() finds, once per variety, a diagonal map
-(x, y) -> (g^a*x, g^b*y) that permutes the points, (a, b) = (1, 5) on the
-Klein quartic, and the coordinate permutation pi it induces.  When the
-offset and every row u satisfy u[pi] = g^e*u for some phase e, read off
-the vector itself, the first nonzero high coefficient whose phase differs
+GF(8) is the one field, read from gf.gf8(); only the pinned call forms
+enumerate_variety(gens, spec, 2) and gf_rank(M, spec) take one, checked.
+
+The high states visit one word per orbit of a symmetry of order 7:
+Variety.symmetry() is the coordinate permutation pi of the Klein quartic's
+map (x, y) -> (g*x, g^5*y), when it permutes the points.  When the offset
+and every row u satisfy u[pi] = g^e*u for some phase e, read off the
+vector itself, the first nonzero high coefficient whose phase differs
 from the offset's is scaled to 1.  This relies on q - 1 = 7 being prime,
 true of GF(8) (FieldSpec.m = 3).  Without a symmetry or a phase, every
 state is visited.  On a 2-CPU x86 host the X^3*Y coset (8^10 states)
@@ -46,7 +48,7 @@ from itertools import product
 
 import numpy as np
 
-from .gf import FieldSpec
+from .gf import FieldSpec, gf8
 from .groebner import buchberger, footprint
 from .poly import (
     ArityMismatch,
@@ -76,17 +78,18 @@ class SupportNotBelowM(ValueError):
 
 
 class Variety:
-    """Ordered list of distinct points in the plane, sorted by enc
+    """Ordered list of distinct points of the GF(8) plane, sorted by enc
     coordinates.
 
     coords[i, j] is coordinate i of point j: the rows that evaluate_terms
-    hands to FieldSpec.evaluate.
+    hands to FieldSpec.evaluate.  A variety takes no field (it is gf8()),
+    and symmetry() checks the Klein quartic's one map.
     """
 
-    __slots__ = ("spec", "points", "coords", "_symmetry")
+    __slots__ = ("points", "coords", "_symmetry")
+    spec = gf8()  # the one field; kept because the benchmark tracer reads v.spec.q
 
-    def __init__(self, spec: FieldSpec, points):
-        self.spec = spec
+    def __init__(self, points):
         self.points = tuple(sorted(points))
         self.coords = np.array(self.points, dtype=np.uint8).reshape(-1, 2).T
         self._symmetry = False  # not looked for yet
@@ -98,47 +101,43 @@ class Variety:
         return iter(self.points)
 
     def symmetry(self):
-        """The coordinate permutation pi of the first diagonal map
-        (x_1, ..., x_a) -> (g^e_1 * x_1, ..., g^e_a * x_a), with g = alpha
-        and e != 0, that permutes the points without fixing them all:
-        point pi[j] is the image of point j.  None if there is none.  Looked
-        for on the first call (at most (q-1)^a - 1 maps) and then kept.
+        """The coordinate permutation pi of sigma(x, y) = (g*x, g^5*y), with
+        g = alpha, when sigma permutes the points and moves one of them:
+        point pi[j] is the image of point j.  None otherwise.  Computed on
+        the first call and then kept.
 
-        On the Klein quartic this is (x, y) -> (g*x, g^5*y), which sends
-        Y^3 + X^3*Y + X to g times itself.
+        On the Klein quartic Y^3 + X^3*Y + X, sigma sends the curve to g
+        times itself, so it permutes the curve's points.  Its exponents are
+        the order's weights scaled: (1, 5) = 4*(2, 3) mod 7.
         """
         if self._symmetry is False:
-            self._symmetry = self._find_symmetry()
+            x, y = self.coords
+            where = np.full((FieldSpec.q, FieldSpec.q), -1)  # [x, y] -> point index
+            where[x, y] = np.arange(len(self))
+            scale = gf8().mul_pow_table()[:, :, 2]  # [x, e] -> g^e * x
+            pi = where[scale[x, 1], scale[y, 5]]
+            moves = (pi >= 0).all() and (pi != np.arange(len(pi))).any()
+            self._symmetry = pi if moves else None
         return self._symmetry
 
-    def _find_symmetry(self):
-        if not self.points:
-            return None
-        q = self.spec.q
-        pts = self.coords.T
-        place = q ** np.arange(pts.shape[1])[::-1]
-        keys = pts @ place  # ascending: the points are sorted
-        scale = self.spec.mul_pow_table()[:, :, 2]  # [x, e] -> g^e * x
-        for exps in product(range(q - 1), repeat=pts.shape[1]):
-            if not any(exps):
-                continue
-            image = scale[pts, list(exps)] @ place
-            pi = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
-            if np.array_equal(keys[pi], image) and np.any(pi != np.arange(len(pi))):
-                return pi
-        return None
+
+def _check_field(field):
+    """A pinned call form's field: None or a FieldSpec, and otherwise unused."""
+    if field is not None and not isinstance(field, FieldSpec):
+        raise TypeError(f"the field is gf8(), not {field!r}")
 
 
-def enumerate_variety(gens, spec: FieldSpec, arity: int = 2) -> Variety:
-    """Brute-force scan of all q^2 points of the plane for common zeros;
-    the arity argument is 2 or refused."""
+def enumerate_variety(gens, spec: FieldSpec = None, arity: int = 2) -> Variety:
+    """Brute-force scan of all q^2 points of the GF(8) plane for common
+    zeros; the field is checked, and arity is 2 or refused."""
+    _check_field(spec)
     if arity != 2:
         raise ArityMismatch(f"arity {arity}: the variety lies in the plane")
-    grid = Variety(spec, product(range(spec.q), repeat=2))
+    grid = Variety(product(range(FieldSpec.q), repeat=2))
     common = np.ones(len(grid), dtype=bool)
     for g in gens:
         common &= evaluation_vector(g, grid) == 0
-    return Variety(spec, [p for p, z in zip(grid.points, common) if z])
+    return Variety([p for p, z in zip(grid.points, common) if z])
 
 
 def verify_fano(v: Variety) -> bool:
@@ -178,8 +177,8 @@ def evaluate_terms(terms: dict, v: Variety) -> np.ndarray:
     EXPONENT_CAP, past the table FieldSpec.evaluate gathers from."""
     terms = terms or {(0, 0): 0}
     exps = np.array(list(terms), dtype=np.int64).T
-    folded = np.where(exps > 0, (exps - 1) % (v.spec.q - 1) + 1, 0)
-    return v.spec.evaluate(list(terms.values()), folded, v.coords, [0])[0]
+    folded = np.where(exps > 0, (exps - 1) % (FieldSpec.q - 1) + 1, 0)
+    return gf8().evaluate(list(terms.values()), folded, v.coords, [0])[0]
 
 
 def evaluation_vector(F: Polynomial, v: Variety) -> np.ndarray:
@@ -213,7 +212,7 @@ def build_code(L, v: Variety) -> EvaluationCode:
     G = np.zeros((len(L), len(v)), dtype=np.uint8)
     for i, m in enumerate(L):
         G[i] = monomial_vector(m, v)
-    if L and gf_rank(G, v.spec) != len(L):
+    if L and gf_rank(G) != len(L):
         raise RankDeficient("evaluation vectors are dependent")
     return EvaluationCode(L, v, G)
 
@@ -221,12 +220,15 @@ def build_code(L, v: Variety) -> EvaluationCode:
 # ---------------------------------------------------------------------------
 # GF(q) linear algebra on enc matrices
 
-def gf_rank(M: np.ndarray, spec: FieldSpec) -> int:
-    return len(_row_echelon(M, spec)[0])
+def gf_rank(M: np.ndarray, spec: FieldSpec = None) -> int:
+    """Rank over GF(8); a field, if given, must be a FieldSpec."""
+    _check_field(spec)
+    return len(_row_echelon(M)[0])
 
 
-def _row_echelon(M: np.ndarray, spec: FieldSpec):
-    mul = spec.mul_table()
+def _row_echelon(M: np.ndarray):
+    field = gf8()
+    mul = field.mul_table()
     A = M.copy()
     rows, cols = A.shape
     pivots = []
@@ -240,7 +242,7 @@ def _row_echelon(M: np.ndarray, spec: FieldSpec):
         if pivot is None:
             continue
         A[[r, pivot]] = A[[pivot, r]]
-        inv = spec.inv(int(A[r, c]))
+        inv = field.inv(int(A[r, c]))
         A[r] = mul[inv, A[r]]
         for i in range(rows):
             if i != r and A[i, c]:
@@ -252,10 +254,10 @@ def _row_echelon(M: np.ndarray, spec: FieldSpec):
     return pivots, A[:r]
 
 
-def gf_kernel(M: np.ndarray, spec: FieldSpec) -> np.ndarray:
+def gf_kernel(M: np.ndarray) -> np.ndarray:
     """Basis of the right kernel (rows are kernel vectors)."""
     rows, cols = M.shape
-    pivots, R = _row_echelon(M, spec)
+    pivots, R = _row_echelon(M)
     free = [c for c in range(cols) if c not in pivots]
     out = np.zeros((len(free), cols), dtype=np.uint8)
     for idx, fc in enumerate(free):
@@ -309,9 +311,9 @@ def pack_planes(words: np.ndarray) -> np.ndarray:
                      for b in range(FieldSpec.m)])
 
 
-def _packed_multiples(rows: np.ndarray, spec: FieldSpec) -> np.ndarray:
+def _packed_multiples(rows: np.ndarray) -> np.ndarray:
     """(bits, k, q) packed planes of c * rows[i] for every scalar c."""
-    return pack_planes(spec.mul_table()[:, rows]).transpose(0, 2, 1)
+    return pack_planes(gf8().mul_table()[:, rows]).transpose(0, 2, 1)
 
 
 def _span_table(mults: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -358,26 +360,28 @@ def _table_min(high: np.ndarray, low: np.ndarray, skip_zero: bool):
     return _least(mins)
 
 
-def _refuse_above_limit(k: int, spec: FieldSpec):
+def _refuse_above_limit(k: int):
     if k > EXACT_LIMIT_COEFFS:
+        q = FieldSpec.q
         raise DimensionTooLarge(
-            f"{k} coefficients ({spec.q}^{k} = {spec.q ** k} states) above the "
+            f"{k} coefficients ({q}^{k} = {q ** k} states) above the "
             f"exact-scan limit of {EXACT_LIMIT_COEFFS} coefficients")
 
 
-def _orbit_phases(words: np.ndarray, pi, spec: FieldSpec):
+def _orbit_phases(words: np.ndarray, pi):
     """The phases of words[1:] less that of words[0], the offset, mod q - 1,
     where u[pi] = g^e * u gives u's phase e (a zero word has phase 0).
     None if pi is None or some word has no phase, which turns the orbit
     reduction off."""
     if pi is None:
         return None
-    scaled = spec.mul_pow_table()[words, np.arange(spec.q - 1)[:, None, None], 2]
+    units = FieldSpec.q - 1
+    scaled = gf8().mul_pow_table()[words, np.arange(units)[:, None, None], 2]
     match = np.all(scaled == words[:, pi], axis=-1)  # (q - 1, words)
     if not match.any(axis=0).all():
         return None
     e = match.argmax(axis=0)
-    return (e[1:] - e[0]) % (spec.q - 1)
+    return (e[1:] - e[0]) % units
 
 
 def _high_table(base: np.ndarray, mults: np.ndarray, phases):
@@ -416,7 +420,7 @@ def _scan_min(base: np.ndarray, mults: np.ndarray, skip_zero: bool, phases=None)
     return _table_min(high, low, skip_zero)
 
 
-def exact_min_weight(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
+def exact_min_weight(offset: np.ndarray, rows: np.ndarray,
                      skip_zero: bool = False, symmetry=None) -> int:
     """Minimum weight of offset + span(rows) over all q^k coefficient choices.
 
@@ -425,16 +429,15 @@ def exact_min_weight(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
     row are eigenvectors of it, the scan visits one word per orbit.  More
     than EXACT_LIMIT_COEFFS rows raise DimensionTooLarge before any work.
     """
-    _refuse_above_limit(rows.shape[0], spec)
-    phases = _orbit_phases(np.vstack([offset, rows]), symmetry, spec)
-    best = _scan_min(pack_planes(offset), _packed_multiples(rows, spec), skip_zero, phases)
+    _refuse_above_limit(rows.shape[0])
+    phases = _orbit_phases(np.vstack([offset, rows]), symmetry)
+    best = _scan_min(pack_planes(offset), _packed_multiples(rows), skip_zero, phases)
     if best is None:
         raise ValueError("the exact scan met only zero words")
     return best
 
 
-def sample_weights(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
-                   seed: int, count: int):
+def sample_weights(offset: np.ndarray, rows: np.ndarray, seed: int, count: int):
     """Yield (coeffs, weights) blocks for `count` seeded random messages:
     weights[j] is the weight of offset + sum coeffs[j, i] * rows[i].
 
@@ -449,7 +452,8 @@ def sample_weights(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
     if count < 1:
         raise ValueError(f"sample count {count} must be at least 1")
     k = rows.shape[0]
-    mults = _packed_multiples(rows, spec)
+    q = FieldSpec.q
+    mults = _packed_multiples(rows)
     base = pack_planes(offset)
     starts = range(0, max(k, 1), _GROUP_ROWS)
     # row-major (q^r, bits), so one gather fetches every plane of a word
@@ -461,13 +465,13 @@ def sample_weights(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
     # integer below q^4 < 2^24, so the float32 product is exact.
     digits = np.zeros((k, len(starts)), dtype=np.float32)
     for j, g in enumerate(starts):
-        digits[g:g + _GROUP_ROWS, j] = spec.q ** np.arange(min(_GROUP_ROWS, k - g))[::-1]
+        digits[g:g + _GROUP_ROWS, j] = q ** np.arange(min(_GROUP_ROWS, k - g))[::-1]
     words = np.empty((_SAMPLE_CHUNK, len(base)), dtype=base.dtype)
     part = np.empty_like(words)
     rng = SplitMix64(seed)
     for done in range(0, count, _SAMPLE_CHUNK):
         take = min(_SAMPLE_CHUNK, count - done)
-        coeffs = rng.fill_below(spec.q, (take, k))
+        coeffs = rng.fill_below(q, (take, k))
         # (groups, take): each group's indices contiguous for its gather
         index = (coeffs @ digits).T.astype(np.intp, order="C")
         w, p = words[:take], part[:take]
@@ -482,12 +486,12 @@ def sample_weights(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
         yield coeffs, np.bitwise_count(word)
 
 
-def sampled_min_weight(offset: np.ndarray, rows: np.ndarray, spec: FieldSpec,
-                       seed: int, count: int, skip_zero: bool = False) -> int:
+def sampled_min_weight(offset: np.ndarray, rows: np.ndarray, seed: int, count: int,
+                       skip_zero: bool = False) -> int:
     """Least weight among the sample_weights draws; skip_zero ignores zero
     words and raises ValueError when every draw was one."""
     best = _least(_min_weight(w, skip_zero)
-                  for _, w in sample_weights(offset, rows, spec, seed, count))
+                  for _, w in sample_weights(offset, rows, seed, count))
     if best is None:
         raise ValueError(f"all {count} sampled messages were zero")
     return best
@@ -509,20 +513,19 @@ def min_distance(code: EvaluationCode, strategy: str = "exhaustive",
     """
     if code.k < 1:
         raise ZeroPolynomial("zero code has no nonzero codeword")
-    spec = code.variety.spec
     if strategy == "exhaustive":
-        _refuse_above_limit(code.k, spec)
-        mults = _packed_multiples(code.G, spec)  # mults[:, p, 1] is G[p] itself
+        _refuse_above_limit(code.k)
+        mults = _packed_multiples(code.G)  # mults[:, p, 1] is G[p] itself
         pi = code.variety.symmetry()
         best = _least(_scan_min(mults[:, p, 1], mults[:, p + 1:], True,
-                                _orbit_phases(code.G[p:], pi, spec))
+                                _orbit_phases(code.G[p:], pi))
                       for p in range(code.k))
         if best is None:
             raise ValueError("the exact scan met only zero words")
         return best, True
     zero = np.zeros(code.n, dtype=np.uint8)
     if strategy == "sample":
-        return sampled_min_weight(zero, code.G, spec, seed, count, skip_zero=True), False
+        return sampled_min_weight(zero, code.G, seed, count, skip_zero=True), False
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -550,24 +553,22 @@ def coset_min_weight(M: tuple, support, v: Variety, mode: str = "exhaustive",
                 raise SupportNotBelowM(f"{format_monomial(m)} outside the footprint")
     if mode not in ("exhaustive", "gray", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
-    spec = v.spec
     offset = monomial_vector(M, v)
     rows = np.zeros((len(support), len(v)), dtype=np.uint8)
     for i, m in enumerate(support):
         rows[i] = monomial_vector(m, v)
     if mode == "sample":
-        return sampled_min_weight(offset, rows, spec, seed, count), False
-    return exact_min_weight(offset, rows, spec, symmetry=v.symmetry()), True
+        return sampled_min_weight(offset, rows, seed, count), False
+    return exact_min_weight(offset, rows, symmetry=v.symmetry()), True
 
 
 def count_weight_one(code: EvaluationCode) -> int:
     """Number of weight-1 codewords via dual membership of unit vectors."""
-    spec = code.variety.spec
-    H = gf_kernel(code.G, spec)
+    H = gf_kernel(code.G)
     if H.shape[0] == 0:
-        return code.n * (spec.q - 1)
+        return code.n * (FieldSpec.q - 1)
     member_dirs = int(np.sum(~np.any(H != 0, axis=0)))
-    return member_dirs * (spec.q - 1)
+    return member_dirs * (FieldSpec.q - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ isomorphic field, so footprint sizes, weights and code parameters do not
 depend on the choice; fixing one keeps output byte-stable.
 
 The setting is a constant, not a parameter: all Klein-only code takes its
-field, footprint, variety and class supports from here, and its order
-from poly.MonomialOrder directly.
+footprint, variety and class supports from here, its field from gf.gf8()
+and its order from poly.MonomialOrder directly.  klein_domain and
+klein_order are the same two handles under the names the benchmark, the
+demos and the test fixtures call.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .codes import Variety, enumerate_variety
-from .gf import FieldSpec, gf8
+from .gf import gf8
 from .groebner import Footprint, buchberger, footprint
 from .poly import MonomialOrder, ParseError, Polynomial, _short, parse_poly
 
@@ -46,22 +48,16 @@ CLASS_MINIMUM = {
 }
 
 
-@lru_cache(maxsize=None)
-def klein_domain() -> FieldSpec:
-    """The coefficient domain of the concrete Klein polynomials: GF(8)."""
-    return gf8()
-
-
-@lru_cache(maxsize=None)
-def klein_order() -> MonomialOrder:
-    return MonomialOrder()
+# the coefficient domain of the concrete Klein polynomials, and the order
+klein_domain = gf8
+klein_order = MonomialOrder
 
 
 @lru_cache(maxsize=256)
 def parse_monomial(text: str) -> tuple:
     """A monic X, Y monomial written in the polynomial grammar; memoised, as
     a trace spells the same few monomials on many lines."""
-    p = parse_poly(text, klein_domain())
+    p = parse_poly(text, gf8())
     if len(p.terms) != 1:
         raise ParseError(f"{_short(text)!r} is not a monomial")
     ((m, c),) = p.terms.items()
@@ -73,7 +69,7 @@ def parse_monomial(text: str) -> tuple:
 @lru_cache(maxsize=None)
 def ideal_generators() -> tuple[Polynomial, ...]:
     """Generators of the full ideal: curve plus both field equations."""
-    return tuple(parse_poly(text, klein_domain()) for text in GENERATOR_TEXTS)
+    return tuple(parse_poly(text, gf8()) for text in GENERATOR_TEXTS)
 
 
 @lru_cache(maxsize=None)
@@ -89,7 +85,7 @@ def klein_footprint() -> Footprint:
 @lru_cache(maxsize=None)
 def klein_variety() -> Variety:
     """The 22 affine points of the curve over GF(8)."""
-    return enumerate_variety(list(ideal_generators()), gf8(), 2)
+    return enumerate_variety(list(ideal_generators()))
 
 
 @lru_cache(maxsize=None)

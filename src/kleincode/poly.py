@@ -316,9 +316,10 @@ def divide(s: Polynomial, divisors, mode: str = FULL):
 # X or Y.  Whitespace is insignificant.  Printing round-trips parsing bit-exactly.
 # An X or Y exponent above EXPONENT_CAP is refused, as mono_mul refuses one,
 # and so is any exponent, of a parameter too, with more digits than the cap.
-# Every digit string is measured before int() reads it, since int() refuses
-# more than 4300 digits with a message of its own: a coefficient has one
-# digit, an enc of GF(8), and a parameter index at most as many as t.
+# Every digit string is measured, leading zeros aside, before int() reads
+# it without them (_number), since int() refuses more than 4300 digits with
+# a message of its own: a coefficient has one digit, an enc of GF(8), and a
+# parameter index at most as many as t.
 # A sum written as more than TERM_CAP terms is refused, and a product of
 # parenthesised sums before it is multiplied out; so are parentheses nested
 # deeper than NEST_CAP, before the recursion could run out of stack.
@@ -336,6 +337,11 @@ def _tokenize(text: str):
 
 
 _VAR_INDEX = {"X": 0, "Y": 1}
+
+
+def _number(digits: str) -> int:
+    """The value of a measured digit string, read without its leading zeros."""
+    return int(digits.lstrip("0") or "0")
 
 
 class _Parser:
@@ -423,7 +429,7 @@ class _Parser:
         if tok.isdigit():
             if len(tok.lstrip("0")) > 1:
                 raise ParseError(f"coefficient {_short(tok)} outside GF(8)")
-            return dom.mul(coef, dom.from_enc(int(tok))), size
+            return dom.mul(coef, dom.from_enc(_number(tok))), size
         raise ParseError(f"unexpected token {tok!r}")
 
     def maybe_exponent(self) -> int:
@@ -434,15 +440,15 @@ class _Parser:
                 raise ParseError(f"exponent expected, got {t!r}")
             if len(t.lstrip("0")) > len(str(EXPONENT_CAP)):
                 raise ExponentCapExceeded(f"exponent cap {EXPONENT_CAP} exceeded")
-            return int(t)
+            return _number(t)
         return 1
 
     def parse_param(self, tok):
         """a<i>[^e] as a power of a parameter of the ring."""
         t = self.domain.t
-        if len(tok[1:].lstrip("0")) > len(str(t)) or not 0 < int(tok[1:]) <= t:
+        if len(tok[1:].lstrip("0")) > len(str(t)) or not 0 < _number(tok[1:]) <= t:
             raise ParseError(f"parameter {_short(tok)} outside a1..a{t}")
-        return self.domain.var_pow(int(tok[1:]) - 1, self.maybe_exponent())
+        return self.domain.var_pow(_number(tok[1:]) - 1, self.maybe_exponent())
 
 
 def _short(tok: str, cut: int = 12) -> str:

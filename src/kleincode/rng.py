@@ -5,13 +5,13 @@ are reproducible from a single seed, bit-identically across platforms and
 numpy versions.  State is a single uint64; each output advances the state
 by the golden-ratio increment and applies the SplitMix64 output mix.
 
-next_u64 and below take whole outputs.  fill_below with a bound n <= 256
-takes eight draws from each output: its bytes, read as a little-endian
-uint64 (least significant byte first), each masked to n - 1.  The
-generator remembers how many bytes of its last output such a call used,
-so the next fill_below carries on with the unused bytes, and blocks of any
-size join up into the stream of one call.  next_u64 and below always start
-at the next whole output.
+next_u64 and below take whole outputs.  fill_below draws bytes only: its
+bound n is a power of two up to 256, and it takes eight draws from each
+output, its bytes read as a little-endian uint64 (least significant byte
+first), each masked to n - 1.  The generator remembers how many bytes of
+its last output fill_below used, so the next call carries on with the
+unused bytes, and blocks of any size join up into the stream of one call.
+next_u64 and below always start at the next whole output.
 """
 
 from __future__ import annotations
@@ -60,34 +60,34 @@ class SplitMix64:
                 return v % n
 
     def fill_below(self, n: int, shape) -> np.ndarray:
-        """Array of uniform draws in [0, n) of the given shape, in C order;
-        n must be a power of two, so a draw is masked to n - 1.
+        """uint8 array of uniform draws in [0, n) of the given shape, in C
+        order; n must be a power of two up to 256, so a draw is masked to
+        n - 1.
 
-        For n <= 256 (a uint8 result) a draw is one byte of an output,
-        eight per output, least significant byte first ("<u8"), and a
-        partly used output is carried over to the next call: its unused
-        bytes are recomputed from _mix(state).  For larger n (a uint64
-        result) a draw is one whole output, from the next one on.  The
-        stream is made _RUN outputs at a time in two reused uint64 buffers
-        and each run is masked straight into the result, so no temporary
-        grows with the shape.
+        A draw is one byte of an output, eight per output, least
+        significant byte first ("<u8"), and a partly used output is carried
+        over to the next call: its unused bytes are recomputed from
+        _mix(state).  The stream is made _RUN outputs at a time in two
+        reused uint64 buffers and each run is masked straight into the
+        result, so no temporary grows with the shape.
         """
         if n < 1 or n & (n - 1):
             raise ValueError(f"fill_below wants a power of two, not {n}")
-        per = 8 if n <= 256 else 1  # draws per output
-        out = np.empty(shape, dtype=np.uint8 if per == 8 else np.uint64)
+        if n > 256:
+            raise ValueError(f"fill_below draws bytes: a bound up to 256, not {n}")
+        out = np.empty(shape, dtype=np.uint8)
         flat = out.reshape(-1)
         if not flat.size:
             return out
-        # stream position p is draw p % per of output p // per, counted
-        # from the partly used output (at state) if there is one
-        skip = self.used if per == 8 else 0
+        # stream position p is byte p % 8 of output p // 8, counted from the
+        # partly used output (at state) if there is one
+        skip = self.used
         base = (self.state - _GAMMA) & _MASK if skip else self.state
         total = skip + flat.size
-        outputs = -(-total // per)
+        outputs = -(-total // 8)
         run = min(_RUN, outputs)
         z, t = np.empty(run, dtype=np.uint64), np.empty(run, dtype=np.uint64)
-        mask = out.dtype.type(n - 1)
+        mask = np.uint8(n - 1)
         for s in range(0, outputs, _RUN):
             e = min(s + _RUN, outputs)
             zr, tr = z[:e - s], t[:e - s]
@@ -98,9 +98,9 @@ class SplitMix64:
             zr ^= np.right_shift(zr, 27, out=tr)
             zr *= np.uint64(_MIX2)
             zr ^= np.right_shift(zr, 31, out=tr)
-            draws = zr.astype("<u8", copy=False).view(np.uint8) if per == 8 else zr
-            lo, hi = max(s * per, skip), min(e * per, total)
-            np.bitwise_and(draws[lo - s * per:hi - s * per], mask, out=flat[lo - skip:hi - skip])
+            draws = zr.astype("<u8", copy=False).view(np.uint8)
+            lo, hi = max(s * 8, skip), min(e * 8, total)
+            np.bitwise_and(draws[lo - s * 8:hi - s * 8], mask, out=flat[lo - skip:hi - skip])
         self.state = (base + outputs * _GAMMA) & _MASK
-        self.used = total % per
+        self.used = total % 8
         return out

@@ -41,6 +41,7 @@ from .groebner import buchberger, footprint, normal_form, order_domain_check, s_
 from .poly import (
     FULL,
     HEAD,
+    MonomialOrder,
     Polynomial,
     divide,
     format_monomial,
@@ -84,7 +85,7 @@ def suite_gf(seed, quick):
 
 
 def suite_orders(seed, quick):
-    order = klein.klein_order()
+    order = MonomialOrder()
     monos = [(a, b) for a in range(9) for b in range(9)]
     for u in monos:
         for v in monos:
@@ -104,7 +105,7 @@ def suite_orders(seed, quick):
 
 
 def suite_division(seed, quick):
-    dom = klein.klein_domain()
+    dom = gf8()
     rng = SplitMix64(seed ^ 0xD1)
     n = 500 if quick else 10_000
     for i in range(n):
@@ -129,8 +130,7 @@ def suite_division(seed, quick):
 
 
 def suite_eval_hom(seed, quick):
-    dom = klein.klein_domain()
-    spec = gf8()
+    dom = gf8()
     rng = SplitMix64(seed ^ 0xE7)
     n = 20 if quick else 200
     points = [(x, y) for x in range(8) for y in range(8)]
@@ -138,7 +138,7 @@ def suite_eval_hom(seed, quick):
         p = _random_poly(rng, dom)
         q = _random_poly(rng, dom)
         for pt in points:
-            if p.mul(q).eval(pt) != spec.mul(p.eval(pt), q.eval(pt)):
+            if p.mul(q).eval(pt) != dom.mul(p.eval(pt), q.eval(pt)):
                 return False, "multiplicative failure"
             if p.add(q).eval(pt) != (p.eval(pt) ^ q.eval(pt)):
                 return False, "additive failure"
@@ -156,7 +156,7 @@ def suite_groebner(seed, quick):
                 _, r = divide(s, gb, FULL)
                 if not r.is_zero():
                     return False, "S-pair does not reduce to zero"
-    dom = klein.klein_domain()
+    dom = gf8()
     rng = SplitMix64(seed ^ 0x6B)
     n = 10 if quick else 100
     for _ in range(n):
@@ -171,7 +171,7 @@ def suite_groebner(seed, quick):
 
 
 def suite_footprint(seed, quick):
-    order = klein.klein_order()
+    order = MonomialOrder()
     fp = klein.klein_footprint()
     if len(fp) != 22:
         return False, f"size {len(fp)}"
@@ -185,8 +185,7 @@ def suite_footprint(seed, quick):
 def suite_cor1(seed, quick):
     """Footprint size equals the variety size for random zero-dimensional
     ideals containing both field equations."""
-    dom = klein.klein_domain()
-    spec = gf8()
+    dom = gf8()
     feq = [parse_poly("X^8+X", dom), parse_poly("Y^8+Y", dom)]
     rng = SplitMix64(seed ^ 0xC1)
     n = 10 if quick else 100
@@ -195,14 +194,13 @@ def suite_cor1(seed, quick):
         gens = feq + [p for p in extras if not p.is_zero()]
         gb = buchberger(gens)
         fp = footprint(gb)
-        v = enumerate_variety(gens, spec, 2)
+        v = enumerate_variety(gens)
         if len(fp) != len(v):
             return False, f"instance {i}: footprint {len(fp)} vs variety {len(v)}"
     return True, f"{n} random ideals"
 
 
 def suite_variety(seed, quick):
-    spec = gf8()
     v = klein.klein_variety()
     if len(v) != 22 or (0, 0) not in v.points:
         return False, f"size {len(v)}"
@@ -210,13 +208,13 @@ def suite_variety(seed, quick):
         return False, "Fano structure violated"
     fp = klein.klein_footprint()
     code = build_code(list(fp), v)
-    if gf_rank(code.G, spec) != 22:
+    if gf_rank(code.G) != 22:
         return False, "evaluation matrix not full rank"
     return True, "22 points, Fano plane, rank 22"
 
 
 def suite_weight_identity(seed, quick):
-    dom = klein.klein_domain()
+    dom = gf8()
     fp = klein.klein_footprint()
     gb = klein.klein_basis()
     v = klein.klein_variety()
@@ -276,20 +274,18 @@ def suite_traces(seed, quick):
     the bound map built from the reports is consistent with them."""
     reports = verify_all_traces()
     delta = bound_map_from_reports(reports)
-    fp = klein.klein_footprint()
     for M, rep in reports.items():
         fresh = verify_trace(M, parse_trace(load_trace_text(TRACED_CLASSES[M])))
         if ((fresh.bound, fresh.baseline, list(fresh.leaf_rows()))
                 != (rep.bound, rep.baseline, list(rep.leaf_rows()))):
             return False, f"memoised report differs from a fresh replay at {format_monomial(M)}"
-        if not divisibility_bound(M, fp) == rep.baseline <= rep.bound == delta[M]:
+        if not divisibility_bound(M) == rep.baseline <= rep.bound == delta[M]:
             return False, f"map inconsistent at {format_monomial(M)}"
     return True, f"{len(reports)} traces verified, no step failures"
 
 
 def suite_bound_soundness(seed, quick):
     """Seeded random codewords per class never fall below the bound."""
-    spec = gf8()
     fp = klein.klein_footprint()
     v = klein.klein_variety()
     delta = full_bound_map()
@@ -299,7 +295,7 @@ def suite_bound_soundness(seed, quick):
         support = klein.class_support(M)
         rows = np.array([rows_all[m] for m in support], dtype=np.uint8).reshape(-1, len(v))
         rng_seed = (seed << 8) ^ (M[0] * 37 + M[1])
-        worst = sampled_min_weight(rows_all[M], rows, spec, rng_seed, count)
+        worst = sampled_min_weight(rows_all[M], rows, rng_seed, count)
         if worst < delta[M]:
             return False, f"{format_monomial(M)}: weight {worst} below {delta[M]}"
     return True, f"{count} samples x 22 classes"
@@ -321,7 +317,6 @@ def suite_instantiation(seed, quick):
 def suite_x7_claim(seed, quick):
     """Sampled check: every class-X^7 codeword that is not a scalar multiple
     of X^7 + 1 has weight at least 3."""
-    spec = gf8()
     v = klein.klein_variety()
     M = (7, 0)
     support = klein.class_support(M)
@@ -329,7 +324,7 @@ def suite_x7_claim(seed, quick):
     offset = monomial_vector(M, v)
     count = 100_000 if quick else 1_000_000
     special = support.index((0, 0))
-    for coeffs, w in sample_weights(offset, rows, spec, seed ^ 0x777, count):
+    for coeffs, w in sample_weights(offset, rows, seed ^ 0x777, count):
         for j in np.nonzero(w < 3)[0]:
             cvec = coeffs[j]
             is_special = cvec[special] == 1 and not any(

@@ -47,21 +47,21 @@ TRACES = Path(casebound.__file__).parent / "traces"
 # ---------------------------------------------------------------------------
 # upsets
 
-def test_upset_examples(fp):
-    assert len(upset_in_footprint((4, 0), fp)) == 10
-    assert upset_in_footprint((6, 2), fp) == {(6, 2)}
-    assert len(upset_in_footprint((0, 0), fp)) == 22
+def test_upset_examples():
+    assert len(upset_in_footprint((4, 0))) == 10
+    assert upset_in_footprint((6, 2)) == {(6, 2)}
+    assert len(upset_in_footprint((0, 0))) == 22
 
 
-def test_divisibility_examples(fp):
-    assert divisibility_bound((0, 1), fp) == 14
-    assert divisibility_bound((2, 2), fp) == 5
-    assert divisibility_bound((7, 0), fp) == 1
+def test_divisibility_examples():
+    assert divisibility_bound((0, 1)) == 14
+    assert divisibility_bound((2, 2)) == 5
+    assert divisibility_bound((7, 0)) == 1
 
 
-def test_upset_outside_footprint(fp):
+def test_upset_outside_footprint():
     with pytest.raises(NotInFootprint):
-        upset_in_footprint((8, 0), fp)
+        upset_in_footprint((8, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +312,7 @@ def test_delta_map_range_and_baseline_monotone(fp):
     for m in fp:
         for n in fp:
             if mono_divides(m, n):
-                assert divisibility_bound(n, fp) <= divisibility_bound(m, fp)
+                assert divisibility_bound(n) <= divisibility_bound(m)
 
 
 # ---------------------------------------------------------------------------

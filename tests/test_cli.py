@@ -340,6 +340,31 @@ def test_bound_exponent_with_too_many_digits_refused(var, capsys):
     assert capsys.readouterr().err == "error: exponent cap 1048576 exceeded\n"
 
 
+def test_bound_zero_padded_exponent_is_read_without_its_zeros(capsys):
+    zeros = "0" * 5000
+    assert run_cli(["bound", "--lm", f"X^{zeros}1"]) == run_cli(["bound", "--lm", "X"])
+    code, out = run_cli(["bound", "--lm", f"X^{zeros}1"])
+    assert (code, out.splitlines()[0]) == (0, "X: bound 19 (baseline 19, 1 leaves)")
+    code, out = run_cli(["bound", "--lm", f"X^{zeros}1048577"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.endswith("error: exponent cap 1048576 exceeded\n")
+
+
+def test_trace_verify_zero_padded_numbers(tmp_path):
+    # s31 with every number of its steps zero-padded past int()'s limit
+    zeros = "0" * 5000
+    text = (TRACES / "s31.trace").read_text()
+    padded = (text.replace("mul Y^2", f"mul Y^{zeros}2")
+              .replace("branch a1 {", f"branch a{zeros}1 {{")
+              .replace("branch a2 {", f"branch {zeros}1+a2^{zeros}1+{zeros}1 {{"))
+    assert padded.count(zeros) == 5
+    path = tmp_path / "padded.trace"
+    path.write_text(padded)
+    want = run_cli(["trace-verify", str(TRACES / "s31.trace"), "--lm", "Y"])
+    assert want[0] == 0
+    assert run_cli(["trace-verify", str(path), "--lm", "Y"]) == want
+
+
 def test_bound_sum_past_the_term_cap_refused_at_once(capsys):
     start = time.perf_counter()
     code, out = run_cli(["bound", "--lm", LONG_MONOMIAL_SUM])

@@ -62,6 +62,19 @@ def test_variety_lies_in_the_plane(dom, spec):
             enumerate_variety([parse_poly("X", dom)], spec, arity)
 
 
+def test_pinned_field_argument_is_checked_and_otherwise_unused(dom, spec, variety):
+    gens = list(klein.ideal_generators())
+    assert enumerate_variety(gens).points == enumerate_variety(gens, spec, 2).points
+    for bad in ("GF8", object()):
+        with pytest.raises(TypeError, match="the field is gf8"):
+            enumerate_variety(gens, bad, 2)
+    G = np.stack([monomial_vector(m, variety) for m in [(0, 0), (1, 0), (0, 1)]])
+    assert gf_rank(G) == gf_rank(G, spec) == 3
+    for bad in ("GF8", object()):
+        with pytest.raises(TypeError, match="the field is gf8"):
+            gf_rank(G, bad)
+
+
 def test_fano(variety, dom, spec):
     assert verify_fano(variety)
     assert sum(1 for p in variety if p[0] != 0) == 21
@@ -453,10 +466,10 @@ def test_exact_scan_matches_brute_force(spec, monkeypatch, low_coeffs, chunk_wor
             offset[:] = 0
         if skip_zero and not rows.any():
             with pytest.raises(ValueError):
-                exact_min_weight(offset, rows, spec, skip_zero=True)
+                exact_min_weight(offset, rows, skip_zero=True)
             continue
         expected = _brute_min(offset, rows, mul, skip_zero)
-        assert exact_min_weight(offset, rows, spec, skip_zero=skip_zero) == expected
+        assert exact_min_weight(offset, rows, skip_zero=skip_zero) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +488,8 @@ def test_klein_symmetry(spec, variety, fp):
     assert [variety.points[j] for j in pi] == image
     # phases relative to ev(1), whose phase is 0
     rows = np.stack([monomial_vector(m, variety) for m in ((0, 0), *fp)])
-    assert codes._orbit_phases(rows, pi, spec).tolist() == [_klein_phase(m) for m in fp]
-    assert codes._orbit_phases(rows, None, spec) is None
+    assert codes._orbit_phases(rows, pi).tolist() == [_klein_phase(m) for m in fp]
+    assert codes._orbit_phases(rows, None) is None
 
 
 def test_orbit_scan_matches_full_scan(fp, variety, monkeypatch):
@@ -504,12 +517,26 @@ def test_orbit_scan_matches_full_scan(fp, variety, monkeypatch):
     assert orbit_words < full_words / 6
 
 
+def test_symmetry_checks_the_curve_map_only(spec):
+    # the line y = 1 is permuted by (x, y) -> (g*x, y), but sigma sends it
+    # to y = g^5: only sigma is tried, so there is no symmetry
+    line = Variety([(x, 1) for x in range(1, 8)])
+    assert line.symmetry() is None
+    # sigma permutes the seven points (g^i, g^(5i)) cyclically
+    orbit = Variety([(spec.pow(2, i), spec.pow(2, 5 * i)) for i in range(7)])
+    pi = orbit.symmetry()
+    assert sorted(pi.tolist()) == list(range(7)) and all(pi != np.arange(7))
+    # a fixed point alone is not moved
+    assert Variety([(0, 0)]).symmetry() is None
+    assert Variety([]).symmetry() is None
+
+
 def _without_symmetry(variety):
     """The Klein points less one point that sigma moves: no diagonal map
     permutes what is left."""
     pi = variety.symmetry()
     drop = next(j for j in range(len(pi)) if pi[j] != j)
-    return Variety(variety.spec, [p for j, p in enumerate(variety.points) if j != drop])
+    return Variety([p for j, p in enumerate(variety.points) if j != drop])
 
 
 @pytest.mark.parametrize("low_coeffs", [None, 1])
@@ -538,7 +565,7 @@ def test_orbit_scan_off_without_eigenvectors(spec, variety, fp, monkeypatch, low
             words[i] ^= monomial_vector(other, v)
         offset, rows = words[0], words[1:]
         scanned.clear()
-        got = exact_min_weight(offset, rows, spec, symmetry=v.symmetry())
+        got = exact_min_weight(offset, rows, symmetry=v.symmetry())
         assert got == _brute_min(offset, rows, mul, False)
         split = max(0, k - codes._LOW_COEFFS)
         moved = any(phase[m] != phase[picked[0]] for m in picked[1:1 + split])
@@ -601,15 +628,15 @@ def test_sampled_scan_matches_uint8_formula(spec, variety, fp, monkeypatch):
             block = np.broadcast_to(offset, (count, 22)).copy()
             for i in range(k):
                 block ^= mul[coeffs[:, i][:, None], rows[i][None, :]]
-            blocks = list(sample_weights(offset, rows, spec, seed, count))
+            blocks = list(sample_weights(offset, rows, seed, count))
             assert len(blocks) == -(-count // sample_chunk)
             assert np.array_equal(np.concatenate([c for c, _ in blocks]), coeffs)
             weights = np.count_nonzero(block, axis=1)
             assert np.array_equal(np.concatenate([w for _, w in blocks]), weights)
-            assert sampled_min_weight(offset, rows, spec, seed, count) == weights.min()
+            assert sampled_min_weight(offset, rows, seed, count) == weights.min()
 
 
-def test_sampled_scan_memory_is_block_sized(spec, variety):
+def test_sampled_scan_memory_is_block_sized(variety):
     M = (6, 2)
     support = klein.class_support(M)
     assert len(support) == 21
@@ -617,7 +644,7 @@ def test_sampled_scan_memory_is_block_sized(spec, variety):
     offset = monomial_vector(M, variety)
     tracemalloc.start()
     try:
-        for _ in sample_weights(offset, rows, spec, 5, 100_000):
+        for _ in sample_weights(offset, rows, 5, 100_000):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:

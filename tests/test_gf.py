@@ -6,13 +6,20 @@ import pytest
 
 from kleincode import codes, klein, params
 from kleincode.gf import DivisionByZero, FieldSpec, gf8
-from kleincode.poly import parse_poly
+from kleincode.poly import MonomialOrder, parse_poly
 
 
 def test_gf8_construction(spec):
     assert spec is gf8()
     assert spec.q == 8
     assert len(spec.elements()) == 8
+
+
+def test_klein_handles_are_the_constants():
+    # one handle per constant: klein's names are the same objects
+    assert klein.klein_domain is gf8
+    assert klein.klein_order is MonomialOrder
+    assert klein.klein_domain() is gf8()
 
 
 def _carry_less_mul_mod(a, b):

@@ -16,9 +16,10 @@ No linter ships with the project, so these tests walk syntax trees:
   stay allowed;
 * a read of ``os.environ`` or ``os.getenv`` is a hidden input: the
   command-line flags are the package's only inputs;
-* a parameter named ``order`` or ``arity`` threads a fact of poly.py, the
-  one monomial order and the plane, through calls.  Only the call forms
-  that the acceptance gate and the benchmark use keep one;
+* a parameter named ``order``, ``arity``, ``spec`` or ``fp`` threads a
+  constant of the Klein setting through calls: the one monomial order, the
+  plane, the field GF(8) and the footprint.  Only the call forms that the
+  acceptance gate and the benchmark use keep one;
 * a module other than poly.py that reads MonomialOrder.decode, or a name
   with "packed" in it from poly, knows the packed form of a polynomial,
   which only poly.divide works on;
@@ -290,15 +291,18 @@ def test_no_environment_reads(path):
 
 
 # call forms of tests/test_acceptance.py and kbench: buchberger(gens, order),
-# coset_min_weight(..., order=, fp=), Polynomial(dom, 2, terms) and
-# enumerate_variety(gens, spec, 2)
-PINNED_ORDER_ARITY = {"groebner.buchberger", "codes.coset_min_weight",
-                      "poly.Polynomial.__init__", "codes.enumerate_variety"}
+# coset_min_weight(..., order=, fp=), Polynomial(dom, 2, terms),
+# enumerate_variety(gens, spec, 2), gf_rank(M, spec) and
+# code_for_threshold(delta, s, fp, v)
+PINNED_CALL_FORMS = {"groebner.buchberger", "codes.coset_min_weight",
+                      "poly.Polynomial.__init__", "codes.enumerate_variety",
+                      "codes.gf_rank", "codes.code_for_threshold"}
+SETTING_PARAMETERS = ("order", "arity", "spec", "fp")
 
 
-def order_arity_parameters(source: str, module: str) -> list:
+def setting_parameters(source: str, module: str) -> list:
     """(qualified name, parameter) of each function or method, nested ones
-    included, with a parameter named order or arity."""
+    included, with a parameter named order, arity, spec or fp."""
     out = []
 
     def visit(node, prefix):
@@ -309,7 +313,7 @@ def order_arity_parameters(source: str, module: str) -> list:
                     a = child.args
                     out.extend((name, p.arg)
                                for p in a.posonlyargs + a.args + a.kwonlyargs
-                               if p.arg in ("order", "arity"))
+                               if p.arg in SETTING_PARAMETERS)
                 visit(child, name)
             else:
                 visit(child, prefix)
@@ -323,17 +327,19 @@ def test_order_arity_parameter_detector():
            "def g(x, *, arity=2):\n"
            "    def inner(order): pass\n"
            "class C:\n"
-           "    def m(self, orders, key=order): pass\n"
-           "    def n(self, arity): pass\n")
-    assert order_arity_parameters(src, "mod") == [
-        ("mod.C.n", "arity"), ("mod.f", "order"), ("mod.g", "arity"),
-        ("mod.g.inner", "order")]
+           "    def m(self, orders, key=order, specs=None): pass\n"
+           "    def n(self, arity): pass\n"
+           "    def __init__(self, spec, points): self.spec = spec\n"
+           "def h(M, fp, field=spec): pass\n")
+    assert setting_parameters(src, "mod") == [
+        ("mod.C.__init__", "spec"), ("mod.C.n", "arity"), ("mod.f", "order"),
+        ("mod.g", "arity"), ("mod.g.inner", "order"), ("mod.h", "fp")]
 
 
 def test_no_order_or_arity_parameters():
     found = [f"{name}({param})" for path in MODULES
-             for name, param in order_arity_parameters(path.read_text(), path.stem)
-             if name not in PINNED_ORDER_ARITY]
+             for name, param in setting_parameters(path.read_text(), path.stem)
+             if name not in PINNED_CALL_FORMS]
     assert found == []
 
 

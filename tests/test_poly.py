@@ -370,3 +370,19 @@ def test_parse_long_digit_strings_refused_before_int(dom):
         parse_poly("a" + "1" * 5000, ring)
     assert parse_poly("0005*X", dom) == parse_poly("5*X", dom)
     assert parse_poly("a021", ring) == parse_poly("a21", ring)
+
+
+def test_parse_zero_padded_numbers_of_any_length(dom):
+    # leading zeros are aside: int() reads the digits without them, so
+    # 5000 of them stay under its 4300-digit limit
+    zeros = "0" * 5000
+    assert parse_poly(f"X^{zeros}3*Y^{zeros}1", dom) == parse_poly("X^3*Y", dom)
+    assert parse_poly(f"X^{zeros}", dom) == parse_poly("1", dom)
+    assert parse_poly(f"{zeros}5*X+{zeros}", dom) == parse_poly("5*X", dom)
+    ring = ParamRing(21)
+    assert parse_poly(f"a{zeros}21^{zeros}2*X", ring) == parse_poly("a21^2*X", ring)
+    assert parse_poly(f"({zeros}1+a{zeros}1)*Y", ring) == parse_poly("(1+a1)*Y", ring)
+    with pytest.raises(ParseError, match="outside a1..a21"):
+        parse_poly(f"a{zeros}", ring)
+    with pytest.raises(ExponentCapExceeded):
+        parse_poly(f"X^{zeros}1048577", dom)

@@ -19,8 +19,6 @@ RUN = rng._RUN
 def test_seed_zero_matches_published_outputs():
     g = SplitMix64(0)
     assert [g.next_u64() for _ in range(3)] == SEED_ZERO_OUTPUTS
-    # n = 2^64 masks nothing, so the vectorised mix is checked on its own
-    assert SplitMix64(0).fill_below(1 << 64, (3,)).tolist() == SEED_ZERO_OUTPUTS
 
 
 def _scalar_bytes(ref, n, count):
@@ -78,7 +76,7 @@ def test_whole_outputs_start_after_a_partly_used_one():
     assert g.below(1000) == ref.below(1000)
     g.fill_below(2, (1,))
     ref.next_u64()
-    assert g.fill_below(1 << 64, (2,)).tolist() == [ref.next_u64(), ref.next_u64()]
+    assert [g.next_u64(), g.next_u64()] == [ref.next_u64(), ref.next_u64()]
     assert g.state == ref.state
 
 
@@ -112,6 +110,14 @@ def test_fill_below_refuses_a_bound_not_a_power_of_two(n):
     with pytest.raises(ValueError, match="power of two"):
         g.fill_below(n, (4,))
     assert g.state == 1  # refused before any draw
+
+
+@pytest.mark.parametrize("n", [512, 1 << 64])
+def test_fill_below_refuses_a_bound_above_a_byte(n):
+    g = SplitMix64(1)
+    with pytest.raises(ValueError, match="up to 256"):
+        g.fill_below(n, (4,))
+    assert (g.state, g.used) == (1, 0)  # refused before any draw
 
 
 def test_fill_below_refuses_under_optimisation():
