@@ -174,7 +174,9 @@ def evaluate_terms(terms: dict, v: Variety) -> np.ndarray:
 
     An exponent e >= 1 folds to (e - 1) % (q - 1) + 1, which keeps 0^e = 0,
     and e = 0 stays 0, so x^0 = 1 for every x; the plane's exponents reach
-    EXPONENT_CAP, past the table FieldSpec.evaluate gathers from."""
+    EXPONENT_CAP, past the table FieldSpec.evaluate gathers from.  A
+    coefficient outside 0..7 raises ValueError, as buchberger does."""
+    FieldSpec.check_terms(terms)
     terms = terms or {(0, 0): 0}
     exps = np.array(list(terms), dtype=np.int64).T
     folded = np.where(exps > 0, (exps - 1) % (FieldSpec.q - 1) + 1, 0)

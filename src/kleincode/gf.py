@@ -66,6 +66,15 @@ class FieldSpec:
             raise ValueError(f"enc {a} outside [0, {self.q})")
         return a
 
+    @classmethod
+    def check_terms(cls, terms: dict):
+        """ValueError naming the first monomial of a term map {m: c} whose
+        coefficient is no enc, an int outside [0, q)."""
+        for m, c in terms.items():
+            if not 0 <= c < cls.q:
+                raise ValueError(f"coefficient {c} of monomial {m} is no GF({cls.q}) "
+                                 f"enc, outside [0, {cls.q})")
+
     def compatible(self, other) -> bool:
         return isinstance(other, FieldSpec)
 

@@ -1,16 +1,16 @@
 """Buchberger's algorithm, normal forms, and footprint enumeration.
 
-There is one Buchberger, and it runs on GF(8) bit planes, as the weight
-scanner in codes.py does on words.  A polynomial is three ints: bit i of
-plane j is the alpha^j bit of the coefficient of the monomial whose index
-is i, and X^a*Y^b has index (2a + 3b)*S + b, where the width S is a power
-of two above every Y exponent in play.  The index is additive and follows
-the Klein order, so a monomial multiple is a left shift, the head is the
-top set bit of p0|p1|p2, and addition is XOR.  Each basis element is kept
-monic with its eight scalar multiples, built from (p, alpha*p, alpha^2*p)
-with alpha^3 read off FieldSpec.modulus_bits, so cancelling a head is
-three shifted XORs.  Heads are decoded to exponent pairs for the pair
-criteria and the divisibility tests, and the reduced basis is decoded to
+There is one Buchberger, and it runs on one packed int per polynomial.
+X^a*Y^b has index i = (2a + 3b)*S + b, where the width S is a power of two
+above every Y exponent in play, and its coefficient (an enc) sits in bits
+4i..4i+2; bit 4i+3 is always 0.  The index is additive and follows the
+Klein order, so a monomial multiple is a left shift by a multiple of 4, the
+head's nibble is the top set bit's, its coefficient is the int shifted
+down to that nibble, and addition is XOR.  Each basis element is kept monic
+with its eight scalar multiples, built from (p, alpha*p, alpha^2*p) with
+alpha^3 read off FieldSpec.modulus_bits, so cancelling a head is one
+shifted XOR.  Heads are decoded to exponent pairs for the pair criteria
+and the divisibility tests, and the reduced basis is decoded to
 polynomials at the end.  poly.divide, the one generic reduction loop,
 serves normal_form, over both coefficient domains.
 
@@ -46,7 +46,8 @@ class InfiniteFootprint(ValueError):
 
 
 class PlaneTooWide(ValueError):
-    """buchberger's bit planes would pass _PLANE_BITS bits."""
+    """buchberger's packed polynomials would span more than _PLANE_BITS
+    indices."""
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -90,13 +91,14 @@ def buchberger(gens, order: MonomialOrder = None) -> tuple:
     generators' order, or on whether their tails were reduced.
     Elements stay monic, so an S-pair is the XOR of two shifted elements.
 
-    All of it runs on bit planes (see the module docstring).  Every
+    All of it runs on packed ints (see the module docstring).  Every
     monomial in play has weight at most that of an input term or of a
     reduced S-pair's lcm, and one of weight at most 3(S - 1) has a Y
     exponent below S.  So the width starts as the least power of two that
     covers the inputs; an S-pair whose lcm weight passes 3(S - 1) doubles
-    S, and the run starts again.  A width whose planes would pass
-    _PLANE_BITS bits raises PlaneTooWide before any plane is built.
+    S, and the run starts again.  Before anything is packed, a
+    coefficient outside 0..7 raises ValueError, and a width whose indices
+    would pass _PLANE_BITS raises PlaneTooWide.
     """
     if order is not None and not isinstance(order, MonomialOrder):
         raise TypeError(f"the order is MonomialOrder(), not {order!r}")
@@ -106,22 +108,23 @@ def buchberger(gens, order: MonomialOrder = None) -> tuple:
     for g in gens:
         if not isinstance(g.domain, FieldSpec):
             raise TypeError(f"buchberger needs GF(8) coefficients, not {g.domain!r}")
+        FieldSpec.check_terms(g.terms)
     dom = gens[0].domain
-    s = _plane_shift(max(2 * a + 3 * b for g in gens for a, b in g.terms))
+    s = _width_shift(max(2 * a + 3 * b for g in gens for a, b in g.terms))
     while True:
         try:
-            basis = _buchberger_planes([_to_planes(g, s) for g in gens], s, dom)
+            basis = _buchberger_packed([_to_packed(g, s) for g in gens], s, dom)
         except _TooNarrow as exc:
             s = _widen(s, exc.args[0])
         else:
-            return tuple(_from_planes(p, s, dom) for p in basis)
+            return tuple(_from_packed(h, s, dom) for h in basis)
 
 
 # ---------------------------------------------------------------------------
-# the bit-plane kernel
+# the packed kernel
 
-# The most bits a plane may span: width 512 (weights up to 1533) fits, 1024
-# does not.
+# The most indices a packed polynomial may span: width 512 (weights up to
+# 1533) fits, 1024 does not.
 _PLANE_BITS = 1 << 20
 
 
@@ -129,125 +132,112 @@ class _TooNarrow(Exception):
     """An S-pair's lcm weight, args[0], passes 3(S - 1), so S must grow."""
 
 
-def _plane_shift(weight: int, s: int = 1) -> int:
+def _width_shift(weight: int, s: int = 1) -> int:
     """The least s, from the given one up, whose width S = 2^s reaches the
-    weight, 3(S - 1) >= weight; PlaneTooWide if its planes would pass
-    _PLANE_BITS bits (indices run up to 3(S - 1)*S + S - 1)."""
+    weight, 3(S - 1) >= weight; PlaneTooWide if its indices, which run up to
+    3(S - 1)*S + S - 1, would pass _PLANE_BITS."""
     while 3 * ((1 << s) - 1) < weight:
         s += 1
-    bits = (3 * ((1 << s) - 1) + 1) << s
-    if bits > _PLANE_BITS:
-        raise PlaneTooWide(f"weight {weight} needs bit planes of {bits} bits, "
-                           f"more than {_PLANE_BITS}")
+    span = (3 * ((1 << s) - 1) + 1) << s
+    if span > _PLANE_BITS:
+        raise PlaneTooWide(f"weight {weight} needs {span} indices, more than {_PLANE_BITS}")
     return s
 
 
 def _widen(s: int, weight: int) -> int:
     """The widening step: double S until 3(S - 1) reaches the weight."""
-    return _plane_shift(weight, s + 1)
+    return _width_shift(weight, s + 1)
 
 
-def _to_planes(p: Polynomial, s: int) -> tuple:
-    p0 = p1 = p2 = 0
+@lru_cache(maxsize=None)
+def _masks(s: int) -> tuple:
+    """(0x11...1, 0x66...6) with one nibble per index of width 2^s."""
+    span = (3 * ((1 << s) - 1) + 1) << s
+    ones = ((1 << (span << 2)) - 1) // 15
+    return ones, 6 * ones
+
+
+def _to_packed(p: Polynomial, s: int) -> int:
+    h = 0
     for (a, b), c in p.terms.items():
-        bit = 1 << (((2 * a + 3 * b) << s) | b)
-        if c & 1:
-            p0 |= bit
-        if c & 2:
-            p1 |= bit
-        if c & 4:
-            p2 |= bit
-    return p0, p1, p2
+        h |= c << ((((2 * a + 3 * b) << s) | b) << 2)
+    return h
 
 
-def _from_planes(planes: tuple, s: int, dom) -> Polynomial:
-    """The polynomial of three planes, terms in descending order."""
-    p0, p1, p2 = planes
+def _from_packed(h: int, s: int, dom) -> Polynomial:
+    """The polynomial of a packed int, terms in descending order."""
     mask = (1 << s) - 1
     terms = {}
-    m = p0 | p1 | p2
-    while m:
-        i = m.bit_length() - 1
-        m ^= 1 << i
-        b = i & mask
-        terms[((i >> s) - 3 * b) >> 1, b] = (
-            (p0 >> i & 1) | (p1 >> i & 1) << 1 | (p2 >> i & 1) << 2)
+    while h:
+        n = (h.bit_length() - 1) & -4
+        c = h >> n
+        h ^= c << n
+        b = (n >> 2) & mask
+        terms[((n >> (s + 2)) - 3 * b) >> 1, b] = c
     return Polynomial(dom, 2, terms, _normalized=True)
 
 
-def _multiples(p: tuple, cube: int) -> tuple:
+def _multiples(p: int, s: int, cube: int) -> tuple:
     """(c*p for c = 0..7), c as an enc; cube is alpha^3 as an enc.  Times
-    alpha, the alpha^2 plane carries into the planes of cube's bits."""
-    p0, p1, p2 = p
-    a0, a1, a2 = (p2 if cube & 1 else 0, p0 ^ (p2 if cube & 2 else 0),
-                  p1 ^ (p2 if cube & 4 else 0))
-    b0, b1, b2 = (a2 if cube & 1 else 0, a0 ^ (a2 if cube & 2 else 0),
-                  a1 ^ (a2 if cube & 4 else 0))
-    return ((0, 0, 0), p, (a0, a1, a2), (p0 ^ a0, p1 ^ a1, p2 ^ a2), (b0, b1, b2),
-            (p0 ^ b0, p1 ^ b1, p2 ^ b2), (a0 ^ b0, a1 ^ b1, a2 ^ b2),
-            (p0 ^ a0 ^ b0, p1 ^ a1 ^ b1, p2 ^ a2 ^ b2))
+    alpha, each nibble shifts up one bit within itself and its alpha^2 bit
+    carries into the bits of cube."""
+    ones, sixes = _masks(s)
+    a = ((p << 1) & sixes) ^ ((p >> 2) & ones) * cube
+    b = ((a << 1) & sixes) ^ ((a >> 2) & ones) * cube
+    return 0, p, a, p ^ a, b, p ^ b, a ^ b, p ^ a ^ b
 
 
-def _reduce(h: tuple, reducers, s: int, full: bool) -> tuple:
-    """h reduced by monic reducers (a, b, head index, multiples): the head
+def _reduce(h: int, reducers, s: int, full: bool) -> int:
+    """h reduced by monic reducers (a, b, head offset, multiples): the head
     is cancelled by the first reducer whose head divides it.  At a head no
     reducer divides, top-reduction (full false) stops and full reduction
     moves that term to the remainder and goes on."""
-    h0, h1, h2 = h
-    r0 = r1 = r2 = 0
+    r = 0
     mask = (1 << s) - 1
-    while True:
-        m = h0 | h1 | h2
-        if not m:
-            break
-        i = m.bit_length() - 1
-        b = i & mask
-        a = ((i >> s) - 3 * b) >> 1
-        for ra, rb, ri, mults in reducers:
+    while h:
+        n = (h.bit_length() - 1) & -4
+        b = (n >> 2) & mask
+        a = ((n >> (s + 2)) - 3 * b) >> 1
+        for ra, rb, rn, mults in reducers:
             if ra <= a and rb <= b:
-                m0, m1, m2 = mults[(h0 >> i & 1) | (h1 >> i & 1) << 1 | (h2 >> i & 1) << 2]
-                k = i - ri
-                h0 ^= m0 << k
-                h1 ^= m1 << k
-                h2 ^= m2 << k
+                h ^= mults[h >> n] << (n - rn)
                 break
         else:
             if not full:
                 break
-            bit = 1 << i
-            t0, t1, t2 = h0 & bit, h1 & bit, h2 & bit
-            r0, r1, r2 = r0 | t0, r1 | t1, r2 | t2
-            h0, h1, h2 = h0 ^ t0, h1 ^ t1, h2 ^ t2
-    return r0 | h0, r1 | h1, r2 | h2
+            t = h >> n << n
+            r |= t
+            h ^= t
+    return r | h
 
 
-def _buchberger_planes(polys, s: int, dom) -> list:
-    """The reduced basis of the planes polys, as planes, heads ascending;
+def _buchberger_packed(polys, s: int, dom) -> list:
+    """The reduced basis of the packed polys, packed, heads ascending;
     _TooNarrow when an S-pair's lcm is past the width's reach."""
     cube = dom.modulus_bits ^ (1 << dom.m)
     mask = (1 << s) - 1
     reach = 3 * mask  # the largest weight whose Y exponents all stay below S
-    # every element so far, monic: (a, b, head index, multiples by enc)
+    # every element so far, monic: (a, b, head offset 4i, multiples by enc)
     basis = []
     active = []    # indices of the reducers, oldest first
     reducers = []  # basis[t] for t in active
-    heap: list = []  # (lcm index, i, j), popped lazily
+    heap: list = []  # (lcm offset, i, j), popped lazily
     live = {}      # queued pair (i, j) -> its head lcm (a, b)
 
     def insert(h):
-        h0, h1, h2 = h = _reduce(h, reducers, s, False)
-        m = h0 | h1 | h2
-        if not m:
+        h = _reduce(h, reducers, s, False)
+        if not h:
             return
-        i = m.bit_length() - 1
-        c = (h0 >> i & 1) | (h1 >> i & 1) << 1 | (h2 >> i & 1) << 2
+        top = (h.bit_length() - 1) & -4
+        mults = _multiples(h, s, cube)
+        c = h >> top
         if c != 1:
-            h = _multiples(h, cube)[dom.inv(c)]
-        mults = _multiples(h, cube)
-        b = i & mask
-        a = ((i >> s) - 3 * b) >> 1
+            # the monic element is mults[1/c]; its multiple by e is mults[e/c]
+            mults = tuple(map(mults.__getitem__, dom.rows[dom.inv(c)]))
+        b = (top >> 2) & mask
+        a = ((top >> (s + 2)) - 3 * b) >> 1
         k = len(basis)
-        basis.append((a, b, i, mults))
+        basis.append((a, b, top, mults))
         # new pairs (k, t) as (lcm, heads coprime, t); drop by the chain criterion
         new = []
         for t in active:
@@ -276,7 +266,7 @@ def _buchberger_planes(polys, s: int, dom) -> list:
         for lcm, coprime, t in kept:
             if not coprime:
                 live[k, t] = lcm
-                heapq.heappush(heap, (((2 * lcm[0] + 3 * lcm[1]) << s) | lcm[1], k, t))
+                heapq.heappush(heap, ((((2 * lcm[0] + 3 * lcm[1]) << s) | lcm[1]) << 2, k, t))
         # reducers whose heads h divides retire; their queued pairs stay
         active[:] = [t for t in active if not (a <= basis[t][0] and b <= basis[t][1])] + [k]
         reducers[:] = [basis[t] for t in active]
@@ -284,16 +274,15 @@ def _buchberger_planes(polys, s: int, dom) -> list:
     for p in polys:
         insert(p)
     while heap:
-        li, i, j = heapq.heappop(heap)
+        ln, i, j = heapq.heappop(heap)
         lcm = live.pop((i, j), None)
         if lcm is None:
             continue
         # pairs within reach pop first: their indices are below (reach + 1)*S
         if 2 * lcm[0] + 3 * lcm[1] > reach:
             raise _TooNarrow(2 * lcm[0] + 3 * lcm[1])
-        (f0, f1, f2), (g0, g1, g2) = basis[i][3][1], basis[j][3][1]
-        ki, kj = li - basis[i][2], li - basis[j][2]
-        insert((f0 << ki ^ g0 << kj, f1 << ki ^ g1 << kj, f2 << ki ^ g2 << kj))
+        fi, fj = basis[i], basis[j]
+        insert(fi[3][1] << (ln - fi[2]) ^ fj[3][1] << (ln - fj[2]))
 
     # reduce every tail fully, once, to the unique reduced basis; heads stay put
     reducers.sort(key=lambda r: r[2])

@@ -17,7 +17,7 @@ There is one order, the Klein order: weighted-degree-lex with weights
 read MonomialOrder.key directly; none takes an order.  One reduction loop,
 ``divide``, serves every division of a Polynomial, over both coefficient
 domains: the trace replay, the auto-search and ``groebner.normal_form``
-call it (``groebner.buchberger`` runs on GF(8) bit planes of its own).
+call it (``groebner.buchberger`` runs on packed ints of its own).
 Inside it, and nowhere else, a polynomial is a dict keyed by that int,
 and ``decode`` turns the keys back into monomials.  It has two modes:
 

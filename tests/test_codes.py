@@ -93,6 +93,14 @@ def test_evaluation_vectors(dom, variety):
     assert int(np.count_nonzero(ones)) == 22
 
 
+def test_evaluation_refuses_coefficients_that_are_no_enc(dom, variety):
+    # as buchberger does, so both sides of the weight identity refuse alike
+    for bad in (8, 9, -1, 1 << 40):
+        F = Polynomial(dom, 2, {(1, 0): bad, (0, 0): 1})
+        with pytest.raises(ValueError, match=rf"coefficient {bad} of monomial \(1, 0\)"):
+            evaluation_vector(F, variety)
+
+
 def test_evaluation_linear(dom, variety):
     rng = SplitMix64(0xA1)
     for _ in range(100):

@@ -284,7 +284,7 @@ def test_order_domain_check_single_monomial(dom):
 
 
 # ---------------------------------------------------------------------------
-# the bit-plane kernel
+# the packed kernel
 
 def _poly_within(rng, dom, s, draws):
     """A random polynomial whose monomials all lie within the reach of width
@@ -297,11 +297,15 @@ def _poly_within(rng, dom, s, draws):
     return Polynomial(dom, 2, terms)
 
 
+def _head_index(packed):
+    return (packed.bit_length() - 1) >> 2
+
+
 def test_plane_index_follows_the_klein_order(dom):
     for s in (2, 3, 4):
         reach = 3 * ((1 << s) - 1)
         monos = [(a, b) for b in range(1 << s) for a in range((reach - 3 * b) // 2 + 1)]
-        index = {m: groebner._to_planes(Polynomial(dom, 2, {m: 1}), s)[0].bit_length() - 1
+        index = {m: _head_index(groebner._to_packed(Polynomial(dom, 2, {m: 1}), s))
                  for m in monos}
         assert sorted(monos, key=index.get) == sorted(monos, key=MonomialOrder.key)
         for u in monos[::5]:
@@ -315,14 +319,13 @@ def test_planes_round_trip(dom):
     for s in (1, 3, 4, 6):
         for _ in range(40):
             p = _poly_within(rng, dom, s, 12)
-            planes = groebner._to_planes(p, s)
-            back = groebner._from_planes(planes, s, dom)
+            packed = groebner._to_packed(p, s)
+            back = groebner._from_packed(packed, s, dom)
             assert back == p
             assert list(back.terms) == sorted(p.terms, key=MonomialOrder.key, reverse=True)
             if p.terms:
                 (a, b), _ = p.leading_term()
-                head = (planes[0] | planes[1] | planes[2]).bit_length() - 1
-                assert head == ((2 * a + 3 * b) << s) | b
+                assert _head_index(packed) == ((2 * a + 3 * b) << s) | b
 
 
 def test_plane_multiples_match_field_mul(dom, spec):
@@ -330,11 +333,40 @@ def test_plane_multiples_match_field_mul(dom, spec):
     cube = spec.modulus_bits ^ (1 << spec.m)
     for _ in range(20):
         p = _poly_within(rng, dom, 4, 15)
-        mults = groebner._multiples(groebner._to_planes(p, 4), cube)
+        mults = groebner._multiples(groebner._to_packed(p, 4), 4, cube)
         assert len(mults) == 8
         for c in range(8):
             expected = {m: spec.mul(c, v) for m, v in p.terms.items() if spec.mul(c, v)}
-            assert groebner._from_planes(mults[c], 4, dom).terms == expected
+            assert groebner._from_packed(mults[c], 4, dom).terms == expected
+
+
+def test_packed_multiples_at_the_top_of_reach(dom, spec):
+    # The top index of width 2^s is that of Y^(S-1), weight 3(S - 1): its
+    # nibble is the last one the masks cover, and times alpha its alpha^2 bit
+    # carries into the bits of alpha^3.  No product may set a nibble's top bit.
+    cube = spec.modulus_bits ^ (1 << spec.m)
+    for s in range(1, 7):
+        S = 1 << s
+        top = (0, S - 1)
+        assert _head_index(groebner._to_packed(Polynomial(dom, 2, {top: 1}), s)) == (
+            (3 * (S - 1) + 1) * S - 1)
+        for v in range(1, 8):
+            p = Polynomial(dom, 2, {top: v, (1, 0): 8 - v})
+            mults = groebner._multiples(groebner._to_packed(p, s), s, cube)
+            for c in range(8):
+                expected = {m: spec.mul(c, x) for m, x in p.terms.items() if spec.mul(c, x)}
+                assert groebner._from_packed(mults[c], s, dom).terms == expected
+                assert all(int(d, 16) < 8 for d in f"{mults[c]:x}")
+
+
+def test_buchberger_refuses_coefficients_that_are_no_enc(dom, gb):
+    # 8 would read as 0, 9 as 1 and -1 as 7 by their low three bits
+    for bad in (8, 9, -1, 1 << 40):
+        F = Polynomial(dom, 2, {(1, 0): bad, (0, 0): 1})
+        with pytest.raises(ValueError, match=rf"coefficient {bad} of monomial \(1, 0\)"):
+            buchberger([F])
+        with pytest.raises(ValueError, match=str(bad)):
+            weight_via_footprint(F, gb)
 
 
 def test_high_y_exponents_widen_the_planes(dom, spec, monkeypatch):

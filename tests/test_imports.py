@@ -23,6 +23,10 @@ No linter ships with the project, so these tests walk syntax trees:
 * a module other than poly.py that reads MonomialOrder.decode, or a name
   with "packed" in it from poly, knows the packed form of a polynomial,
   which only poly.divide works on;
+* a module other than groebner.py that imports or reads one of the
+  kernel's private names (_reduce, _multiples, the pack and unpack
+  helpers) knows the packed form Buchberger runs on, which only
+  groebner.buchberger works on;
 * autosearch.py imports nothing from codes: the search scans no codewords.
 """
 
@@ -375,6 +379,44 @@ def test_poly_internals_detector():
                          ids=lambda p: p.name)
 def test_no_poly_internals_outside_poly(path):
     assert poly_internals(path.read_text()) == []
+
+
+GROEBNER_KERNEL = ("_to_packed", "_from_packed", "_multiples", "_reduce",
+                   "_buchberger_packed", "_masks")
+
+
+def groebner_internals(source: str) -> list:
+    """(line, name) of each name of groebner's packed kernel imported from
+    groebner or read off it: buchberger is the kernel's one entry."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "groebner" and node.attr in GROEBNER_KERNEL):
+            out.append((node.lineno, node.attr))
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[-1] == "groebner"):
+            out += [(node.lineno, alias.name) for alias in node.names
+                    if alias.name in GROEBNER_KERNEL]
+    return sorted(out)
+
+
+def test_groebner_internals_detector():
+    src = ("from .groebner import buchberger, _reduce\n"
+           "from kleincode.groebner import _to_packed as pack\n"
+           "from . import groebner\n"
+           "from .codes import _packed_multiples, _multiples\n"
+           "def f(p, s):\n"
+           "    return groebner._multiples(p, s, 3), groebner.footprint(p), pack(p, s)\n"
+           "def g(h):\n"
+           "    return groebner._from_packed(h, 1, None), _reduce\n")
+    assert groebner_internals(src) == [(1, "_reduce"), (2, "_to_packed"), (6, "_multiples"),
+                                       (8, "_from_packed")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "groebner.py"],
+                         ids=lambda p: p.name)
+def test_no_groebner_internals_outside_groebner(path):
+    assert groebner_internals(path.read_text()) == []
 
 
 def test_autosearch_runs_no_codeword_scan():
