@@ -100,7 +100,7 @@ def _bound_reports(args):
     outside the footprint is refused before any work; one without a trace
     is reported by the replay of the empty trace, its divisibility count."""
     M = None
-    if args.lm:
+    if args.lm is not None:
         M = klein.parse_monomial(args.lm)
         if M not in klein.klein_footprint():
             raise NotInFootprint(f"{format_monomial(M)} outside the footprint")
@@ -187,10 +187,12 @@ def cmd_table(args) -> int:
     if args.format == "json":
         sys.stdout.write(_emit_json({"rows": enriched}))
     elif args.format == "csv":
-        sys.stdout.write("s,n,k,d,exact\n")
+        # measured_d only under --measure-upto, as in json; empty if unmeasured
+        cols = ["s", "n", "k", "d", "exact"] + ["measured_d"] * (measure_upto > 0)
+        sys.stdout.write(",".join(cols) + "\n")
         for r in enriched:
-            sys.stdout.write(f"{r['s']},{r['n']},{r['k']},{r['d']},"
-                             f"{str(r['exact']).lower()}\n")
+            cells = dict(r, exact=str(r["exact"]).lower())
+            sys.stdout.write(",".join(str(cells.get(c, "")) for c in cols) + "\n")
     else:
         for r in enriched:
             mark = " (supplementary)" if r["supplementary"] else ""

@@ -27,16 +27,20 @@ vector itself, the first nonzero high coefficient whose phase differs
 from the offset's is scaled to 1.  This relies on q - 1 = 7 being prime,
 true of GF(8) (FieldSpec.m = 3).  Without a symmetry or a phase, every
 state is visited.  On a 2-CPU x86 host the X^3*Y coset (8^10 states)
-takes about 0.2 s instead of 1.5 s, and the X*Y^2 coset (8^9) about 25 ms
-instead of 0.16 s.  An exact distance scans one message per projective
-point: the messages whose first nonzero coefficient is 1, (8^k - 1)/7 of
-them, as the cosets G[p] + span(G[p+1:]), and each coset gets the same
-orbit reduction, so the k = 10 distance takes about 30 ms instead of
-0.19 s.  The sampled scan splits the rows into groups of
-four, tabulates the packed span of each group once (8^4 words) and adds
-up one gathered table word per group for each seeded SplitMix64 message,
-a few thousand messages per block so that every temporary stays in
-cache; the gather indices of all groups come from one float32 product.
+takes about 0.2 s and the X*Y^2 coset (8^9) about 25 ms.  An exact
+distance scans one message per projective point: the messages whose first
+nonzero coefficient is 1, (8^k - 1)/7 of them, as the cosets
+G[p] + span(G[p+1:]), and each coset gets the same orbit reduction, so the
+k = 10 distance takes about 30 ms.  An EvaluationCode's rows are
+independent, so none of these cosets holds the zero word and the exact
+scan counts every word it meets; zero words are ignored by the sampled
+scan only, which can draw the zero message.
+
+The sampled scan splits the rows into groups of four, tabulates the
+packed span of each group once (8^4 words) and adds up one gathered table
+word per group for each seeded SplitMix64 message, a few thousand messages
+per block so that every temporary stays in cache; the gather indices of all
+groups come from one float32 product.
 A message's coefficients are bytes of SplitMix64 outputs, eight per
 output (rng.SplitMix64.fill_below), so the generator costs one mix per
 eight coefficients.
@@ -196,6 +200,10 @@ def monomial_vector(mono: tuple, v: Variety) -> np.ndarray:
 
 
 class EvaluationCode:
+    """The code spanned by the rows of G, one row per monomial.  The rows
+    are independent, or RankDeficient is raised, so k is the dimension and
+    no nonzero message gives the zero word."""
+
     __slots__ = ("monomials", "variety", "G", "n", "k")
 
     def __init__(self, monomials, variety: Variety, G: np.ndarray):
@@ -204,18 +212,19 @@ class EvaluationCode:
         self.G = G
         self.n = len(variety)
         self.k = len(self.monomials)
+        if gf_rank(G) != self.k:
+            raise RankDeficient("evaluation vectors are dependent")
 
 
 def build_code(L, v: Variety) -> EvaluationCode:
-    """Assemble the generator matrix row-per-monomial and assert full rank."""
+    """Assemble the generator matrix row-per-monomial; the code checks its
+    rank."""
     L = [tuple(m) for m in L]
     if len(set(L)) != len(L):
         raise DuplicateMonomial("repeated basis monomial")
     G = np.zeros((len(L), len(v)), dtype=np.uint8)
     for i, m in enumerate(L):
         G[i] = monomial_vector(m, v)
-    if L and gf_rank(G) != len(L):
-        raise RankDeficient("evaluation vectors are dependent")
     return EvaluationCode(L, v, G)
 
 
@@ -327,22 +336,7 @@ def _span_table(mults: np.ndarray, base: np.ndarray) -> np.ndarray:
     return table
 
 
-def _min_weight(w: np.ndarray, skip_zero: bool):
-    """Least weight in w, ignoring zero words under skip_zero (None if
-    nothing is left)."""
-    best = int(w.min())
-    if best == 0 and skip_zero:
-        w = w[w > 0]
-        return int(w.min()) if w.size else None
-    return best
-
-
-def _least(mins):
-    """Least of the entries that are not None; None if there is none."""
-    return min((m for m in mins if m is not None), default=None)
-
-
-def _table_min(high: np.ndarray, low: np.ndarray, skip_zero: bool):
+def _table_min(high: np.ndarray, low: np.ndarray) -> int:
     """Minimum weight of high[:, i] ^ low[:, j] over all i, j, in chunks of
     about _CHUNK_WORDS words so the temporaries stay in cache."""
     per = max(1, _CHUNK_WORDS // low.shape[1])
@@ -358,8 +352,8 @@ def _table_min(high: np.ndarray, low: np.ndarray, skip_zero: bool):
             np.bitwise_xor(high[b, s:e, None], low[b], out=t)
             np.bitwise_or(a, t, out=a)
         np.bitwise_count(a, out=wc)
-        mins.append(_min_weight(wc, skip_zero))
-    return _least(mins)
+        mins.append(int(wc.min()))
+    return min(mins)
 
 
 def _refuse_above_limit(k: int):
@@ -411,32 +405,28 @@ def _high_table(base: np.ndarray, mults: np.ndarray, phases):
     return np.concatenate(parts, axis=1)
 
 
-def _scan_min(base: np.ndarray, mults: np.ndarray, skip_zero: bool, phases=None):
-    """Least weight of packed base + span of the rows with these multiples
-    (None if skip_zero left nothing).  The low coefficients form one table;
-    the high ones visit one word per orbit when phases (the rows' phases
-    relative to base's) are given."""
+def _scan_min(base: np.ndarray, mults: np.ndarray, phases) -> int:
+    """Least weight of packed base + span of the rows with these multiples.
+    The low coefficients form one table; the high ones visit one word per
+    orbit when phases (the rows' phases relative to base's) are not None."""
     split = max(0, mults.shape[1] - _LOW_COEFFS)
     high = _high_table(base, mults[:, :split], phases)
     low = _span_table(mults[:, split:], np.zeros_like(base))
-    return _table_min(high, low, skip_zero)
+    return _table_min(high, low)
 
 
-def exact_min_weight(offset: np.ndarray, rows: np.ndarray,
-                     skip_zero: bool = False, symmetry=None) -> int:
-    """Minimum weight of offset + span(rows) over all q^k coefficient choices.
+def exact_min_weight(offset: np.ndarray, rows: np.ndarray, symmetry=None) -> int:
+    """Minimum weight of offset + span(rows) over all q^k coefficient choices;
+    every word counts, so it is 0 when the offset lies in the span.
 
-    skip_zero ignores zero words (the zero codeword of a code).  symmetry is
-    a coordinate permutation (Variety.symmetry()); when the offset and every
-    row are eigenvectors of it, the scan visits one word per orbit.  More
-    than EXACT_LIMIT_COEFFS rows raise DimensionTooLarge before any work.
+    symmetry is a coordinate permutation (Variety.symmetry()); when the
+    offset and every row are eigenvectors of it, the scan visits one word
+    per orbit.  More than EXACT_LIMIT_COEFFS rows raise DimensionTooLarge
+    before any work.
     """
     _refuse_above_limit(rows.shape[0])
     phases = _orbit_phases(np.vstack([offset, rows]), symmetry)
-    best = _scan_min(pack_planes(offset), _packed_multiples(rows), skip_zero, phases)
-    if best is None:
-        raise ValueError("the exact scan met only zero words")
-    return best
+    return _scan_min(pack_planes(offset), _packed_multiples(rows), phases)
 
 
 def sample_weights(offset: np.ndarray, rows: np.ndarray, seed: int, count: int):
@@ -491,12 +481,20 @@ def sample_weights(offset: np.ndarray, rows: np.ndarray, seed: int, count: int):
 def sampled_min_weight(offset: np.ndarray, rows: np.ndarray, seed: int, count: int,
                        skip_zero: bool = False) -> int:
     """Least weight among the sample_weights draws; skip_zero ignores zero
-    words and raises ValueError when every draw was one."""
-    best = _least(_min_weight(w, skip_zero)
-                  for _, w in sample_weights(offset, rows, seed, count))
-    if best is None:
+    words (a drawn zero message of a code) and raises ValueError when every
+    draw was one."""
+    mins = []
+    for _, w in sample_weights(offset, rows, seed, count):
+        least = int(w.min())
+        if least == 0 and skip_zero:
+            w = w[w > 0]
+            if not w.size:
+                continue
+            least = int(w.min())
+        mins.append(least)
+    if not mins:
         raise ValueError(f"all {count} sampled messages were zero")
-    return best
+    return min(mins)
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +507,10 @@ def min_distance(code: EvaluationCode, strategy: str = "exhaustive",
     strategy "exhaustive" (k at most EXACT_LIMIT_COEFFS) scans one message
     per projective point, (q^k - 1)/(q - 1) in all: a nonzero word and its
     scalar multiples have one weight, so it takes the messages whose first
-    nonzero coefficient is 1, the coset G[p] + span(G[p+1:]) for each p.
-    "sample" draws seeded random messages (exact=False).  Zero words are
-    ignored, so both quantify over nonzero codewords.
+    nonzero coefficient is 1, the coset G[p] + span(G[p+1:]) for each p;
+    the rows are independent, so none of these words is zero.  "sample"
+    draws seeded random messages (exact=False) and ignores the zero words
+    of drawn zero messages.  Both quantify over nonzero codewords.
     """
     if code.k < 1:
         raise ZeroPolynomial("zero code has no nonzero codeword")
@@ -519,12 +518,9 @@ def min_distance(code: EvaluationCode, strategy: str = "exhaustive",
         _refuse_above_limit(code.k)
         mults = _packed_multiples(code.G)  # mults[:, p, 1] is G[p] itself
         pi = code.variety.symmetry()
-        best = _least(_scan_min(mults[:, p, 1], mults[:, p + 1:], True,
-                                _orbit_phases(code.G[p:], pi))
-                      for p in range(code.k))
-        if best is None:
-            raise ValueError("the exact scan met only zero words")
-        return best, True
+        return min(_scan_min(mults[:, p, 1], mults[:, p + 1:],
+                             _orbit_phases(code.G[p:], pi))
+                   for p in range(code.k)), True
     zero = np.zeros(code.n, dtype=np.uint8)
     if strategy == "sample":
         return sampled_min_weight(zero, code.G, seed, count, skip_zero=True), False

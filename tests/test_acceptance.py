@@ -8,12 +8,10 @@ reported.
 import time
 
 import numpy as np
-import pytest
 
 from kleincode import klein
 from kleincode.autosearch import auto_search
 from kleincode.casebound import (
-    divisibility_bound,
     full_bound_map,
     instantiate_and_check,
     verify_all_traces,
@@ -30,7 +28,7 @@ from kleincode.codes import (
     verify_fano,
     weight_via_footprint,
 )
-from kleincode.groebner import buchberger, footprint, order_domain_check
+from kleincode.groebner import buchberger, order_domain_check
 from kleincode.poly import Polynomial, format_monomial, parse_poly
 from kleincode.rng import SplitMix64
 

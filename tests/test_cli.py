@@ -134,6 +134,21 @@ def test_table_measured():
     assert measured[2]["measured_d"] == 19
 
 
+def test_table_csv_carries_the_measured_distances():
+    _, plain = run_cli(["table", "--format", "csv"])
+    code, out = run_cli(["table", "--measure-upto", "2", "--format", "csv"])
+    assert code == 0
+    rows = json.loads(run_cli(["table", "--measure-upto", "2", "--format", "json"])[1])["rows"]
+    lines = out.splitlines()
+    assert plain.splitlines()[0] == "s,n,k,d,exact"
+    assert lines[0] == "s,n,k,d,exact,measured_d"
+    assert lines[1:] == [f"{r['s']},{r['n']},{r['k']},{r['d']},{str(r['exact']).lower()},"
+                         f"{r.get('measured_d', '')}" for r in rows]
+    assert lines[1:4] == ["22,22,1,22,true,22", "19,22,2,19,true,19", "18,22,3,18,false,"]
+    # an unmeasured row is the default row with an empty measured_d
+    assert [line[:-1] for line in lines[3:]] == plain.splitlines()[3:]
+
+
 def test_table_measure_above_limit_refused_before_work(monkeypatch, capsys):
     from kleincode import cli, codes
 
@@ -390,6 +405,17 @@ def test_bound_class_outside_footprint_refused(extra, capsys):
     code, out = run_cli(["bound", *extra, "--lm", "X^8"])
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == "error: X^8 outside the footprint\n"
+
+
+@pytest.mark.parametrize("extra", [["--format", "text"], ["--format", "json"], ["--auto"]])
+def test_bound_empty_class_refused_before_any_work(extra, monkeypatch, capsys):
+    from kleincode import autosearch, cli
+
+    monkeypatch.setattr(cli, "verify_all_traces", lambda *a: pytest.fail("a replay ran"))
+    monkeypatch.setattr(autosearch, "auto_search", lambda *a: pytest.fail("a search ran"))
+    code, out = run_cli(["bound", *extra, "--lm", ""])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: empty term\n"
 
 
 def test_usage_error_exit_two():

@@ -10,6 +10,7 @@ from kleincode.casebound import full_bound_map
 from kleincode.codes import (
     DimensionTooLarge,
     DuplicateMonomial,
+    RankDeficient,
     SupportNotBelowM,
     Variety,
     build_code,
@@ -178,6 +179,24 @@ def test_build_code_duplicates(variety):
         build_code([(0, 0), (0, 0)], variety)
 
 
+def test_dependent_rows_are_refused(spec, variety):
+    mul = spec.mul_table()
+    G = np.stack([monomial_vector(m, variety) for m in [(0, 0), (1, 0), (0, 1)]])
+    dependent = G.copy()
+    dependent[2] = mul[3, G[0]] ^ G[1]
+    zero_row = G.copy()
+    zero_row[1] = 0
+    for rows in (dependent, zero_row):
+        with pytest.raises(RankDeficient):
+            codes.EvaluationCode([(0, 0), (1, 0), (0, 1)], variety, rows)
+    # x^8 = x on GF(8), so X and X^8 give one row
+    with pytest.raises(RankDeficient):
+        build_code([(1, 0), (8, 0)], variety)
+    # X vanishes on the line x = 0: a zero row
+    with pytest.raises(RankDeficient):
+        build_code([(0, 0), (1, 0)], Variety([(0, 0), (0, 1)]))
+
+
 def test_random_subcodes_full_rank(fp, variety, spec):
     rng = SplitMix64(0xB0)
     monos = list(fp)
@@ -314,9 +333,9 @@ def _count_scanned(monkeypatch) -> list:
     scanned = []
     table_min = codes._table_min
 
-    def counting(high, low, skip_zero):
+    def counting(high, low):
         scanned.append(high.shape[1] * low.shape[1])
-        return table_min(high, low, skip_zero)
+        return table_min(high, low)
 
     monkeypatch.setattr(codes, "_table_min", counting)
     return scanned
@@ -350,16 +369,15 @@ def test_exact_scan_limit_refuses_before_work(order, fp, variety):
 
 
 def _brute_distance(G, mul):
-    """Least nonzero weight over all nonzero messages (None if every word is
-    zero), by itertools.product."""
+    """Least weight over all nonzero messages, by itertools.product: 0 when
+    some nonzero message gives the zero word, that is when the rows are
+    dependent."""
     msgs = np.array([m for m in itertools.product(range(8), repeat=len(G)) if any(m)],
                     dtype=np.uint8).reshape(-1, len(G))
     words = np.zeros((len(msgs), G.shape[1]), dtype=np.uint8)
     for i, row in enumerate(G):
         words ^= mul[msgs[:, i][:, None], row[None, :]]
-    weights = np.count_nonzero(words, axis=1)
-    weights = weights[weights > 0]
-    return int(weights.min()) if weights.size else None
+    return int(np.count_nonzero(words, axis=1).min())
 
 
 def _distance_generators(variety, fp, mul):
@@ -376,7 +394,7 @@ def _distance_generators(variety, fp, mul):
                 row[:] = 0
                 for j in rnd.sample(range(22), rnd.randint(1, 5)):
                     row[j] = rnd.randint(1, 7)
-        if k >= 2 and case % 3 == 0:
+        if k >= 2 and case % 5 == 0:
             i, j = rnd.sample(range(k), 2)
             rows[i] = mul[rnd.randint(1, 7), rows[j]] ^ mul[rnd.randint(0, 7), rows[i - 1]]
         if k and case % 4 == 1:
@@ -393,22 +411,24 @@ def test_projective_distance_matches_brute_force(spec, variety, fp, monkeypatch)
     seen = set()
     for G in _distance_generators(variety, fp, mul):
         k = len(G)
+        expected = _brute_distance(G, mul) if k else None
         # G's rows are set directly; the monomials only give the code its k
+        if expected == 0:  # dependent or zero rows: no code is built
+            with pytest.raises(RankDeficient):
+                codes.EvaluationCode(list(fp)[:k], variety, G)
+            seen.add((k, True))
+            continue
         code = codes.EvaluationCode(list(fp)[:k], variety, G)
         scanned.clear()
-        expected = _brute_distance(G, mul) if k else None
         if k == 0:
             with pytest.raises(ZeroPolynomial):
-                min_distance(code, "exhaustive")
-        elif expected is None:
-            with pytest.raises(ValueError):
                 min_distance(code, "exhaustive")
         else:
             assert min_distance(code, "exhaustive") == (expected, True)
         # one message per projective point: (8^k - 1)/7 words in all
         assert sum(scanned) == (8 ** k - 1) // 7
-        seen.add((k, expected is None))
-    assert seen >= {(k, False) for k in range(1, 6)} | {(0, True), (1, True), (4, True)}
+        seen.add((k, False))
+    assert seen >= {(k, False) for k in range(6)} | {(k, True) for k in range(1, 6)}
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +459,13 @@ def test_pack_planes_refuses_bad_shapes():
         pack_planes(np.zeros((2, 65), dtype=np.uint8))
 
 
-def _brute_min(offset, rows, mul, skip_zero):
+def _brute_min(offset, rows, mul):
     weights = []
     for coeffs in itertools.product(range(8), repeat=len(rows)):
         word = offset.copy()
         for c, row in zip(coeffs, rows):
             word ^= mul[c, row]
         weights.append(int(np.count_nonzero(word)))
-    if skip_zero:
-        weights = [w for w in weights if w]
     return min(weights)
 
 
@@ -463,21 +481,29 @@ def test_exact_scan_matches_brute_force(spec, monkeypatch, low_coeffs, chunk_wor
     for case in range(120):
         k = case % 5
         rows = rng.fill_below(8, (k, 22))
-        # sparse rows and offsets reach low weights, and zero rows make
-        # nonzero messages with zero words
+        # sparse rows and offsets reach low weights; a zero row repeats words
         rows &= rng.fill_below(8, (k, 22)) & rng.fill_below(8, (k, 22))
         if case % 7 == 0 and k:
             rows[-1] = 0
         offset = rng.fill_below(8, (22,)) & rng.fill_below(8, (22,))
-        skip_zero = case % 2 == 1
-        if skip_zero:
-            offset[:] = 0
-        if skip_zero and not rows.any():
-            with pytest.raises(ValueError):
-                exact_min_weight(offset, rows, skip_zero=True)
-            continue
-        expected = _brute_min(offset, rows, mul, skip_zero)
-        assert exact_min_weight(offset, rows, skip_zero=skip_zero) == expected
+        assert exact_min_weight(offset, rows) == _brute_min(offset, rows, mul)
+
+
+def test_exact_scan_counts_the_zero_word_of_a_coset(spec, variety, fp):
+    # an offset in the span makes the coset the span itself, whose least
+    # weight is that of the zero word.  Eight rows put three through the
+    # high table; the scan runs with the orbit reduction (the offset an
+    # eigenvector), without it (no eigenvector), and with no symmetry.
+    mul = spec.mul_table()
+    rows = np.stack([monomial_vector(m, variety) for m in list(fp)[:8]])
+    pi = variety.symmetry()
+    for offset, reduced in ((np.zeros(22, dtype=np.uint8), True), (mul[3, rows[1]], True),
+                            (mul[3, rows[1]] ^ mul[5, rows[6]], False)):
+        assert (codes._orbit_phases(np.vstack([offset, rows]), pi) is not None) == reduced
+        assert exact_min_weight(offset, rows, symmetry=pi) == 0
+        assert exact_min_weight(offset, rows) == 0
+    # outside the span the coset holds no zero word
+    assert exact_min_weight(rows[7], rows[:7], symmetry=pi) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +600,7 @@ def test_orbit_scan_off_without_eigenvectors(spec, variety, fp, monkeypatch, low
         offset, rows = words[0], words[1:]
         scanned.clear()
         got = exact_min_weight(offset, rows, symmetry=v.symmetry())
-        assert got == _brute_min(offset, rows, mul, False)
+        assert got == _brute_min(offset, rows, mul)
         split = max(0, k - codes._LOW_COEFFS)
         moved = any(phase[m] != phase[picked[0]] for m in picked[1:1 + split])
         if case % 3 == 0 and moved:

@@ -3,7 +3,8 @@
 No linter ships with the project, so these tests walk syntax trees:
 
 * an ``import x`` or ``from ... import`` that no expression, annotation
-  or ``__all__`` entry of its module reads is dead weight;
+  or ``__all__`` entry of its module reads is dead weight, in the
+  package, its tests, the demos and the benchmark harness alike;
 * a top-level function, class or constant of the package, or a public
   method of one of its classes, that nothing in the package, the demos or
   the benchmark harness names, other than its own definition, is dead
@@ -78,7 +79,13 @@ def test_modules_found():
     assert len(MODULES) >= 10
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+# a package module's id is its file name, any other file's its path
+IMPORTERS = MODULES + sorted(p for d in ("tests", "demos", "kbench")
+                             for p in (ROOT / d).glob("*.py"))
+
+
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: p.name if p.parent == SRC
+                         else p.relative_to(ROOT).as_posix())
 def test_no_unused_from_imports(path):
     assert unused_imports(path.read_text()) == []
 
