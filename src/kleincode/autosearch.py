@@ -68,9 +68,7 @@ def auto_search(M: tuple, budget: SearchBudget = None) -> BoundReport:
     stores: dict = {}
 
     def intern(cs):
-        # summary() prints equalities in list order, so the order is part
-        # of a store's identity here.
-        key = (cs.key(), tuple(e.key() for e in cs.equalities))
+        key = cs.key()
         if key not in stores:
             stores[key] = cs, ctx.divisor("F", cs)
         return stores[key]

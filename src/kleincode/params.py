@@ -19,12 +19,13 @@ triangular substitutions a_i := expr (from "assume c = 0" branches whose
 expression is linear in some parameter with a constant coefficient),
 residual equality constraints for anything unsolvable, and a set of
 expressions asserted nonzero.  Branches whose store admits no concrete
-satisfying assignment are vacuous and drop out of bound minima.  Every
-store question (vanishing, vacuity, witnesses, samples) is answered on
-numpy assignment grids by one predicate; vacuity is proved only by an
-exhaustive scan, so a store too large to scan stays live.  evaluate_grid
-unpacks the exponents of the parameters in use and hands the terms to
-FieldSpec.evaluate, the package's one GF(8) evaluator.
+satisfying assignment are vacuous and drop out of bound minima.  Vanishing,
+vacuity and witnesses are one memoised query, a blocked scan of numpy
+assignment grids (see ConstraintStore); a store that holds 1 = 0 needs no
+scan, and one too large to scan stays live.  Samples use the same
+predicate.  evaluate_grid unpacks the exponents of the parameters in use
+and hands the terms to FieldSpec.evaluate, the package's one GF(8)
+evaluator.
 """
 
 from __future__ import annotations
@@ -291,6 +292,9 @@ def _affordable(involved, size: int) -> bool:
     return len(involved) <= 6 and 8 ** len(involved) * size <= 2_000_000
 
 
+_TOO_LARGE = object()  # ConstraintStore._first when _affordable refuses
+
+
 def format_param(p: ParamPoly) -> str:
     """Canonical text form: terms sorted descending, a1^2*a2 style."""
     if p.is_zero():
@@ -310,9 +314,23 @@ def format_param(p: ParamPoly) -> str:
 
 
 class ConstraintStore:
-    """Substitutions, equalities and nonzero assertions for one branch."""
+    """Substitutions, equalities and nonzero assertions for one branch.
 
-    __slots__ = ("ring", "subs", "nonzeros", "equalities", "_mask", "_scan", "_cache")
+    proves_zero(p), vacuous and witness() read one memoised query, _first:
+    the first scanned assignment that meets the store (and p != 0).  It
+    scans, and charges to _affordable:
+    * for p, no residual equalities: p's parameters, masked only by the
+      nonzeros inside them (one outside would read 0 on the whole grid;
+      dropping it is sound); p's terms;
+    * for p, residual equalities: the parameters of p and of every
+      constraint; all their terms;
+    * for the store alone: the constrained parameters; 1 + their terms, or
+      no scan without constraints (the zero assignment).
+    A store that holds 1 = 0 (a nonzero constant equality, as _child and
+    _renormalize record a contradiction) is empty: vacuous, with no scan.
+    """
+
+    __slots__ = ("ring", "subs", "nonzeros", "equalities", "_mask", "_cache")
 
     def __init__(self, ring: ParamRing, subs=None, nonzeros=None, equalities=None):
         self.ring = ring
@@ -320,7 +338,6 @@ class ConstraintStore:
         self._mask = ring.nibbles(self.subs)  # kept in step with subs
         self.nonzeros = dict(nonzeros or {})
         self.equalities = list(equalities or [])
-        self._scan = None  # (witness-or-None, proved_unsat) once scanned
         self._cache = {}
 
     # -- reduction -----------------------------------------------------
@@ -332,37 +349,27 @@ class ConstraintStore:
 
     # -- branching -------------------------------------------------------
 
-    def with_nonzero(self, c: ParamPoly) -> "ConstraintStore":
-        c = self.reduce(c)
-        child = ConstraintStore(self.ring, self.subs, self.nonzeros, self.equalities)
-        const = c.as_const()
-        if const is not None:
-            if const == 0:
-                child.equalities.append(self.ring.one)  # unsatisfiable marker
-            return child
-        child.nonzeros[c.key()] = c
-        return child
-
-    def with_zero(self, c: ParamPoly) -> "ConstraintStore":
-        c = self.reduce(c)
-        child = ConstraintStore(self.ring, self.subs, self.nonzeros, self.equalities)
-        const = c.as_const()
-        if const is not None:
-            if const != 0:
-                child.equalities.append(self.ring.one)
-            return child
-        solved = _solve_linear(c)
-        if solved is None:
-            child.equalities.append(c)
-            return child
-        i, rhs = solved
-        child.subs[i] = rhs
-        child._renormalize()
-        return child
-
     def branch(self, c: ParamPoly):
-        """(zero-child, nonzero-child) for a reduced expression."""
-        return self.with_zero(c), self.with_nonzero(c)
+        """(zero-child, nonzero-child): this store with c = 0, and with c != 0."""
+        c = self.reduce(c)
+        return self._child(c, True), self._child(c, False)
+
+    def _child(self, c: ParamPoly, zero: bool) -> "ConstraintStore":
+        """This store with the reduced c = 0 (zero) or c != 0 assumed."""
+        child = ConstraintStore(self.ring, self.subs, self.nonzeros, self.equalities)
+        const = c.as_const()
+        if const is not None:
+            if (const == 0) != zero:
+                child.equalities.append(self.ring.one)  # 1 = 0
+        elif not zero:
+            child.nonzeros[c.key()] = c
+        elif (solved := _solve_linear(c)) is None:
+            child.equalities.append(c)
+        else:
+            i, rhs = solved
+            child.subs[i] = rhs
+            child._renormalize()
+        return child
 
     def _renormalize(self):
         # Re-reduce every stored expression against the updated subs.  The
@@ -414,67 +421,59 @@ class ConstraintStore:
     def proves_zero(self, p: ParamPoly) -> bool:
         """True when p vanishes on every satisfying assignment."""
         p = self.reduce(p)
-        if p.is_zero():
-            return True
-        ck = ("z", p.key())
-        if ck not in self._cache:
-            self._cache[ck] = self._proves_zero_scan(p)
-        return self._cache[ck]
-
-    def _proves_zero_scan(self, p: ParamPoly) -> bool:
-        # No scanned assignment meets the constraints with p != 0.
-        nonzeros = list(self.nonzeros.values())
-        if self.equalities:
-            checked = [p, *self.equalities, *nonzeros]
-            involved = set().union(*(q.variables() for q in checked))
-            size = sum(len(q.terms) for q in checked)
-        else:
-            # Without residual equalities the reduced form is the function.
-            # Only nonzeros inside the scanned parameters may mask the scan:
-            # one outside would read as 0 on the whole grid.  Dropping a
-            # nonzero only enlarges the set p must vanish on, so it is sound.
-            involved, size = p.variables(), len(p.terms)
-            nonzeros = [c for c in nonzeros if c.variables() <= involved]
-        if not _affordable(involved, size):
-            return False
-        return self._first_satisfying(sorted(involved), [*nonzeros, p]) is None
+        return p.is_zero() or self._first(p) is None
 
     def witness(self):
         """The first satisfying assignment in scan order (tuple of enc), or
         None: the store is unsatisfiable, or too large to scan."""
-        if self._scan is None:
-            self._scan = self._find_witness()
-        return self._scan[0]
+        hit = self._first(None)
+        return None if hit is _TOO_LARGE else hit
 
     @property
     def vacuous(self) -> bool:
-        """True only when the exhaustive scan proves unsatisfiability.
+        """True only when the store holds 1 = 0 or a scan proves that
+        nothing meets it.  A store above the scan limit stays live:
+        dropping a satisfiable branch from a bound minimum would be
+        unsound, keeping an unsatisfiable one merely weakens the bound."""
+        # through witness(), whose calls and None answers kbench traces
+        return self.witness() is None and self._first(None) is None
 
-        A store above the scan limit stays live: dropping a satisfiable
-        branch from a bound minimum would be unsound, keeping an
-        unsatisfiable one merely weakens the bound.
-        """
-        self.witness()
-        return self._scan[1]
-
-    def _find_witness(self):
-        """(witness-or-None, proved_unsat)."""
-        # Only free parameters mentioned by some constraint need scanning;
-        # the others stay 0 and the substituted ones follow from the rest.
-        constraints = [*self.nonzeros.values(), *self.equalities]
-        if not constraints:
-            # Nothing to meet: the zero assignment, whose substituted rows
-            # are the constant terms of their right-hand sides.
-            return tuple(self.subs[i].terms.get(0, 0) if i in self.subs else 0
-                         for i in range(self.ring.t)), False
-        idx = sorted(set().union(*(c.variables() for c in constraints)))
-        if not _affordable(idx, 1 + sum(len(c.terms) for c in constraints)):
-            return None, False
-        column = self._first_satisfying(idx, self.nonzeros.values())
-        if column is None:
-            return None, True
-        self._fill_subs(column)
-        return tuple(column[:, 0].tolist()), False
+    def _first(self, p):
+        """The first scanned assignment that meets the store, and p != 0
+        unless p is None, as a tuple of enc; None when there is none;
+        _TOO_LARGE when _affordable refuses the scan.  For p None it is the
+        witness, its substituted parameters filled in."""
+        ck = ("z", None if p is None else p.key())
+        if ck in self._cache:
+            return self._cache[ck]
+        nonzeros = list(self.nonzeros.values())
+        constraints = [*nonzeros, *self.equalities]
+        if any(e.as_const() for e in self.equalities):
+            hit = None
+        elif p is None and not constraints:
+            # the zero assignment; each substituted parameter is its rhs at 0
+            hit = tuple(self.subs[i].terms.get(0, 0) if i in self.subs else 0
+                        for i in range(self.ring.t))
+        else:
+            if p is None:
+                involved = set().union(*(c.variables() for c in constraints))
+                size = 1 + sum(len(c.terms) for c in constraints)
+            elif self.equalities:
+                involved = set().union(*(q.variables() for q in [p, *constraints]))
+                size = sum(len(q.terms) for q in [p, *constraints])
+            else:
+                involved, size = p.variables(), len(p.terms)
+                nonzeros = [c for c in nonzeros if c.variables() <= involved]
+            if p is not None:
+                nonzeros.append(p)
+            hit = (self._first_satisfying(sorted(involved), nonzeros)
+                   if _affordable(involved, size) else _TOO_LARGE)
+        if isinstance(hit, np.ndarray):
+            if p is None:
+                self._fill_subs(hit)
+            hit = tuple(hit[:, 0].tolist())
+        self._cache[ck] = hit
+        return hit
 
     def _first_satisfying(self, idx, nonzeros):
         """The first column of assignment_grid(t, idx) that meets the

@@ -294,7 +294,9 @@ def suite_bound_soundness(seed, quick):
     for M in sorted(fp):
         support = klein.class_support(M)
         rows = np.array([rows_all[m] for m in support], dtype=np.uint8).reshape(-1, len(v))
-        rng_seed = (seed << 8) ^ (M[0] * 37 + M[1])
+        # The class value (below 2^9) is XORed into the top 9 bits, so no
+        # bit of the 64-bit seed is lost.
+        rng_seed = seed ^ ((M[0] * 37 + M[1]) << 55)
         worst = sampled_min_weight(rows_all[M], rows, rng_seed, count)
         if worst < delta[M]:
             return False, f"{format_monomial(M)}: weight {worst} below {delta[M]}"

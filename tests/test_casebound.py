@@ -279,7 +279,7 @@ def test_instantiate_vacuous_leaf_raises():
     from kleincode.params import ConstraintStore, ParamRing
 
     ring = ParamRing(2)
-    cs = ConstraintStore(ring).with_nonzero(ring.var(0)).with_zero(ring.var(0))
+    cs = ConstraintStore(ring).branch(ring.var(0))[1].branch(ring.var(0))[0]
     leaf = Leaf("bad", cs, (), 14, vacuous=True)
     with pytest.raises(UnsatisfiableLeaf):
         instantiate_and_check((0, 1), leaf, nsamples=5, seed=1)

@@ -507,6 +507,22 @@ def test_seed_outside_64_bits_refused(monkeypatch, capsys):
     assert seen == [0, 2 ** 64 - 1]
 
 
+def test_bound_soundness_keeps_every_seed_bit(monkeypatch):
+    from kleincode import verify
+
+    # --seed 5 and --seed 5 + 2^56 differ only in bit 56: each class must
+    # still draw from a different seed, below 2^64, under the two
+    drawn = []
+    monkeypatch.setattr(verify, "sampled_min_weight",
+                        lambda offset, rows, seed, count: drawn.append(seed) or 22)
+    for seed in (5, 5 + 2 ** 56):
+        assert verify.suite_bound_soundness(seed, True) == (True, "2000 samples x 22 classes")
+    first, second = drawn[:22], drawn[22:]
+    assert len(set(first)) == len(set(second)) == 22
+    assert all(a != b for a, b in zip(first, second))
+    assert max(drawn) < 2 ** 64
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_verify_all_refuses_other_formats_before_any_suite(fmt, monkeypatch, capsys):
     from kleincode import verify

@@ -28,7 +28,11 @@ No linter ships with the project, so these tests walk syntax trees:
   kernel's private names (_reduce, _multiples, the pack and unpack
   helpers) knows the packed form Buchberger runs on, which only
   groebner.buchberger works on;
-* autosearch.py imports nothing from codes: the search scans no codewords.
+* autosearch.py imports nothing from codes: the search scans no codewords;
+* params.py calls _affordable and _first_satisfying once each: every
+  constraint-store question (vanishing, vacuity, witness) goes through the
+  one memoised query ConstraintStore._first, the one place that decides
+  how a store is scanned.
 """
 
 import ast
@@ -430,3 +434,35 @@ def test_autosearch_runs_no_codeword_scan():
     # The search's ceiling is data, klein.CLASS_MINIMUM; an import from
     # codes would let each search pay for an exact coset scan again.
     assert "codes" not in package_imports((SRC / "autosearch.py").read_text())
+
+
+SCAN_SEAM = ("_affordable", "_first_satisfying")
+
+
+def scan_callers(source: str) -> dict:
+    """{name: [line of each call]} for the names of SCAN_SEAM, called as
+    f(...) or as x.f(...)."""
+    out = {name: [] for name in SCAN_SEAM}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in out:
+                out[name].append(node.lineno)
+    return out
+
+
+def test_scan_caller_detector():
+    src = ("def f(cs, idx):\n"
+           "    if _affordable(idx, 3):\n"
+           "        return cs._first_satisfying(idx, [])\n"
+           "def g(self, idx):\n"
+           "    ok = _affordable\n"
+           "    return self._first_satisfying(idx, []), params._affordable(idx, 1)\n")
+    assert scan_callers(src) == {"_affordable": [2, 6], "_first_satisfying": [3, 6]}
+
+
+def test_store_scans_through_one_query():
+    calls = scan_callers((SRC / "params.py").read_text())
+    assert {name: len(lines) for name, lines in calls.items()} == {
+        "_affordable": 1, "_first_satisfying": 1}, calls

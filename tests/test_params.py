@@ -102,15 +102,15 @@ def test_branch_constant_vacuous():
 
 def test_contradiction_is_vacuous():
     ring = ParamRing(1)
-    cs = ConstraintStore(ring).with_nonzero(expr("a1", ring))
-    child = cs.with_zero(expr("a1", ring))
+    cs = ConstraintStore(ring).branch(expr("a1", ring))[1]
+    child = cs.branch(expr("a1", ring))[0]
     assert child.vacuous
 
 
 def test_certified_products():
     ring = ParamRing(2)
     cs = ConstraintStore(ring)
-    cs = cs.with_nonzero(expr("a1", ring)).with_nonzero(expr("a1+1", ring))
+    cs = cs.branch(expr("a1", ring))[1].branch(expr("a1+1", ring))[1]
     assert cs.certified_nonzero(expr("a1^2+a1", ring))  # a1*(a1+1)
     assert cs.certified_nonzero(ring.const(5))
     assert not cs.certified_nonzero(expr("a2", ring))
@@ -121,7 +121,7 @@ def test_proves_zero_function_scan():
     # a1^7 + 1 vanishes identically under a1 != 0 though its reduced form
     # is nonzero
     ring = ParamRing(1)
-    cs = ConstraintStore(ring).with_nonzero(expr("a1", ring))
+    cs = ConstraintStore(ring).branch(expr("a1", ring))[1]
     assert cs.proves_zero(expr("a1^7+1", ring))
     assert not ConstraintStore(ring).proves_zero(expr("a1^7+1", ring))
 
@@ -129,9 +129,9 @@ def test_proves_zero_function_scan():
 def test_proves_zero_ignores_nonzeros_outside_the_scan():
     # a2 != 0 says nothing about a1, which may still be nonzero
     ring = ParamRing(2)
-    cs = ConstraintStore(ring).with_nonzero(expr("a2", ring))
+    cs = ConstraintStore(ring).branch(expr("a2", ring))[1]
     assert not cs.proves_zero(expr("a1", ring))
-    assert cs.with_nonzero(expr("a1", ring)).proves_zero(expr("a1^7+1", ring))
+    assert cs.branch(expr("a1", ring))[1].proves_zero(expr("a1^7+1", ring))
 
 
 def test_proves_zero_sound_against_brute_force():
@@ -149,7 +149,7 @@ def test_proves_zero_sound_against_brute_force():
             idx = sorted(rng.sample(range(t), rng.randint(1, t)))
             c = _random_poly(rng, ring, idx, rng.randint(1, 2))
             is_zero = rng.random() < 0.3
-            cs = cs.with_zero(c) if is_zero else cs.with_nonzero(c)
+            cs = cs.branch(c)[0] if is_zero else cs.branch(c)[1]
             constraints.append((c, is_zero))
         p_idx = sorted(rng.sample(range(t), rng.randint(1, t)))
         p = _random_poly(rng, ring, p_idx, rng.randint(1, 3))
@@ -166,17 +166,17 @@ def test_proves_zero_sound_against_brute_force():
 
 def test_witness_deterministic():
     ring = ParamRing(3)
-    cs = ConstraintStore(ring).with_nonzero(expr("a1+a2", ring))
+    cs = ConstraintStore(ring).branch(expr("a1+a2", ring))[1]
     w1 = cs.witness()
-    cs2 = ConstraintStore(ring).with_nonzero(expr("a1+a2", ring))
+    cs2 = ConstraintStore(ring).branch(expr("a1+a2", ring))[1]
     assert w1 == cs2.witness()
     assert expr("a1+a2", ring).evaluate(w1) != 0
 
 
 def test_sample_witnesses_respect_constraints():
     ring = ParamRing(2)
-    cs = ConstraintStore(ring).with_nonzero(expr("a1", ring))
-    cs = cs.with_zero(expr("a2+a1", ring))  # a2 := a1
+    cs = ConstraintStore(ring).branch(expr("a1", ring))[1]
+    cs = cs.branch(expr("a2+a1", ring))[0]  # a2 := a1
     for w in cs.sample_witnesses(20, seed=5):
         assert w[0] != 0 and w[1] == w[0]
 
@@ -191,7 +191,7 @@ def _branched_store(rng, t):
         c = cs.reduce(_random_poly(rng, ring, idx, rng.randint(1, 2)))
         if rng.random() < 0.4:
             c = c.add(ring.var(rng.randrange(t)))  # often linear: a substitution
-        cs = cs.with_zero(c) if rng.random() < 0.5 else cs.with_nonzero(c)
+        cs = cs.branch(c)[0] if rng.random() < 0.5 else cs.branch(c)[1]
     return cs
 
 
@@ -255,7 +255,8 @@ def test_store_decisions_match_brute_force():
 
 def test_store_with_only_substitutions_needs_no_scan(monkeypatch):
     ring = ParamRing(3)
-    cs = ConstraintStore(ring).with_zero(expr("a2+a1^2+5", ring)).with_zero(expr("a3+a1+3", ring))
+    cs = ConstraintStore(ring).branch(expr("a2+a1^2+5", ring))[0]
+    cs = cs.branch(expr("a3+a1+3", ring))[0]
     assert cs.subs and not cs.nonzeros and not cs.equalities
 
     def no_scan(self, grid, nonzeros):
@@ -273,7 +274,7 @@ def test_store_above_the_scan_limit_stays_live(monkeypatch):
     ring = ParamRing(7)
     cs = ConstraintStore(ring)
     for i in range(7):
-        cs = cs.with_nonzero(ring.var(i))
+        cs = cs.branch(ring.var(i))[1]
 
     def no_rng(seed):
         raise AssertionError("the witness search draws no random numbers")
@@ -281,6 +282,78 @@ def test_store_above_the_scan_limit_stays_live(monkeypatch):
     monkeypatch.setattr(params, "SplitMix64", no_rng)
     assert not cs.vacuous
     assert cs.witness() is None
+
+
+def test_contradiction_decides_the_store_without_a_scan(monkeypatch):
+    # seven nonzero parameters put each store above the scan limit; 1 = 0
+    # comes from a constant branch, from a nonzero that a substitution
+    # makes 0, and from an equality that a substitution makes constant
+    ring = ParamRing(8)
+    cs = ConstraintStore(ring)
+    for i in range(1, 8):
+        cs = cs.branch(ring.var(i))[1]
+    a1_plus_1 = expr("a1+1", ring)
+    stores = [
+        cs.branch(ring.one)[0],
+        cs.branch(a1_plus_1)[1].branch(a1_plus_1)[0],
+        cs.branch(expr("a1^3+a1+1", ring))[0].branch(a1_plus_1)[0],
+    ]
+    assert [[format_param(e) for e in s.equalities] for s in stores] == [["1"], ["1"], ["1"]]
+
+    def no_scan(*args):
+        raise AssertionError("a store that holds 1 = 0 is never scanned")
+
+    monkeypatch.setattr(ConstraintStore, "_first_satisfying", no_scan)
+    monkeypatch.setattr(ConstraintStore, "_satisfied", no_scan)
+    for store in stores:
+        assert store.vacuous and store.witness() is None
+        assert store.proves_zero(expr("a2+a3^2", ring))
+    assert not cs.vacuous and cs.witness() is None  # above the limit, live
+
+
+def test_store_questions_scan_what_their_rules_name(monkeypatch):
+    # what each question hands the scan: the parameters scanned, the
+    # nonzeros that mask it (the last one p itself) and the cost charged
+    seen = []
+    affordable, first = params._affordable, ConstraintStore._first_satisfying
+    monkeypatch.setattr(params, "_affordable", lambda involved, size: (
+        seen.append(("cost", sorted(involved), size)) or affordable(involved, size)))
+    monkeypatch.setattr(ConstraintStore, "_first_satisfying", lambda self, idx, nonzeros: (
+        seen.append(("scan", list(idx), [format_param(c) for c in nonzeros]))
+        or first(self, idx, nonzeros)))
+
+    def asked(question):
+        seen.clear()
+        question()
+        question()  # memoised: the second ask scans nothing
+        return seen[:]
+
+    ring = ParamRing(4)
+    cs = ConstraintStore(ring).branch(expr("a1", ring))[1].branch(expr("a2*a3", ring))[1]
+    p = expr("a1^3+a1", ring)
+    # p without residual equalities: p's parameters, the nonzeros inside
+    # them, p's terms alone
+    assert asked(lambda: cs.proves_zero(p)) == [
+        ("cost", [0], 2), ("scan", [0], ["a1", "a1^3+a1"])]
+    # the store alone: every constrained parameter, 1 + the constraints' terms
+    assert asked(cs.witness) == [
+        ("cost", [0, 1, 2], 3), ("scan", [0, 1, 2], ["a1", "a2*a3"])]
+    # p with a residual equality: every parameter of p, the equalities and
+    # the nonzeros, and all their terms
+    eq = cs.branch(expr("a4^3+a4+1", ring))[0]
+    assert [format_param(e) for e in eq.equalities] == ["a4^3+a4+1"]
+    assert asked(lambda: eq.proves_zero(p)) == [
+        ("cost", [0, 1, 2, 3], 7), ("scan", [0, 1, 2, 3], ["a1", "a2*a3", "a1^3+a1"])]
+    assert asked(lambda: eq.vacuous) == [
+        ("cost", [0, 1, 2, 3], 6), ("scan", [0, 1, 2, 3], ["a1", "a2*a3"])]
+    # a refused scan is not run; a zero p and a store without constraints
+    # need no scan at all
+    big = ConstraintStore(ParamRing(7))
+    for i in range(7):
+        big = big.branch(big.ring.var(i))[1]
+    assert asked(big.witness) == [("cost", list(range(7)), 8)]
+    assert asked(lambda: cs.proves_zero(p.add(p))) == []
+    assert asked(ConstraintStore(ring, {0: ring.one}).witness) == []
 
 
 def test_format_param_canonical():
@@ -383,7 +456,7 @@ def test_reduce_is_one_substitution_on_branched_stores():
             c = ring.var(i).scale(rng.randrange(1, 8)).add(rest)
             if rng.random() < 0.2:
                 c = _random_poly(rng, ring, range(t), rng.randint(1, 2))
-            cs = cs.with_zero(c) if rng.random() < 0.7 else cs.with_nonzero(c)
+            cs = cs.branch(c)[0] if rng.random() < 0.7 else cs.branch(c)[1]
             done = set(cs.subs)
             for q in [*cs.subs.values(), *cs.nonzeros.values(), *cs.equalities]:
                 assert not q.variables() & done
