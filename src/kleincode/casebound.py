@@ -75,6 +75,9 @@ REPLAY_EXPONENT_CAP = 15
 # lines not counted: 2000 lines alternating mul X^7 and red FX full stay under
 # the exponent cap and replay for about 0.6 s.  The shipped traces have <= 84.
 TRACE_LINE_CAP = 1000
+# read_trace_text reads at most one character more than this, so a device or
+# a pipe that never ends is refused too.  The nine shipped traces total 9335 B.
+TRACE_CHAR_CAP = 1 << 20
 
 
 class TraceError(Exception):
@@ -489,10 +492,18 @@ TRACED_CLASSES = {
 }
 
 
+def read_trace_text(path) -> str:
+    """A trace file's text, from a Path or a package resource; ParseError past the cap."""
+    with path.open() as fh:
+        text = fh.read(TRACE_CHAR_CAP + 1)
+    if len(text) > TRACE_CHAR_CAP:
+        raise ParseError(f"trace file longer than the cap of {TRACE_CHAR_CAP} characters")
+    return text
+
+
 def load_trace_text(name: str, traces_dir=None) -> str:
-    if traces_dir is not None:
-        return (Path(traces_dir) / f"{name}.trace").read_text()
-    return resources.files("kleincode").joinpath(f"traces/{name}.trace").read_text()
+    root = resources.files("kleincode") / "traces" if traces_dir is None else Path(traces_dir)
+    return read_trace_text(root / f"{name}.trace")
 
 
 def full_bound_map(traces_dir=None) -> dict:

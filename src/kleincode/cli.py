@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 from . import klein
 from .casebound import (
@@ -30,6 +31,7 @@ from .casebound import (
     bound_map_from_reports,
     full_bound_map,
     parse_trace,
+    read_trace_text,
     verify_all_traces,
     verify_trace,
 )
@@ -239,8 +241,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_trace_verify(args) -> int:
-    with open(args.file) as fh:
-        steps = parse_trace(fh.read())
+    steps = parse_trace(read_trace_text(Path(args.file)))
     M = klein.parse_monomial(args.lm)
     rep = verify_trace(M, steps)
     payload = _class_entry(M, rep)

@@ -14,6 +14,12 @@ and the divisibility tests, and the reduced basis is decoded to
 polynomials at the end.  poly.divide, the one generic reduction loop,
 serves normal_form, over both coefficient domains.
 
+The pair queue keeps two criteria, both cheap: coprime heads make no pair,
+and criterion B_k is checked when a pair pops.  With a reduction this cheap,
+the chain criterion does not pay: it saved 0.5 of 29.6 reductions per
+weight identity and 0.4 of 18.7 per leaf instantiation, and without its
+loop over the new pairs those calls run about 15 % faster.
+
 A basis is a tuple of polynomials, reduced and monic, in ascending order
 of heads, so repeated runs produce identical output.  The order is the one
 poly.MonomialOrder; buchberger still accepts it as an optional second
@@ -72,18 +78,21 @@ def buchberger(gens, order: MonomialOrder = None) -> tuple:
     S-pair, is top-reduced by the active basis: reduction stops at the
     first head no active head divides, since only whether the remainder is
     zero, and its head, matter to the pair loop.  A nonzero remainder h
-    enters, made monic, tail unreduced, through the update step of Gebauer
-    and Moeller ("On an installation of Buchberger's algorithm", J. Symbolic
-    Comput. 6, 1988):
+    enters, made monic, tail unreduced, and its pairs follow two of the
+    criteria in Gebauer and Moeller ("On an installation of Buchberger's
+    algorithm", J. Symbolic Comput. 6, 1988):
 
-    * chain criterion on the new pairs: a pair (h, g) goes when another new
-      pair's head-lcm divides its lcm (of equal lcms at most one stays);
-      only after that do the pairs with coprime heads go (Buchberger's
-      first criterion), since they count as dividing pairs in that test;
-    * criterion B_k on the queued pairs: (i, j) goes when head(h) divides
-      lcm(i, j) and lcm(i, h) != lcm(i, j) != lcm(j, h);
+    * h is paired with every active element whose head is not coprime to
+      its own (Buchberger's first criterion drops the others);
+    * criterion B_k, checked when a pair (i, j) pops: it goes when an
+      element m that entered after both has a head dividing lcm(i, j) and
+      lcm(i, m) != lcm(i, j) != lcm(j, m).  These are the pairs the eager
+      form drops from the queue as each m enters;
     * an active element whose head is a multiple of head(h) stops being a
       reducer; its queued pairs stay.
+
+    The chain criterion is left out, for the measured reason in the module
+    docstring.
 
     The active heads stay pairwise non-dividing, so the final active list is
     a minimal basis; reducing each tail fully by the others, once, gives
@@ -188,9 +197,9 @@ def _multiples(p: int, s: int, cube: int) -> tuple:
 
 
 def _reduce(h: int, reducers, s: int, full: bool) -> int:
-    """h reduced by monic reducers (a, b, head offset, multiples): the head
-    is cancelled by the first reducer whose head divides it.  At a head no
-    reducer divides, top-reduction (full false) stops and full reduction
+    """h reduced by monic reducers (a, b, head offset, multiples, index): the
+    head is cancelled by the first reducer whose head divides it.  At a head
+    no reducer divides, top-reduction (full false) stops and full reduction
     moves that term to the remainder and goes on."""
     r = 0
     mask = (1 << s) - 1
@@ -198,7 +207,7 @@ def _reduce(h: int, reducers, s: int, full: bool) -> int:
         n = (h.bit_length() - 1) & -4
         b = (n >> 2) & mask
         a = ((n >> (s + 2)) - 3 * b) >> 1
-        for ra, rb, rn, mults in reducers:
+        for ra, rb, rn, mults, _ in reducers:
             if ra <= a and rb <= b:
                 h ^= mults[h >> n] << (n - rn)
                 break
@@ -217,12 +226,10 @@ def _buchberger_packed(polys, s: int, dom) -> list:
     cube = dom.modulus_bits ^ (1 << dom.m)
     mask = (1 << s) - 1
     reach = 3 * mask  # the largest weight whose Y exponents all stay below S
-    # every element so far, monic: (a, b, head offset 4i, multiples by enc)
+    # every element so far, monic: (a, b, head offset 4i, multiples by enc, index)
     basis = []
-    active = []    # indices of the reducers, oldest first
-    reducers = []  # basis[t] for t in active
-    heap: list = []  # (lcm offset, i, j), popped lazily
-    live = {}      # queued pair (i, j) -> its head lcm (a, b)
+    reducers = []  # the elements no later head divides, oldest first
+    heap: list = []  # (lcm offset, i, j, lcm a, lcm b), i > j
 
     def insert(h):
         h = _reduce(h, reducers, s, False)
@@ -237,52 +244,31 @@ def _buchberger_packed(polys, s: int, dom) -> list:
         b = (top >> 2) & mask
         a = ((top >> (s + 2)) - 3 * b) >> 1
         k = len(basis)
-        basis.append((a, b, top, mults))
-        # new pairs (k, t) as (lcm, heads coprime, t); drop by the chain criterion
-        new = []
-        for t in active:
-            ga, gb = basis[t][0], basis[t][1]
-            new.append(((a if a > ga else ga, b if b > gb else gb),
-                        not (a and ga or b and gb), t))
-        kept = []
-        for n, pair in enumerate(new):
-            if not pair[1]:
-                la, lb = pair[0]
-                for (ma, mb), _, _ in new[n + 1:] + kept:
-                    if ma <= la and mb <= lb:
-                        break
-                else:
-                    kept.append(pair)
-            else:
-                kept.append(pair)
-        # criterion B_k on the queued pairs
-        for (ti, tj), (la, lb) in list(live.items()):
-            if a <= la and b <= lb:
-                ia, ib = basis[ti][0], basis[ti][1]
-                ja, jb = basis[tj][0], basis[tj][1]
-                if ((ia if ia > a else a, ib if ib > b else b) != (la, lb)
-                        != (ja if ja > a else a, jb if jb > b else b)):
-                    del live[ti, tj]
-        for lcm, coprime, t in kept:
-            if not coprime:
-                live[k, t] = lcm
-                heapq.heappush(heap, ((((2 * lcm[0] + 3 * lcm[1]) << s) | lcm[1]) << 2, k, t))
+        basis.append((a, b, top, mults, k))
+        for ga, gb, _, _, t in reducers:
+            if a and ga or b and gb:  # coprime heads make no pair
+                la, lb = a if a > ga else ga, b if b > gb else gb
+                heapq.heappush(heap, ((((2 * la + 3 * lb) << s) | lb) << 2, k, t, la, lb))
         # reducers whose heads h divides retire; their queued pairs stay
-        active[:] = [t for t in active if not (a <= basis[t][0] and b <= basis[t][1])] + [k]
-        reducers[:] = [basis[t] for t in active]
+        reducers[:] = [g for g in reducers if not (a <= g[0] and b <= g[1])] + [basis[k]]
 
     for p in polys:
         insert(p)
     while heap:
-        ln, i, j = heapq.heappop(heap)
-        lcm = live.pop((i, j), None)
-        if lcm is None:
-            continue
-        # pairs within reach pop first: their indices are below (reach + 1)*S
-        if 2 * lcm[0] + 3 * lcm[1] > reach:
-            raise _TooNarrow(2 * lcm[0] + 3 * lcm[1])
+        ln, i, j, la, lb = heapq.heappop(heap)
         fi, fj = basis[i], basis[j]
-        insert(fi[3][1] << (ln - fi[2]) ^ fj[3][1] << (ln - fj[2]))
+        ia, ib, ja, jb = fi[0], fi[1], fj[0], fj[1]
+        # criterion B_k, for every m that arrived while (i, j) was queued
+        for ma, mb, _, _, _ in basis[i + 1:]:
+            if (ma <= la and mb <= lb
+                    and (ia if ia > ma else ma, ib if ib > mb else mb) != (la, lb)
+                    != (ja if ja > ma else ma, jb if jb > mb else mb)):
+                break
+        else:
+            # pairs within reach pop first: their indices are below (reach + 1)*S
+            if 2 * la + 3 * lb > reach:
+                raise _TooNarrow(2 * la + 3 * lb)
+            insert(fi[3][1] << (ln - fi[2]) ^ fj[3][1] << (ln - fj[2]))
 
     # reduce every tail fully, once, to the unique reduced basis; heads stay put
     reducers.sort(key=lambda r: r[2])

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import run_cli
-from kleincode.casebound import TRACED_CLASSES
+from kleincode.casebound import TRACE_CHAR_CAP, TRACED_CLASSES
 from kleincode.poly import format_monomial
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -268,6 +268,11 @@ BAD_TRACES = {
     # keep the replay busy
     "too many steps": ("mul X^7\nred FX full\n" * 1000,
                        "error: trace of 2000 lines, above the cap 1000\n"),
+    # the file is read up to one character past the cap, never whole, so a
+    # device or a pipe that never ends is refused too; read whole, this one
+    # would replay as the empty trace
+    "too many characters": ("#" * (TRACE_CHAR_CAP + 1),
+                            "error: trace file longer than the cap of 1048576 characters\n"),
     # eight factors of 8 terms each would expand to 8^8 terms: refused at
     # the fifth, before it is multiplied
     "long product": ("branch " + EIGHT_FACTORS + " {\n  claim Y\n} else {\n  claim Y\n}\n",

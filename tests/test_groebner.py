@@ -206,10 +206,9 @@ def test_buchberger_pair_criteria_certificate(dom, spec):
 def test_buchberger_planes_work_on_a_dense_codeword(dom, gb, fp, monkeypatch):
     # The basis of one weight identity, for an F on all 22 footprint
     # monomials.  Kernel reductions, inputs and inter-reduction included:
-    # 188 with the coprime-head criterion alone, 30 with the Gebauer-Moeller
-    # criteria (28 top-reductions in the pair loop, then one full reduction
-    # per element of the 2-element basis); with neither the chain criterion
-    # nor B_k it is 59.
+    # 30 with coprime heads and B_k (28 top-reductions in the pair loop, then
+    # one full reduction per element of the 2-element basis), as many as
+    # with the chain criterion as well; with coprime heads alone it is 113.
     F = Polynomial(dom, 2, {(a, b): 1 + (a + 2 * b) % 7 for a, b in fp})
     calls = []
     real = groebner._reduce
@@ -222,6 +221,30 @@ def test_buchberger_planes_work_on_a_dense_codeword(dom, gb, fp, monkeypatch):
     bigger = buchberger([F, *gb])
     assert len(calls) <= 188 // 4
     assert len(fp) - len(footprint(bigger)) == 21
+
+
+def test_buchberger_work_on_the_live_leaves(monkeypatch):
+    # The shape of kbench's algebra job2 and of acceptance criterion 11:
+    # the 87 live trace leaves, instantiated at 2 samples each.  Kernel
+    # reductions in all: 3281 with coprime heads and B_k, 3200 with the chain
+    # criterion as well, 7816 with coprime heads alone.
+    klein.klein_basis()  # its own run is not counted
+    calls = []
+    real = groebner._reduce
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_reduce", counting)
+    leaves = 0
+    for M, rep in sorted(casebound.verify_all_traces().items()):
+        for leaf in rep.leaves:
+            if not leaf.vacuous:
+                casebound.instantiate_and_check(M, leaf, 2, 0x1EAF + leaves)
+                leaves += 1
+    assert leaves == 87
+    assert len(calls) <= 3400
 
 
 def _shuffled(items, rng):
