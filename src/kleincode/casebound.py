@@ -34,6 +34,7 @@ excluded.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -75,8 +76,8 @@ REPLAY_EXPONENT_CAP = 15
 # lines not counted: 2000 lines alternating mul X^7 and red FX full stay under
 # the exponent cap and replay for about 0.6 s.  The shipped traces have <= 84.
 TRACE_LINE_CAP = 1000
-# read_trace_text reads at most one character more than this, so a device or
-# a pipe that never ends is refused too.  The nine shipped traces total 9335 B.
+# _trace_text reads at most twice this many characters, so a device or a
+# pipe that never ends is refused too.  The nine shipped traces total 9335 B.
 TRACE_CHAR_CAP = 1 << 20
 
 
@@ -492,18 +493,48 @@ TRACED_CLASSES = {
 }
 
 
+def _open_without_waiting(path, flags) -> int:
+    """os.open that returns at once on a FIFO with no writer (which then
+    reads as empty); reads from the descriptor block as usual."""
+    fd = os.open(path, flags | os.O_NONBLOCK)
+    os.set_blocking(fd, True)
+    return fd
+
+
+# A bad byte decodes to one escape character, so its offset can be named;
+# _trace_text translates the newlines, so that offset counts every byte.
+_TEXT_MODE = dict(encoding="utf-8", errors="surrogateescape", newline="")
+
+
 def read_trace_text(path) -> str:
-    """A trace file's text, from a Path or a package resource; ParseError past the cap."""
-    with path.open() as fh:
-        text = fh.read(TRACE_CHAR_CAP + 1)
-    if len(text) > TRACE_CHAR_CAP:
-        raise ParseError(f"trace file longer than the cap of {TRACE_CHAR_CAP} characters")
-    return text
+    """The text of the trace file at a path the user names; a FIFO is opened
+    without waiting for a writer."""
+    with open(path, opener=_open_without_waiting, **_TEXT_MODE) as fh:
+        return _trace_text(fh, path)
 
 
 def load_trace_text(name: str, traces_dir=None) -> str:
-    root = resources.files("kleincode") / "traces" if traces_dir is None else Path(traces_dir)
-    return read_trace_text(root / f"{name}.trace")
+    if traces_dir is not None:
+        return read_trace_text(Path(traces_dir) / f"{name}.trace")
+    path = resources.files("kleincode") / "traces" / f"{name}.trace"
+    with path.open(**_TEXT_MODE) as fh:
+        return _trace_text(fh, path)
+
+
+def _trace_text(fh, path) -> str:
+    """The text of fh, opened in _TEXT_MODE, with newlines read as in text
+    mode (the cap counts a "\\r\\n" as one character); ParseError past the
+    cap or on bytes that are not UTF-8."""
+    raw = fh.read(2 * (TRACE_CHAR_CAP + 1))
+    text = raw.replace("\r\n", "\n").replace("\r", "\n") if "\r" in raw else raw
+    if len(text) > TRACE_CHAR_CAP:
+        raise ParseError(f"trace file longer than the cap of {TRACE_CHAR_CAP} characters")
+    try:
+        raw.encode()
+    except UnicodeEncodeError as exc:  # an escape character: no UTF-8 encodes it
+        at = len(raw[:exc.start].encode("utf-8", "surrogateescape"))
+        raise ParseError(f"{path}: not UTF-8 at byte {at}") from None
+    return text
 
 
 def full_bound_map(traces_dir=None) -> dict:

@@ -10,6 +10,9 @@ oracle        coset minimum weight: one exact scan or a seeded sample
 trace-verify  replay and check one trace file
 verify-all    run every module's invariant suite
 
+Each subcommand but verify-all builds its report, csv rows and text lines
+once and hands them to _write, the one function that reads --format;
+verify-all streams text as its suites run and refuses json and csv.
 All randomness flows from --seed through SplitMix64 (see rng.py), so all
 reports are bit-reproducible.  Every command runs on the calling thread.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
@@ -51,8 +54,18 @@ from .poly import ExponentCapExceeded, MonomialOrder, format_monomial
 SAMPLE_COUNT = 100_000
 
 
-def _emit_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+def _write(args, report, columns, rows, text) -> None:
+    """Write a subcommand's report in args.format, the one place that reads
+    it: json writes report; csv a header of columns, then one line per row
+    dict, a bool as true/false and a missing cell empty; text the lines."""
+    lines = text
+    if args.format == "json":
+        lines = [json.dumps(report, sort_keys=True, separators=(",", ":"))]
+    elif args.format == "csv":
+        lines = [",".join(columns)] + [
+            ",".join(str(v).lower() if isinstance(v, bool) else str(v)
+                     for v in (row.get(c, "") for c in columns)) for row in rows]
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
 
 
 # ---------------------------------------------------------------------------
@@ -62,37 +75,21 @@ def cmd_footprint(args) -> int:
     order = MonomialOrder()
     rows = [{"monomial": format_monomial(m), "exponents": list(m),
              "weight": order.weight(m)} for m in klein.klein_footprint()]
-    if args.format == "json":
-        sys.stdout.write(_emit_json({"size": len(rows), "monomials": rows}))
-    elif args.format == "csv":
-        sys.stdout.write("monomial,x_exp,y_exp,weight\n")
-        for r in rows:
-            sys.stdout.write(f"{r['monomial']},{r['exponents'][0]},"
-                             f"{r['exponents'][1]},{r['weight']}\n")
-    else:
-        sys.stdout.write(f"footprint size {len(rows)}\n")
-        by_b = {}
-        for r in rows:
-            by_b.setdefault(r["exponents"][1], []).append(r)
-        for b in sorted(by_b, reverse=True):
-            cells = sorted(by_b[b], key=lambda r: r["exponents"][0])
-            names = "  ".join(f"{c['monomial']}({c['weight']})" for c in cells)
-            sys.stdout.write(f"b={b}: {names}\n")
+    text = [f"footprint size {len(rows)}"]
+    for b in sorted({r["exponents"][1] for r in rows}, reverse=True):
+        cells = sorted((r for r in rows if r["exponents"][1] == b),
+                       key=lambda r: r["exponents"][0])
+        text.append(f"b={b}: " + "  ".join(f"{c['monomial']}({c['weight']})" for c in cells))
+    _write(args, {"size": len(rows), "monomials": rows}, ("monomial", "x_exp", "y_exp", "weight"),
+           [dict(r, x_exp=r["exponents"][0], y_exp=r["exponents"][1]) for r in rows], text)
     return 0
 
 
 def cmd_variety(args) -> int:
     pts = [list(p) for p in klein.klein_variety()]
-    if args.format == "json":
-        sys.stdout.write(_emit_json({"size": len(pts), "points": pts}))
-    elif args.format == "csv":
-        sys.stdout.write("x,y\n")
-        for x, y in pts:
-            sys.stdout.write(f"{x},{y}\n")
-    else:
-        sys.stdout.write(f"variety size {len(pts)}\n")
-        for x, y in pts:
-            sys.stdout.write(f"({x}, {y})\n")
+    _write(args, {"size": len(pts), "points": pts}, ("x", "y"),
+           [{"x": x, "y": y} for x, y in pts],
+           [f"variety size {len(pts)}"] + [f"({x}, {y})" for x, y in pts])
     return 0
 
 
@@ -119,6 +116,10 @@ def _bound_reports(args):
     return reports, delta
 
 
+# the csv columns of a class entry, for bound and trace-verify alike
+CLASS_COLUMNS = ("monomial", "parameters", "baseline", "bound")
+
+
 def _class_entry(M, rep) -> dict:
     return {
         "monomial": format_monomial(M),
@@ -129,35 +130,19 @@ def _class_entry(M, rep) -> dict:
     }
 
 
-def _write_class_csv(entries) -> None:
-    sys.stdout.write("monomial,parameters,baseline,bound\n")
-    for e in entries:
-        sys.stdout.write(f"{e['monomial']},{e['parameters']},"
-                         f"{e['baseline']},{e['bound']}\n")
-
-
 def cmd_bound(args) -> int:
     reports, delta = _bound_reports(args)
-    source = "auto" if delta is None else "traces"
-    fp = klein.klein_footprint()
     out = [_class_entry(M, reports[M]) for M in sorted(reports, key=MonomialOrder.key)]
-    if args.format == "json":
-        payload = {"source": source, "classes": out}
-        if delta is not None:
-            payload["delta_map"] = {format_monomial(m): delta[m] for m in fp}
-        sys.stdout.write(_emit_json(payload))
-    elif args.format == "csv":
-        _write_class_csv(out)
-    else:
-        for e in out:
-            sys.stdout.write(f"{e['monomial']}: bound {e['bound']} "
-                             f"(baseline {e['baseline']}, {len(e['leaves'])} leaves)\n")
-        if delta is not None:
-            sys.stdout.write("full bound map:\n")
-            for b in (2, 1, 0):
-                row = [(m, delta[m]) for m in fp if m[1] == b]
-                row.sort()
-                sys.stdout.write(f"b={b}: " + " ".join(str(d) for _, d in row) + "\n")
+    report = {"source": "auto" if delta is None else "traces", "classes": out}
+    text = [f"{e['monomial']}: bound {e['bound']} "
+            f"(baseline {e['baseline']}, {len(e['leaves'])} leaves)" for e in out]
+    if delta is not None:
+        fp = klein.klein_footprint()
+        report["delta_map"] = {format_monomial(m): delta[m] for m in fp}
+        text.append("full bound map:")
+        text += [f"b={b}: " + " ".join(str(delta[m]) for m in sorted(m for m in fp if m[1] == b))
+                 for b in (2, 1, 0)]
+    _write(args, report, CLASS_COLUMNS, out, text)
     return 0
 
 
@@ -170,40 +155,27 @@ def cmd_table(args) -> int:
     delta = full_bound_map(args.traces)
     v = klein.klein_variety()
     fp = klein.klein_footprint()
-    rows = construct_table(delta, v)
-    enriched = []
-    for r in rows:
+    enriched, text = [], []
+    for r in construct_table(delta, v):
         row = dict(r, exact=False, supplementary=(r["s"] == 1))
-        if r["k"] <= measure_upto:
-            code = code_for_threshold(delta, r["s"], fp, v)
-            d_true, exact = min_distance(code, "exhaustive")
-            row["measured_d"] = d_true
-            row["exact"] = exact
+        extra = ""
         best = klein.BEST_KNOWN_DISTANCE.get(r["k"])
         if best is not None:
-            row["best_known"] = best
             gap = best - r["d"]
+            row["best_known"] = best
             row["comparison"] = "exceeds" if gap < 0 else \
                 {0: "matches", 1: "one-less"}.get(gap, f"{gap}-less")
+            extra = f"  best known {best} ({row['comparison']})"
+        if r["k"] <= measure_upto:
+            code = code_for_threshold(delta, r["s"], fp, v)
+            row["measured_d"], row["exact"] = min_distance(code, "exhaustive")
+            extra += f"  measured d = {row['measured_d']}"
+        mark = " (supplementary)" if row["supplementary"] else ""
+        text.append(f"[{r['n']}, {r['k']}, {r['d']}]{mark}{extra}")
         enriched.append(row)
-    if args.format == "json":
-        sys.stdout.write(_emit_json({"rows": enriched}))
-    elif args.format == "csv":
-        # measured_d only under --measure-upto, as in json; empty if unmeasured
-        cols = ["s", "n", "k", "d", "exact"] + ["measured_d"] * (measure_upto > 0)
-        sys.stdout.write(",".join(cols) + "\n")
-        for r in enriched:
-            cells = dict(r, exact=str(r["exact"]).lower())
-            sys.stdout.write(",".join(str(cells.get(c, "")) for c in cols) + "\n")
-    else:
-        for r in enriched:
-            mark = " (supplementary)" if r["supplementary"] else ""
-            extra = ""
-            if "best_known" in r:
-                extra = f"  best known {r['best_known']} ({r['comparison']})"
-            if "measured_d" in r:
-                extra += f"  measured d = {r['measured_d']}"
-            sys.stdout.write(f"[{r['n']}, {r['k']}, {r['d']}]{mark}{extra}\n")
+    # measured_d only under --measure-upto, as in json; empty if unmeasured
+    columns = ["s", "n", "k", "d", "exact"] + ["measured_d"] * (measure_upto > 0)
+    _write(args, {"rows": enriched}, columns, enriched, text)
     return 0
 
 
@@ -225,18 +197,10 @@ def cmd_oracle(args) -> int:
         "delta": delta,
         "sound": w >= delta,
     }
-    if args.format == "json":
-        sys.stdout.write(_emit_json(result))
-    elif args.format == "csv":
-        # the json's fields
-        sys.stdout.write(",".join(result) + "\n")
-        sys.stdout.write(",".join(str(v).lower() if isinstance(v, bool) else str(v)
-                                  for v in result.values()) + "\n")
-    else:
-        sys.stdout.write(
-            f"{result['monomial']} ({len(support)} coefficients, {mode}): "
-            f"min weight {w} (exact={exact}), bound {delta}, "
-            f"{'sound' if result['sound'] else 'VIOLATION'}\n")
+    _write(args, result, list(result), [result], [
+        f"{result['monomial']} ({len(support)} coefficients, {mode}): "
+        f"min weight {w} (exact={exact}), bound {delta}, "
+        f"{'sound' if result['sound'] else 'VIOLATION'}"])
     return 0 if result["sound"] else 1
 
 
@@ -245,18 +209,12 @@ def cmd_trace_verify(args) -> int:
     M = klein.parse_monomial(args.lm)
     rep = verify_trace(M, steps)
     payload = _class_entry(M, rep)
-    if args.format == "json":
-        sys.stdout.write(_emit_json(payload))
-    elif args.format == "csv":
-        _write_class_csv([payload])
-    else:
-        sys.stdout.write(f"{payload['monomial']}: verified bound {rep.bound} "
-                         f"(baseline {rep.baseline}, {len(rep.leaves)} leaves)\n")
-        for row in payload["leaves"]:
-            flag = " [vacuous]" if row["vacuous"] else ""
-            sys.stdout.write(f"  {row['constraints']} -> "
-                             f"{','.join(row['established']) or '-'} "
-                             f"count {row['count']}{flag}\n")
+    text = [f"{payload['monomial']}: verified bound {rep.bound} "
+            f"(baseline {rep.baseline}, {len(rep.leaves)} leaves)"]
+    text += [f"  {row['constraints']} -> {','.join(row['established']) or '-'} "
+             f"count {row['count']}{' [vacuous]' if row['vacuous'] else ''}"
+             for row in payload["leaves"]]
+    _write(args, payload, CLASS_COLUMNS, [payload], text)
     return 0
 
 

@@ -478,23 +478,9 @@ def sample_weights(offset: np.ndarray, rows: np.ndarray, seed: int, count: int):
         yield coeffs, np.bitwise_count(word)
 
 
-def sampled_min_weight(offset: np.ndarray, rows: np.ndarray, seed: int, count: int,
-                       skip_zero: bool = False) -> int:
-    """Least weight among the sample_weights draws; skip_zero ignores zero
-    words (a drawn zero message of a code) and raises ValueError when every
-    draw was one."""
-    mins = []
-    for _, w in sample_weights(offset, rows, seed, count):
-        least = int(w.min())
-        if least == 0 and skip_zero:
-            w = w[w > 0]
-            if not w.size:
-                continue
-            least = int(w.min())
-        mins.append(least)
-    if not mins:
-        raise ValueError(f"all {count} sampled messages were zero")
-    return min(mins)
+def sampled_min_weight(offset: np.ndarray, rows: np.ndarray, seed: int, count: int) -> int:
+    """Least weight among the sample_weights draws."""
+    return min(int(w.min()) for _, w in sample_weights(offset, rows, seed, count))
 
 
 # ---------------------------------------------------------------------------
@@ -521,10 +507,16 @@ def min_distance(code: EvaluationCode, strategy: str = "exhaustive",
         return min(_scan_min(mults[:, p, 1], mults[:, p + 1:],
                              _orbit_phases(code.G[p:], pi))
                    for p in range(code.k)), True
-    zero = np.zeros(code.n, dtype=np.uint8)
-    if strategy == "sample":
-        return sampled_min_weight(zero, code.G, seed, count, skip_zero=True), False
-    raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy != "sample":
+        raise ValueError(f"unknown strategy {strategy!r}")
+    # A drawn zero message gives the zero word, no codeword: a block whose
+    # least weight is 0 takes its least nonzero weight instead, n + 1 if none.
+    least = min(int(w.min()) or int(w.min(where=w > 0, initial=code.n + 1))
+                for _, w in sample_weights(np.zeros(code.n, dtype=np.uint8), code.G,
+                                           seed, count))
+    if least > code.n:
+        raise ValueError(f"all {count} sampled messages were zero")
+    return least, False
 
 
 def coset_min_weight(M: tuple, support, v: Variety, mode: str = "exhaustive",

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -12,6 +15,11 @@ from kleincode.poly import format_monomial
 
 GOLDEN = Path(__file__).parent / "golden"
 TRACES = Path(__file__).parent.parent / "src" / "kleincode" / "traces"
+
+
+def copy_shipped_traces(directory):
+    for trace in TRACES.glob("*.trace"):
+        (directory / trace.name).write_text(trace.read_text())
 
 
 def test_footprint_text():
@@ -190,15 +198,44 @@ def test_oracle_sample_seeded():
     assert json.loads(out1)["exact"] is False
 
 
-@pytest.mark.parametrize("lm,mode", [("X*Y^2", "exhaustive"), ("X^2*Y^2", "sample")])
-def test_oracle_csv_carries_the_json_fields(lm, mode):
-    argv = ["oracle", "--lm", lm, "--mode", mode, "--seed", "9"]
-    _, out = run_cli([*argv, "--format", "json"])
-    data = json.loads(out)
+# argv, the csv header, and the json's rows for each subcommand that writes
+# both; footprint's csv splits the exponents into x_exp and y_exp
+CLASS_HEADER = "monomial,parameters,baseline,bound"
+ORACLE_HEADER = "monomial,mode,coefficients,states,min_weight,exact,delta,sound"
+CSV_RUNS = {
+    "footprint": (["footprint"], "monomial,x_exp,y_exp,weight",
+                  lambda d: [dict(m, x_exp=m["exponents"][0], y_exp=m["exponents"][1])
+                             for m in d["monomials"]]),
+    "variety": (["variety"], "x,y", lambda d: [{"x": x, "y": y} for x, y in d["points"]]),
+    "bound": (["bound"], CLASS_HEADER, lambda d: d["classes"]),
+    "bound-lm": (["bound", "--lm", "X^2*Y"], CLASS_HEADER, lambda d: d["classes"]),
+    "bound-auto": (["bound", "--auto", "--lm", "Y"], CLASS_HEADER, lambda d: d["classes"]),
+    "table": (["table"], "s,n,k,d,exact", lambda d: d["rows"]),
+    "table-measured": (["table", "--measure-upto", "8"], "s,n,k,d,exact,measured_d",
+                       lambda d: d["rows"]),
+    "oracle-exhaustive": (["oracle", "--lm", "X*Y^2"], ORACLE_HEADER, lambda d: [d]),
+    "oracle-sample": (["oracle", "--lm", "X^2*Y^2", "--mode", "sample", "--seed", "9"],
+                      ORACLE_HEADER, lambda d: [d]),
+    "trace-verify": (["trace-verify", str(TRACES / "s32.trace"), "--lm", "Y^2"],
+                     CLASS_HEADER, lambda d: [d]),
+}
+
+
+@pytest.mark.parametrize("run", sorted(CSV_RUNS))
+def test_csv_carries_the_json_fields(run):
+    argv, header, json_rows = CSV_RUNS[run]
+    code, out = run_cli([*argv, "--format", "json"])
+    assert code == 0
+    rows = json_rows(json.loads(out))
     _, out = run_cli([*argv, "--format", "csv"])
-    header, row = out.splitlines()
-    assert dict(zip(header.split(","), row.split(","), strict=True)) == {
-        k: v if isinstance(v, str) else json.dumps(v) for k, v in data.items()}
+    lines = out.splitlines()
+    assert lines[0] == header and len(lines) == len(rows) + 1
+    columns = header.split(",")
+    # a string as it is, a bool or a number as json writes it, a missing cell empty
+    for line, row in zip(lines[1:], rows):
+        assert dict(zip(columns, line.split(","), strict=True)) == {
+            c: "" if c not in row else row[c] if isinstance(row[c], str)
+            else json.dumps(row[c]) for c in columns}
 
 
 @pytest.mark.parametrize("extra", [["--mode", "exhaustive"], []])
@@ -309,8 +346,7 @@ def test_trace_verify_malformed_input_exit_two(kind, tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", sorted(BAD_TRACES))
 def test_bound_malformed_trace_dir_exit_two(kind, tmp_path, capsys):
-    for trace in TRACES.glob("*.trace"):
-        (tmp_path / trace.name).write_text(trace.read_text())
+    copy_shipped_traces(tmp_path)
     text, message = BAD_TRACES[kind]
     (tmp_path / "s31.trace").write_text(text)
     start = time.perf_counter()
@@ -332,6 +368,46 @@ def test_long_trace_past_the_replay_cap_refused_at_once(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: X^6*Y^2: mul X^7 lifts the working polynomial to exponent 21 in X "
         "and 2 in Y, above the replay cap 15\n")
+
+
+def _cli_process(argv, **kw):
+    """The CLI in a fresh interpreter, for an input that could block it."""
+    env = dict(os.environ, PYTHONPATH=str(TRACES.parent.parent))
+    return subprocess.run([sys.executable, "-m", "kleincode.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=10, **kw)
+
+
+@pytest.mark.parametrize("command", ["trace-verify", "bound"])
+def test_fifo_without_a_writer_reads_as_an_empty_trace(command, tmp_path):
+    # opened for reading, a FIFO waits for a writer; this one never gets one
+    copy_shipped_traces(tmp_path)
+    argv = {"trace-verify": ["trace-verify", str(tmp_path / "s31.trace"), "--lm", "Y"],
+            "bound": ["bound", "--traces", str(tmp_path)]}[command]
+    (tmp_path / "s31.trace").write_text("")
+    empty = run_cli(argv)
+    (tmp_path / "s31.trace").unlink()
+    os.mkfifo(tmp_path / "s31.trace")
+    run = _cli_process(argv)
+    assert (run.returncode, run.stdout, run.stderr) == (*empty, "")
+
+
+def test_trace_verify_reads_a_pipe_on_dev_stdin():
+    trace = TRACES / "s32.trace"
+    run = _cli_process(["trace-verify", "/dev/stdin", "--lm", "Y^2"], input=trace.read_text())
+    assert (run.returncode, run.stdout, run.stderr) == (
+        *run_cli(["trace-verify", str(trace), "--lm", "Y^2"]), "")
+
+
+@pytest.mark.parametrize("command", ["trace-verify", "bound"])
+def test_trace_not_utf8_refused_by_name(command, tmp_path, capsys):
+    copy_shipped_traces(tmp_path)
+    bad = tmp_path / "s33.trace"
+    # the offset counts bytes: two for the CR LF and two for the "é"
+    bad.write_bytes("# café\r\n".encode() + b"\xff\n")
+    argv = {"trace-verify": ["trace-verify", str(bad), "--lm", "X*Y"],
+            "bound": ["bound", "--traces", str(tmp_path)]}[command]
+    assert run_cli(argv) == (2, "")
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 at byte 9\n"
 
 
 def test_shipped_traces_replay_unchanged():

@@ -32,7 +32,10 @@ No linter ships with the project, so these tests walk syntax trees:
 * params.py calls _affordable and _first_satisfying once each: every
   constraint-store question (vanishing, vacuity, witness) goes through the
   one memoised query ConstraintStore._first, the one place that decides
-  how a store is scanned.
+  how a store is scanned;
+* in cli.py only _write and cmd_verify_all write to sys.stdout: every
+  other subcommand hands its report to _write, the one place that reads
+  --format.
 """
 
 import ast
@@ -466,3 +469,29 @@ def test_store_scans_through_one_query():
     calls = scan_callers((SRC / "params.py").read_text())
     assert {name: len(lines) for name, lines in calls.items()} == {
         "_affordable": 1, "_first_satisfying": 1}, calls
+
+
+def stdout_writers(source: str) -> list:
+    """The top-level functions that read sys.stdout or call print."""
+    return sorted(fn.name for fn in ast.parse(source).body if isinstance(fn, ast.FunctionDef)
+                  and any((isinstance(node, ast.Attribute) and node.attr == "stdout"
+                           and isinstance(node.value, ast.Name) and node.value.id == "sys")
+                          or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                              and node.func.id == "print")
+                          for node in ast.walk(fn)))
+
+
+def test_stdout_writer_detector():
+    src = ("import sys\n"
+           "def _write(lines): sys.stdout.write(''.join(lines))\n"
+           "def cmd_a(args): return _write(['a'])\n"
+           "def cmd_b(args):\n"
+           "    def inner(): print('b')\n"
+           "    inner()\n"
+           "def cmd_c(args): sys.stderr.write('c'), sys.stdout.flush()\n"
+           "def cmd_d(args): print('d', file=sys.stderr)\n")
+    assert stdout_writers(src) == ["_write", "cmd_b", "cmd_c", "cmd_d"]
+
+
+def test_cli_writes_stdout_through_one_writer():
+    assert stdout_writers((SRC / "cli.py").read_text()) == ["_write", "cmd_verify_all"]
