@@ -23,11 +23,12 @@ delta = full_bound_map()
 # choices with a fixed leading monomial.  Each scan packs a word into three
 # bit-planes (XOR adds, popcount weighs), tabulates the five lowest
 # coefficients once and XORs in the high ones a chunk at a time, one word
-# per orbit of the curve's symmetry (x, y) -> (alpha*x, alpha^5*y): for
-# X^2*Y, X*Y^2 and X^3*Y about 8^t/7 words.  The bounds turn out to be
-# tight for each of these.
-print("exact oracles (8^t codeword representatives, about 8^t/7 scanned "
-      "for t >= 7):")
+# per orbit of the order-21 group that the curve's symmetry
+# (x, y) -> (alpha*x, alpha^5*y) and Frobenius (x, y) -> (x^2, y^2)
+# generate: for X^2*Y, X*Y^2 and X^3*Y from 8^t/11 to 8^t/21 words.  The
+# bounds turn out to be tight for each of these.
+print("exact oracles (8^t codeword representatives, 8^t/11 to 8^t/21 "
+      "scanned for t >= 7):")
 for M in [(0, 1), (1, 1), (0, 2), (2, 1), (1, 2), (3, 1)]:
     support = klein.class_support(M)
     t0 = time.time()

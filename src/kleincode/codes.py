@@ -19,19 +19,24 @@ coefficients before any work.
 GF(8) is the one field, read from gf.gf8(); only the pinned call forms
 enumerate_variety(gens, spec, 2) and gf_rank(M, spec) take one, checked.
 
-The high states visit one word per orbit of a symmetry of order 7:
-Variety.symmetry() is the coordinate permutation pi of the Klein quartic's
-map (x, y) -> (g*x, g^5*y), when it permutes the points.  When the offset
-and every row u satisfy u[pi] = g^e*u for some phase e, read off the
-vector itself, the first nonzero high coefficient whose phase differs
-from the offset's is scaled to 1.  This relies on q - 1 = 7 being prime,
-true of GF(8) (FieldSpec.m = 3).  Without a symmetry or a phase, every
+The high states visit one word per orbit of a group of order 21, made of
+two maps of the Klein quartic.  Variety.symmetry() is the coordinate
+permutation pi of sigma(x, y) = (g*x, g^5*y), when it permutes the points.
+When the offset and every row u satisfy u[pi] = g^e*u for some phase e,
+read off the vector itself, the first nonzero high coefficient whose phase
+differs from the offset's is scaled to 1.  This relies on q - 1 = 7 being
+prime, true of GF(8) (FieldSpec.m = 3).  Variety.frobenius() is the
+permutation psi of phi(x, y) = (x^2, y^2).  When every vector also
+satisfies u[psi] = u^2, as every monomial's word does, squaring the
+coefficients keeps the weight, so each sigma-normalised part takes one
+coefficient vector per squaring orbit, of size 1 or 3.  Each reduction is
+checked on the vectors and is off when they fail it; with neither, every
 state is visited.  On a 2-CPU x86 host the X^3*Y coset (8^10 states)
-takes about 0.2 s and the X*Y^2 coset (8^9) about 25 ms.  An exact
+takes about 0.07-0.1 s and the X*Y^2 coset (8^9) about 10-14 ms.  An exact
 distance scans one message per projective point: the messages whose first
 nonzero coefficient is 1, (8^k - 1)/7 of them, as the cosets
-G[p] + span(G[p+1:]), and each coset gets the same orbit reduction, so the
-k = 10 distance takes about 30 ms.  An EvaluationCode's rows are
+G[p] + span(G[p+1:]), and each coset gets the same orbit reductions, so the
+k = 10 distance takes about 12-18 ms.  An EvaluationCode's rows are
 independent, so none of these cosets holds the zero word and the exact
 scan counts every word it meets; zero words are ignored by the sampled
 scan only, which can draw the zero message.
@@ -87,22 +92,28 @@ class Variety:
 
     coords[i, j] is coordinate i of point j: the rows that evaluate_terms
     hands to FieldSpec.evaluate.  A variety takes no field (it is gf8()),
-    and symmetry() checks the Klein quartic's one map.
+    and symmetry() and frobenius() check the Klein quartic's two maps.
     """
 
-    __slots__ = ("points", "coords", "_symmetry")
+    __slots__ = ("points", "coords", "_symmetry", "_frobenius")
     spec = gf8()  # the one field; kept because the benchmark tracer reads v.spec.q
 
     def __init__(self, points):
         self.points = tuple(sorted(points))
         self.coords = np.array(self.points, dtype=np.uint8).reshape(-1, 2).T
-        self._symmetry = False  # not looked for yet
+        self._symmetry = self._frobenius = False  # not looked for yet
 
     def __len__(self):
         return len(self.points)
 
     def __iter__(self):
         return iter(self.points)
+
+    def _image(self, x, y) -> np.ndarray:
+        """The index of point (x[j], y[j]) for each j, -1 where it is none."""
+        where = np.full((FieldSpec.q, FieldSpec.q), -1)  # [x, y] -> point index
+        where[tuple(self.coords)] = np.arange(len(self))
+        return where[x, y]
 
     def symmetry(self):
         """The coordinate permutation pi of sigma(x, y) = (g*x, g^5*y), with
@@ -116,13 +127,25 @@ class Variety:
         """
         if self._symmetry is False:
             x, y = self.coords
-            where = np.full((FieldSpec.q, FieldSpec.q), -1)  # [x, y] -> point index
-            where[x, y] = np.arange(len(self))
             scale = gf8().mul_pow_table()[:, :, 2]  # [x, e] -> g^e * x
-            pi = where[scale[x, 1], scale[y, 5]]
+            pi = self._image(scale[x, 1], scale[y, 5])
             moves = (pi >= 0).all() and (pi != np.arange(len(pi))).any()
             self._symmetry = pi if moves else None
         return self._symmetry
+
+    def frobenius(self):
+        """The coordinate permutation psi of phi(x, y) = (x^2, y^2) when
+        phi permutes the points: point psi[j] is the image of point j.
+        None otherwise.  Computed on the first call and then kept.
+
+        The Klein quartic is defined over GF(2), so phi permutes its
+        points, and ev(m)[psi] = ev(m)^2 coordinate-wise for every
+        monomial m.
+        """
+        if self._frobenius is False:
+            psi = self._image(*_SQUARE[self.coords])
+            self._frobenius = psi if (psi >= 0).all() else None
+        return self._frobenius
 
 
 def _check_field(field):
@@ -329,11 +352,44 @@ def _packed_multiples(rows: np.ndarray) -> np.ndarray:
 
 def _span_table(mults: np.ndarray, base: np.ndarray) -> np.ndarray:
     """Packed base + span of the rows whose multiples are given, as
-    (bits, q^r); the first row's coefficient is the leading digit."""
-    table = base[:, None]
+    (bits, words); the first row's coefficient is the leading digit.  base
+    is one packed word (bits,) or several (bits, N), each taken with every
+    combination; a row takes the scalars along mults' last axis."""
+    table = base.reshape(len(base), -1)
     for i in range(mults.shape[1]):
         table = (table[:, :, None] ^ mults[:, i, None, :]).reshape(len(base), -1)
     return table
+
+
+# Squaring permutes GF(8).  It fixes 0 and 1, the subfield GF(2), and its
+# other orbits are {alpha, alpha^2, alpha^4} and {alpha^3, alpha^6, alpha^5}
+# (c, c^2, c^4): _SQUARE_LEADS holds the least element of each, alpha and
+# alpha^3 (enc 2 and 3).
+_SQUARE = gf8().mul_pow_table()[1, 2]  # [x] -> x^2
+_SQUARE_FIXED = [c for c in range(FieldSpec.q) if _SQUARE[c] == c]
+_SQUARE_LEADS = [c for c in range(FieldSpec.q)
+                 if c not in _SQUARE_FIXED and c == min(c, _SQUARE[c], _SQUARE[_SQUARE[c]])]
+
+
+def _frobenius_table(mults: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Packed base + sum c_i * row_i over one coefficient vector c per
+    orbit of squaring, c -> c^2 coordinate-wise, as (bits, words).
+
+    A vector with a coefficient outside GF(2) lies in an orbit of size 3:
+    its first such coefficient c_j runs once over a squaring orbit of
+    GF(8) while the 0s and 1s before it stay.  So the part for each j
+    takes c_0..c_(j-1) in {0, 1}, c_j in {alpha, alpha^3} and the rest
+    free, and each of its words stands for 3; the last part, every
+    coefficient in {0, 1}, is fixed by squaring and each word stands for
+    itself.  For r rows that is (8^r + 2*2^r)/3 words.
+    """
+    table = base.reshape(len(base), -1)  # base + the GF(2) span of the rows before j
+    parts = []
+    for j in range(mults.shape[1]):
+        lead = _span_table(mults[:, j:j + 1, _SQUARE_LEADS], table)
+        parts.append(_span_table(mults[:, j + 1:], lead))
+        table = _span_table(mults[:, j:j + 1, _SQUARE_FIXED], table)
+    return np.concatenate(parts + [table], axis=1)
 
 
 def _table_min(high: np.ndarray, low: np.ndarray) -> int:
@@ -367,7 +423,7 @@ def _refuse_above_limit(k: int):
 def _orbit_phases(words: np.ndarray, pi):
     """The phases of words[1:] less that of words[0], the offset, mod q - 1,
     where u[pi] = g^e * u gives u's phase e (a zero word has phase 0).
-    None if pi is None or some word has no phase, which turns the orbit
+    None if pi is None or some word has no phase, which turns the sigma
     reduction off."""
     if pi is None:
         return None
@@ -380,53 +436,76 @@ def _orbit_phases(words: np.ndarray, pi):
     return (e[1:] - e[0]) % units
 
 
-def _high_table(base: np.ndarray, mults: np.ndarray, phases):
-    """Packed base + sum c_i * row_i over one coefficient vector c per orbit
-    of the symmetry, as (bits, words).
+def _frobenius_holds(words: np.ndarray, psi) -> bool:
+    """Whether every word u satisfies u[psi] = u^2 coordinate-wise, which
+    turns the squaring reduction on.  False if psi is None.
 
-    The symmetry maps the word of c to a nonzero multiple of the word of
-    c', c'_i = g^phases[i] * c_i, so both have one weight and both are zero
-    or neither.  A row is "moved" when its phase is nonzero; since q - 1 = 7
+    Then (o + sum c_i * u_i)^2 = (o + sum c_i^2 * u_i)[psi] for the offset
+    o = words[0] and the rows u_i = words[1:], so the words of c and of c^2
+    have one weight.  Every monomial's word passes; alpha times one fails.
+    """
+    return psi is not None and bool(np.array_equal(words[:, psi], _SQUARE[words]))
+
+
+def _high_table(base: np.ndarray, mults: np.ndarray, phases, squares: bool):
+    """Packed base + sum c_i * row_i over one coefficient vector c per
+    orbit of the group that sigma and Frobenius generate, as (bits, words).
+
+    sigma maps the word of c to a nonzero multiple of the word of c',
+    c'_i = g^phases[i] * c_i, so both have one weight and both are zero or
+    neither.  A row is "moved" when its phase is nonzero; since q - 1 = 7
     is prime, the nonzero values of a moved coefficient form one orbit, so
     the first nonzero moved coefficient can be made 1.  The table is one
     part per moved row p (earlier moved rows 0, c_p = 1, the rest free) and
-    a last part with every moved row 0: about 1/7 of the q^k words.  With
-    phases None or no moved row it is the whole span.  phases may go on
-    past these k rows (into the low table's).
+    a part with every moved row 0.  With phases None or no moved row the
+    one part is the whole span.  phases may go on past these k rows (into
+    the low table's).
+
+    When squares is true (_frobenius_holds), squaring the coefficients
+    keeps the weight and each part's fixed 0s and 1s, so each part takes
+    one vector per squaring orbit of its free rows (_frobenius_table):
+    each word stands for 1 or 3 words of its part.  A part of r free rows
+    then holds (8^r + 2*2^r)/3 words instead of 8^r, and the whole table
+    about 1/21 of the q^k words when every row is moved.
     """
     k = mults.shape[1]
+    span = _frobenius_table if squares else _span_table
     moved = [] if phases is None else [i for i in range(k) if phases[i]]
-    if not moved:
-        return _span_table(mults, base)
-    parts = [_span_table(mults[:, [i for i in range(k) if i not in moved]], base)]
+    parts = [span(mults[:, [i for i in range(k) if i not in moved]], base)]
     for j, p in enumerate(moved):
         free = [i for i in range(k) if i != p and i not in moved[:j]]
-        parts.append(_span_table(mults[:, free], base ^ mults[:, p, 1]))
+        parts.append(span(mults[:, free], base ^ mults[:, p, 1]))
     return np.concatenate(parts, axis=1)
 
 
-def _scan_min(base: np.ndarray, mults: np.ndarray, phases) -> int:
+def _scan_min(base: np.ndarray, mults: np.ndarray, phases, squares: bool) -> int:
     """Least weight of packed base + span of the rows with these multiples.
     The low coefficients form one table; the high ones visit one word per
-    orbit when phases (the rows' phases relative to base's) are not None."""
+    orbit of sigma when phases (the rows' phases relative to base's) are
+    not None, and of squaring when squares is true (_high_table)."""
     split = max(0, mults.shape[1] - _LOW_COEFFS)
-    high = _high_table(base, mults[:, :split], phases)
+    high = _high_table(base, mults[:, :split], phases, squares)
     low = _span_table(mults[:, split:], np.zeros_like(base))
     return _table_min(high, low)
 
 
-def exact_min_weight(offset: np.ndarray, rows: np.ndarray, symmetry=None) -> int:
+def exact_min_weight(offset: np.ndarray, rows: np.ndarray, symmetry=None,
+                     frobenius=None) -> int:
     """Minimum weight of offset + span(rows) over all q^k coefficient choices;
     every word counts, so it is 0 when the offset lies in the span.
 
-    symmetry is a coordinate permutation (Variety.symmetry()); when the
-    offset and every row are eigenvectors of it, the scan visits one word
-    per orbit.  More than EXACT_LIMIT_COEFFS rows raise DimensionTooLarge
-    before any work.
+    symmetry and frobenius are coordinate permutations (Variety.symmetry()
+    and Variety.frobenius()).  When the offset and every row are
+    eigenvectors of symmetry, the scan visits one word per sigma orbit,
+    and when they satisfy u[frobenius] = u^2, one per squaring orbit of
+    that (_high_table).  Each reduction is checked on the vectors and left
+    off when they fail it.  More than EXACT_LIMIT_COEFFS rows raise
+    DimensionTooLarge before any work.
     """
     _refuse_above_limit(rows.shape[0])
-    phases = _orbit_phases(np.vstack([offset, rows]), symmetry)
-    return _scan_min(pack_planes(offset), _packed_multiples(rows), phases)
+    words = np.vstack([offset, rows])
+    return _scan_min(pack_planes(offset), _packed_multiples(rows),
+                     _orbit_phases(words, symmetry), _frobenius_holds(words, frobenius))
 
 
 def sample_weights(offset: np.ndarray, rows: np.ndarray, seed: int, count: int):
@@ -503,9 +582,10 @@ def min_distance(code: EvaluationCode, strategy: str = "exhaustive",
     if strategy == "exhaustive":
         _refuse_above_limit(code.k)
         mults = _packed_multiples(code.G)  # mults[:, p, 1] is G[p] itself
-        pi = code.variety.symmetry()
+        pi, psi = code.variety.symmetry(), code.variety.frobenius()
         return min(_scan_min(mults[:, p, 1], mults[:, p + 1:],
-                             _orbit_phases(code.G[p:], pi))
+                             _orbit_phases(code.G[p:], pi),
+                             _frobenius_holds(code.G[p:], psi))
                    for p in range(code.k)), True
     if strategy != "sample":
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -549,7 +629,8 @@ def coset_min_weight(M: tuple, support, v: Variety, mode: str = "exhaustive",
         rows[i] = monomial_vector(m, v)
     if mode == "sample":
         return sampled_min_weight(offset, rows, seed, count), False
-    return exact_min_weight(offset, rows, symmetry=v.symmetry()), True
+    return exact_min_weight(offset, rows, symmetry=v.symmetry(),
+                            frobenius=v.frobenius()), True
 
 
 def count_weight_one(code: EvaluationCode) -> int:

@@ -626,6 +626,27 @@ def test_removed_flags_exit_two(argv, monkeypatch):
     assert run_cli(argv) == (2, "")
 
 
+def test_consecutive_calls_share_no_state(monkeypatch, capsys):
+    # main parses with one parser per process; nothing one call parses may
+    # reach the next, not even from a call that argparse refuses
+    from kleincode import cli
+
+    assert cli._parser() is cli._parser()
+    text = run_cli(["footprint"])
+    assert run_cli(["footprint", "--format", "json"])[1].startswith("{")
+    assert run_cli(["footprint"]) == text
+    seen = []
+    monkeypatch.setattr(cli, "cmd_footprint",
+                        lambda args: seen.append((args.format, args.seed)) or 0)
+    assert run_cli(["footprint", "--format", "csv", "--seed", "7"]) == (0, "")
+    assert run_cli(["footprint"]) == (0, "")
+    assert run_cli(["footprint", "--format", "xml", "--seed", "9"]) == (2, "")
+    assert "invalid choice: 'xml'" in capsys.readouterr().err
+    assert run_cli(["--seed", "3", "footprint"]) == (0, "")
+    assert run_cli(["footprint"]) == (0, "")
+    assert seen == [("csv", 7), ("text", 42), ("text", 3), ("text", 42)]
+
+
 def test_readme_cli_examples_parse(monkeypatch):
     # every kleincode line of the sh block under README's "## CLI" must
     # parse; the handlers are stubbed, so only argparse runs

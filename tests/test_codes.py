@@ -342,8 +342,10 @@ def _count_scanned(monkeypatch) -> list:
 
 
 def _assert_orbit_scan(scanned, t):
-    """The scan of 8^t states visited about one word per orbit of order 7."""
-    assert sum(scanned) <= 8 ** t / 6, f"{sum(scanned)} words for 8^{t} states"
+    """The scan of 8^t states visited about one word per orbit of the group
+    of order 21 that sigma and Frobenius generate: a sigma-only scan, about
+    8^t/7 words, fails this."""
+    assert sum(scanned) <= 8 ** t / 18, f"{sum(scanned)} words for 8^{t} states"
 
 
 def test_x3y_coset_is_tight(order, fp, variety, monkeypatch):
@@ -492,18 +494,24 @@ def test_exact_scan_matches_brute_force(spec, monkeypatch, low_coeffs, chunk_wor
 def test_exact_scan_counts_the_zero_word_of_a_coset(spec, variety, fp):
     # an offset in the span makes the coset the span itself, whose least
     # weight is that of the zero word.  Eight rows put three through the
-    # high table; the scan runs with the orbit reduction (the offset an
-    # eigenvector), without it (no eigenvector), and with no symmetry.
+    # high table; the scan runs with both reductions (the offset 0), with
+    # sigma only (alpha^3 times a row), with squaring only (ev(1) + ev(Y),
+    # no sigma eigenvector), with neither, and with no map.
     mul = spec.mul_table()
     rows = np.stack([monomial_vector(m, variety) for m in list(fp)[:8]])
-    pi = variety.symmetry()
-    for offset, reduced in ((np.zeros(22, dtype=np.uint8), True), (mul[3, rows[1]], True),
-                            (mul[3, rows[1]] ^ mul[5, rows[6]], False)):
-        assert (codes._orbit_phases(np.vstack([offset, rows]), pi) is not None) == reduced
+    pi, psi = variety.symmetry(), variety.frobenius()
+    for offset, sigma, squares in ((np.zeros(22, dtype=np.uint8), True, True),
+                                   (mul[3, rows[1]], True, False),
+                                   (rows[0] ^ rows[2], False, True),
+                                   (mul[3, rows[1]] ^ mul[5, rows[6]], False, False)):
+        words = np.vstack([offset, rows])
+        assert (codes._orbit_phases(words, pi) is not None) == sigma
+        assert codes._frobenius_holds(words, psi) == squares
+        assert exact_min_weight(offset, rows, symmetry=pi, frobenius=psi) == 0
         assert exact_min_weight(offset, rows, symmetry=pi) == 0
         assert exact_min_weight(offset, rows) == 0
     # outside the span the coset holds no zero word
-    assert exact_min_weight(rows[7], rows[:7], symmetry=pi) > 0
+    assert exact_min_weight(rows[7], rows[:7], symmetry=pi, frobenius=psi) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +520,35 @@ def test_exact_scan_counts_the_zero_word_of_a_coset(spec, variety, fp):
 def _klein_phase(m):
     """e with ev(m)[pi] = g^e * ev(m) for sigma(x, y) = (g*x, g^5*y)."""
     return (m[0] + 5 * m[1]) % 7
+
+
+def _part_words(r, squares):
+    """Words of a part of the high table with r free rows: all 8^r, or one
+    per orbit of squaring.  By Burnside, the identity fixes 8^r vectors and
+    each of the two other powers of squaring the 2^r vectors over GF(2)."""
+    return (8 ** r + 2 * 2 ** r) // 3 if squares else 8 ** r
+
+
+def _scan_words(phases, sigma=True, squares=True):
+    """The words a scan hands _table_min for rows with these phases
+    relative to the offset's: the high rows in sigma's parts (one per moved
+    row, with the earlier moved rows and itself fixed, and one with every
+    moved row 0), times the whole low table."""
+    t = len(phases)
+    split = max(0, t - codes._LOW_COEFFS)
+    moved = sum(1 for e in phases[:split] if e % 7) if sigma else 0
+    free = [split - moved] + [split - 1 - j for j in range(moved)]
+    return sum(_part_words(r, squares) for r in free) * 8 ** (t - split)
+
+
+def _coset_words(M, support, **reductions):
+    return _scan_words([_klein_phase(m) - _klein_phase(M) for m in support], **reductions)
+
+
+def _distance_words(monomials, **reductions):
+    """An exact distance scans the coset G[p] + span(G[p+1:]) for each p."""
+    return sum(_coset_words(monomials[p], monomials[p + 1:], **reductions)
+               for p in range(len(monomials)))
 
 
 def test_klein_symmetry(spec, variety, fp):
@@ -526,29 +563,151 @@ def test_klein_symmetry(spec, variety, fp):
     assert codes._orbit_phases(rows, None) is None
 
 
+def test_klein_frobenius(spec, variety, fp):
+    psi = variety.frobenius()
+    assert variety.frobenius() is psi  # looked for once, then kept
+    image = [(spec.mul(x, x), spec.mul(y, y)) for x, y in variety.points]
+    assert [variety.points[j] for j in psi] == image
+    square = spec.mul_pow_table()[1, 2]
+    rows = np.stack([monomial_vector(m, variety) for m in fp])
+    assert len(rows) == 22
+    for u in rows:
+        assert np.array_equal(u[psi], square[u])
+    assert codes._frobenius_holds(rows, psi)
+    assert codes._frobenius_holds(rows[:1] ^ rows[5:6], psi)  # sums of monomials too
+    assert not codes._frobenius_holds(rows, None)
+    # alpha * ev(Y) keeps ev(Y)'s sigma phase, but squares to alpha^2 * ev(Y)^2
+    alpha_y = spec.mul_table()[2, monomial_vector((0, 1), variety)]
+    words = np.stack([rows[0], alpha_y])
+    assert codes._orbit_phases(words, variety.symmetry()).tolist() == [5]
+    assert not codes._frobenius_holds(words, psi)
+
+
+def test_frobenius_needs_points_closed_under_squaring(spec):
+    assert Variety([(2, 0)]).frobenius() is None  # alpha^2 = 4: (4, 0) is missing
+    assert Variety([(2, 3), (4, 5), (6, 6)]).frobenius() is None
+    # squaring cycles alpha -> alpha^2 -> alpha^4 = alpha^2 + alpha
+    assert spec.mul(4, 4) == 6 and spec.mul(6, 6) == 2
+    assert Variety([(2, 0), (4, 0), (6, 0)]).frobenius().tolist() == [1, 2, 0]
+    # points over GF(2) are fixed
+    assert Variety([(0, 0), (1, 0), (1, 1)]).frobenius().tolist() == [0, 1, 2]
+
+
+def test_frobenius_table_takes_one_vector_per_squaring_orbit(spec):
+    square = spec.mul_pow_table()[1, 2]
+    assert (codes._SQUARE_FIXED, codes._SQUARE_LEADS) == ([0, 1], [2, spec.pow(2, 3)])
+
+    def orbit(c):
+        return min(tuple(c), tuple(square[c]), tuple(square[square[c]]))
+
+    for r in range(5):
+        # unit rows and a zero base: the word of c is c itself
+        table = codes._frobenius_table(codes._packed_multiples(np.eye(r, dtype=np.uint8)),
+                                       pack_planes(np.zeros(r, dtype=np.uint8)))
+        vectors = _unpack(table, r)
+        everything = {orbit(np.array(c, dtype=np.uint8))
+                      for c in itertools.product(range(8), repeat=r)}
+        assert {orbit(c) for c in vectors} == everything
+        assert len(vectors) == len(everything) == _part_words(r, True)
+
+
 def test_orbit_scan_matches_full_scan(fp, variety, monkeypatch):
-    # every class with t <= 9 and every table row with k <= 10, scanned with
-    # the symmetry and again with Variety.symmetry() returning None
+    # every class with t <= 10 and every table row with k <= 10, scanned
+    # with sigma and Frobenius, with sigma only (Variety.frobenius()
+    # returning None) and unreduced (Variety.symmetry() returning None too)
     delta = full_bound_map()
-    cosets = [M for M in fp if len(klein.class_support(M)) <= 9]
+    cosets = [M for M in fp if len(klein.class_support(M)) <= 10]
     table_codes = [code_for_threshold(delta, r["s"], fp, variety)
                    for r in construct_table(delta, variety) if r["k"] <= 10]
-    assert len(cosets) == 10 and [c.k for c in table_codes] == [1, 2, 3, 4, 5, 7, 8, 10]
+    assert len(cosets) == 11 and [c.k for c in table_codes] == [1, 2, 3, 4, 5, 7, 8, 10]
 
     def scan_all():
         return ([coset_min_weight(M, klein.class_support(M), variety)[0] for M in cosets],
                 [min_distance(code)[0] for code in table_codes])
 
+    def words(**reductions):
+        return (sum(_coset_words(M, klein.class_support(M), **reductions) for M in cosets)
+                + sum(_distance_words(code.monomials, **reductions) for code in table_codes))
+
     scanned = _count_scanned(monkeypatch)
-    reduced = scan_all()
-    orbit_words = sum(scanned)
+    minima = scan_all()
+    assert minima[0] == [klein.CLASS_MINIMUM[M] for M in cosets]
+    assert sum(scanned) == words()
+    for patched, reductions in (("frobenius", {"squares": False}),
+                                ("symmetry", {"sigma": False, "squares": False})):
+        scanned.clear()
+        monkeypatch.setattr(codes.Variety, patched, lambda self: None)
+        assert scan_all() == minima
+        assert sum(scanned) == words(**reductions)
+    assert sum(scanned) == (sum(8 ** len(klein.class_support(M)) for M in cosets)
+                            + sum((8 ** code.k - 1) // 7 for code in table_codes))
+    assert words() < words(squares=False) / 2.7
+
+
+def test_scan_word_counts(fp, variety, monkeypatch):
+    # about a third of the sigma-only scan's words on the largest scans
+    scanned = _count_scanned(monkeypatch)
+    sigma_only = {}
+    for M, words, minimum in (((3, 1), 51_838_976, 9), ((1, 2), 6_815_744, 10)):
+        support = klein.class_support(M)
+        scanned.clear()
+        assert coset_min_weight(M, support, variety) == (minimum, True)
+        assert sum(scanned) == _coset_words(M, support) == words
+        sigma_only[M] = _coset_words(M, support, squares=False)
+    delta = full_bound_map()
+    (s,) = [r["s"] for r in construct_table(delta, variety) if r["k"] == 10]
+    code = code_for_threshold(delta, s, fp, variety)
     scanned.clear()
-    monkeypatch.setattr(codes.Variety, "symmetry", lambda self: None)
-    assert scan_all() == reduced
-    full_words = (sum(8 ** len(klein.class_support(M)) for M in cosets)
-                  + sum((8 ** code.k - 1) // 7 for code in table_codes))
-    assert sum(scanned) == full_words
-    assert orbit_words < full_words / 6
+    assert min_distance(code) == (10, True)
+    assert sum(scanned) == _distance_words(code.monomials) == 8_032_841
+    sigma_only[10] = _distance_words(code.monomials, squares=False)
+    assert sigma_only == {(3, 1): 153_419_776, (1, 2): 19_398_656, 10: 22_057_545}
+
+
+@pytest.mark.parametrize("low_coeffs", [0, 1])
+def test_reduced_scan_matches_brute_force(spec, variety, fp, monkeypatch, low_coeffs):
+    # small cosets of monomials (both reductions) and of sums of monomials
+    # (squaring only): with at most one low row, up to four rows go through
+    # the high table's parts and _frobenius_table
+    monkeypatch.setattr(codes, "_LOW_COEFFS", low_coeffs)
+    scanned = _count_scanned(monkeypatch)
+    mul = spec.mul_table()
+    pi, psi = variety.symmetry(), variety.frobenius()
+    monos = list(fp)
+    rnd = random.Random(0xF40B)
+    for case in range(40):
+        k = 1 + case % 4
+        picked = rnd.sample(monos, k + 1)
+        words = np.stack([monomial_vector(m, variety) for m in picked])
+        sigma = case % 2 == 0
+        if not sigma:
+            # a sum of two monomials of different phases is no eigenvector
+            i = rnd.randrange(k + 1)
+            other = next(m for m in rnd.sample(monos, len(monos))
+                         if _klein_phase(m) != _klein_phase(picked[i]))
+            words[i] ^= monomial_vector(other, variety)
+        offset, rows = words[0], words[1:]
+        scanned.clear()
+        got = exact_min_weight(offset, rows, symmetry=pi, frobenius=psi)
+        assert got == _brute_min(offset, rows, mul)
+        assert sum(scanned) == _coset_words(picked[0], picked[1:], sigma=sigma)
+
+
+def test_scaled_offset_falls_back_to_sigma_only(spec, variety, monkeypatch):
+    # alpha * ev(X*Y^2) is a sigma eigenvector but fails u[psi] = u^2, so
+    # the scan takes exactly the sigma-only words; the coset is alpha times
+    # the class coset, with the class's minimum
+    M = (1, 2)
+    support = klein.class_support(M)
+    rows = np.stack([monomial_vector(m, variety) for m in support])
+    offset = spec.mul_table()[2, monomial_vector(M, variety)]
+    pi, psi = variety.symmetry(), variety.frobenius()
+    scanned = _count_scanned(monkeypatch)
+    assert exact_min_weight(offset, rows, symmetry=pi, frobenius=psi) == 10
+    both = sum(scanned)
+    scanned.clear()
+    assert exact_min_weight(offset, rows, symmetry=pi) == 10
+    assert both == sum(scanned) == _coset_words(M, support, squares=False) == 19_398_656
 
 
 def test_symmetry_checks_the_curve_map_only(spec):
@@ -566,10 +725,10 @@ def test_symmetry_checks_the_curve_map_only(spec):
 
 
 def _without_symmetry(variety):
-    """The Klein points less one point that sigma moves: no diagonal map
-    permutes what is left."""
-    pi = variety.symmetry()
-    drop = next(j for j in range(len(pi)) if pi[j] != j)
+    """The Klein points less one point that sigma and squaring move: no
+    diagonal map and no squaring permutes what is left."""
+    pi, psi = variety.symmetry(), variety.frobenius()
+    drop = next(j for j in range(len(pi)) if pi[j] != j and psi[j] != j)
     return Variety([p for j, p in enumerate(variety.points) if j != drop])
 
 
@@ -581,7 +740,7 @@ def test_orbit_scan_off_without_eigenvectors(spec, variety, fp, monkeypatch, low
     scanned = _count_scanned(monkeypatch)
     mul = spec.mul_table()
     plain = _without_symmetry(variety)
-    assert plain.symmetry() is None
+    assert plain.symmetry() is None and plain.frobenius() is None
     monos = list(fp)
     rnd = random.Random(0x5167)
     reduced = 0
@@ -599,15 +758,16 @@ def test_orbit_scan_off_without_eigenvectors(spec, variety, fp, monkeypatch, low
             words[i] ^= monomial_vector(other, v)
         offset, rows = words[0], words[1:]
         scanned.clear()
-        got = exact_min_weight(offset, rows, symmetry=v.symmetry())
+        got = exact_min_weight(offset, rows, symmetry=v.symmetry(), frobenius=v.frobenius())
         assert got == _brute_min(offset, rows, mul)
+        if v is plain:
+            assert sum(scanned) == 8 ** k
+        else:
+            # monomials keep both reductions, a sum of monomials squaring only
+            assert sum(scanned) == _coset_words(picked[0], picked[1:], sigma=case % 3 == 0)
         split = max(0, k - codes._LOW_COEFFS)
         moved = any(phase[m] != phase[picked[0]] for m in picked[1:1 + split])
-        if case % 3 == 0 and moved:
-            assert sum(scanned) < 8 ** k
-            reduced += 1
-        else:
-            assert sum(scanned) == 8 ** k
+        reduced += case % 3 == 0 and moved
         if case % 3:
             code = codes.EvaluationCode(picked, v, words)
             scanned.clear()
@@ -619,14 +779,16 @@ def test_orbit_scan_off_without_eigenvectors(spec, variety, fp, monkeypatch, low
 
 def test_forged_symmetry_is_caught(fp, variety, monkeypatch):
     # A wrong permutation gives the rows no phase, so the scan falls back to
-    # all 8^t words: the minimum stays right and the orbit guard fails.
+    # squaring alone, 176 of the 8^3 high states: the minimum stays right
+    # and the orbit guard fails.
     pi = variety.symmetry().copy()
     pi[[1, 2]] = pi[[2, 1]]
     monkeypatch.setattr(codes.Variety, "symmetry", lambda self: pi)
     scanned = _count_scanned(monkeypatch)
     M = (4, 0)
-    assert coset_min_weight(M, klein.class_support(M), variety) == (10, True)
-    assert sum(scanned) == 8 ** 8
+    support = klein.class_support(M)
+    assert coset_min_weight(M, support, variety) == (10, True)
+    assert sum(scanned) == _coset_words(M, support, sigma=False) == 176 * 8 ** 5
     with pytest.raises(AssertionError):
         _assert_orbit_scan(scanned, 8)
 
