@@ -40,8 +40,6 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .gf import gf8
 from .groebner import buchberger, footprint
 from .klein import (
@@ -50,7 +48,7 @@ from .klein import (
     klein_footprint,
     parse_monomial,
 )
-from .params import ConstraintStore, ParamPoly, ParamRing, evaluate_grid, format_param
+from .params import ConstraintStore, ParamPoly, ParamRing, format_param
 from .poly import (
     FULL,
     HEAD,
@@ -451,8 +449,19 @@ def instantiate_and_check(M: tuple, leaf: Leaf, nsamples: int, seed: int):
     """Sample concrete parameter values satisfying the leaf and verify every
     established monomial is absent from the footprint of <F> + I8.  I8 enters
     as its reduced basis: it generates the same ideal as the curve and field
-    equations, so the reduced basis and footprint of the sum are the same."""
+    equations, so the reduced basis and footprint of the sum are the same.
+
+    sample_witnesses fills each substituted parameter with its right-hand
+    side, so at a witness a the leaf's F is M + sum a_i*m_i over the class
+    support, read off a with no substitution.  A leaf whose store has
+    another parameter count than M's class comes from another class and is
+    refused with ValueError."""
     ctx = klein_parametric(tuple(M))
+    t = leaf.constraints.ring.t
+    if t != ctx.t:
+        raise ValueError(
+            f"{leaf.label}: leaf has {t} parameters, class "
+            f"{format_monomial(ctx.M)} has {ctx.t}")
     if leaf.vacuous or leaf.constraints.vacuous:
         raise UnsatisfiableLeaf(leaf.label)
     assignments = leaf.constraints.sample_witnesses(nsamples, seed)
@@ -460,11 +469,9 @@ def instantiate_and_check(M: tuple, leaf: Leaf, nsamples: int, seed: int):
         raise UnsatisfiableLeaf(leaf.label)
     dom = gf8()
     gens = klein_basis()
-    F_leaf = ctx.root.map_coeffs(leaf.constraints.reduce)
-    grid = np.array(assignments, dtype=np.uint8).T
-    values = evaluate_grid(list(F_leaf.terms.values()), grid).T.tolist()
-    for assignment, column in zip(assignments, values):
-        terms = {m: v for m, v in zip(F_leaf.terms, column) if v}
+    for assignment in assignments:
+        terms = {ctx.M: 1}
+        terms.update((m, a) for m, a in zip(ctx.support, assignment, strict=True) if a)
         F = Polynomial(dom, 2, terms, _normalized=True)
         gb = buchberger([F, *gens])
         fp2 = footprint(gb)

@@ -1,7 +1,9 @@
 import dataclasses
+import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import run_cli
@@ -302,6 +304,86 @@ def test_instantiate_refuses_zero_samples():
     for n in (0, -2):
         with pytest.raises(ValueError, match=f"sample count {n} "):
             instantiate_and_check((0, 1), leaf, nsamples=n, seed=3)
+
+
+def test_instantiate_refuses_a_leaf_from_another_class():
+    # an s31 (Y) leaf has 2 parameters; 1, X and X*Y have 0, 1 and 4.  The
+    # first two used to pass it unchecked and X*Y raised a bare IndexError
+    leaf = verify_trace((0, 1), parse_trace(load_trace_text("s31"))).leaves[0]
+    for M, t in (((0, 0), 0), ((1, 0), 1), ((1, 1), 4)):
+        with pytest.raises(ValueError, match=f"leaf has 2 parameters, class .* has {t}$"):
+            instantiate_and_check(M, leaf, nsamples=2, seed=3)
+
+
+def _live_leaves():
+    for M, rep in sorted(verify_all_traces().items()):
+        for leaf in rep.leaves:
+            if not leaf.vacuous:
+                yield M, leaf
+
+
+def test_instantiate_reads_F_off_the_witness(monkeypatch):
+    # the F each Buchberger run starts from equals the leaf's root with the
+    # store's substitutions applied, evaluated at the witness
+    from kleincode.params import evaluate_grid
+
+    seen = []
+    real = casebound.buchberger
+    monkeypatch.setattr(casebound, "buchberger",
+                        lambda gens: seen.append(gens[0]) or real(gens))
+    leaves = 0
+    for M, leaf in _live_leaves():
+        cs = leaf.constraints
+        F_leaf = casebound.klein_parametric(M).root.map_coeffs(cs.reduce)
+        for seed in (3, 41, 0x1EAF):
+            seen.clear()
+            instantiate_and_check(M, leaf, nsamples=3, seed=seed)
+            witnesses = cs.sample_witnesses(3, seed)
+            grid = np.array(witnesses, dtype=np.uint8).T
+            subs = evaluate_grid(list(cs.subs.values()), grid)
+            for row, i in zip(subs, cs.subs, strict=True):
+                assert grid[i].tolist() == row.tolist()
+            values = evaluate_grid(list(F_leaf.terms.values()), grid).T.tolist()
+            assert [F.terms for F in seen] == [
+                {m: v for m, v in zip(F_leaf.terms, column) if v} for column in values]
+        leaves += 1
+    assert leaves == 87
+
+
+def test_instantiate_refuses_a_forged_leaf(dom, gb):
+    # a claim that stays in the footprint for the first sampled F is caught,
+    # and the message names that assignment
+    from kleincode.groebner import buchberger, footprint
+    from kleincode.poly import Polynomial, format_monomial
+
+    M = (1, 1)
+    leaf = verify_trace(M, parse_trace(load_trace_text("s33"))).leaves[0]
+    a = leaf.constraints.sample_witnesses(2, seed=7)[0]
+    terms = {M: 1, **{m: v for m, v in zip(casebound.klein_parametric(M).support, a) if v}}
+    kept = sorted(footprint(buchberger([Polynomial(dom, 2, terms), *gb])).monomials)
+    e = next(m for m in kept if m not in leaf.established)
+    forged = dataclasses.replace(leaf, established=leaf.established + (e,))
+    with pytest.raises(UnjustifiedClaim, match=re.escape(
+            f"{format_monomial(e)} still in the footprint for a = {a}")):
+        instantiate_and_check(M, forged, nsamples=2, seed=7)
+
+
+def test_instantiate_substitutes_nothing(monkeypatch):
+    # the witnesses carry the substitutions already: no per-leaf reduce or
+    # map_coeffs comes back
+    from kleincode.params import ConstraintStore
+    from kleincode.poly import Polynomial
+
+    live = [(M, leaf) for M, leaf in _live_leaves() if leaf.constraints.subs]
+    assert len(live) >= 10
+    calls = []
+    for cls, name in ((ConstraintStore, "reduce"), (Polynomial, "map_coeffs")):
+        real = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda *a, _real=real, _name=name:
+                            calls.append(_name) or _real(*a))
+    for M, leaf in live:
+        instantiate_and_check(M, leaf, nsamples=2, seed=5)
+    assert calls == []
 
 
 def test_delta_map_range_and_baseline_monotone(fp):
